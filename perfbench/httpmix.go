@@ -148,7 +148,7 @@ func workingSet(rng *rand.Rand, specs []graphSpec, hot int, whatIf bool) ([]*mix
 }
 
 var readMix = mixSpec{
-	rate: 220,
+	rate: 330,
 	graphs: func(rng *rand.Rand) ([]*mixGraph, error) {
 		specs := []graphSpec{stack66, random2000}
 		for i := 0; i < 14; i++ {
@@ -219,10 +219,10 @@ type opGen struct {
 	slackGraphs []int
 }
 
-// maxSlackEvents keeps slacks ops off random-2000: its answer is ~4000
-// rows, a 30 ms op at one read in 160 that alone would set p99 and make
-// it swing with how many of them a run happens to draw.
-const maxSlackEvents = 500
+// maxSlackEvents keeps slacks ops on the 66-event stack: a random-2000
+// or random-500 answer is 1000 to 4000 rows, a 5 to 30 ms op that sets
+// p99 by itself and makes it swing with how many of them a run draws.
+const maxSlackEvents = 100
 
 func newOpGen(seed int64, sender, senders int, spec *mixSpec, graphs []*mixGraph) *opGen {
 	g := &opGen{
