@@ -41,8 +41,8 @@ const (
 )
 
 // batchRound is how many ops of each kind one round runs. The counts
-// put the median op in the random-2000 block and the 99th percentile
-// in the pipegrid block, and give each kind a comparable share of time.
+// put the median op in the random-2000 block and the 90th percentile
+// in the hier block, and give each kind a comparable share of time.
 var batchRound = [batchKinds]int{kStack66: 10, kRandom2000: 20, kPipegrid: 1, kHier: 6, kMC: 2}
 
 // batchGraph is one graph of the batch with its oracle.

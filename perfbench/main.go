@@ -99,7 +99,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "perfbench: %s: %v\n", cfg.workload, err)
 		return 1
 	}
-	out.vals["peak_rss_mb"] = peakRSSMB()
+	if _, ok := out.vals["peak_rss_mb"]; !ok {
+		out.vals["peak_rss_mb"] = peakRSSMB()
+	}
 	defs := endToEnd
 	if cfg.traced {
 		defs = perLayer
@@ -158,7 +160,7 @@ func pct(traced, untraced float64) float64 {
 
 // overhead reports each end-to-end metric's traced-versus-untraced change.
 func overhead(vals, untraced, traced map[string]float64) {
-	for _, m := range []string{"p50_ms", "p99_ms", "capacity_rps", "cpu_ms_per_op"} {
+	for _, m := range []string{"p50_ms", "p90_ms", "capacity_rps", "cpu_ms_per_op"} {
 		vals["overhead."+m+"_pct"] = pct(traced[m], untraced[m])
 	}
 }
@@ -236,6 +238,9 @@ func (w *httpMix) measure(ctx context.Context, dur time.Duration, traced bool, o
 	stopCPU := sampleCPU(time.Second)
 	open, start := w.openLoop(ctx, fixed, traced)
 	marks := stopCPU()
+	// The closed loop's high-water mark follows how fast the host lets
+	// it allocate; the fixed-rate phase's does not.
+	vals["peak_rss_mb"] = peakRSSMB()
 	closed, cstart := w.closedLoop(ctx, dur-fixed, traced)
 
 	all := append(open, closed...)
@@ -255,22 +260,12 @@ func (w *httpMix) measure(ctx context.Context, dur time.Duration, traced bool, o
 		}
 		lags = append(lags, ms(s.lag))
 	}
-	// p99_ms is the median of the p99s of equal slices of the phase,
-	// each holding at least tailWindowOps primary ops.
-	n := max(1, min(maxTailWindows, len(primary)/tailWindowOps))
-	tails := make([][]float64, n)
 	var lats []float64
 	for _, s := range primary {
-		i := min(int(s.due.Sub(start)*time.Duration(n)/fixed), n-1)
-		tails[i] = append(tails[i], latMS(s))
 		lats = append(lats, latMS(s))
 	}
-	var tailP99 []float64
-	for _, t := range tails {
-		tailP99 = append(tailP99, quantile(t, 0.99))
-	}
 	vals["p50_ms"] = median(lats)
-	vals["p99_ms"] = median(tailP99)
+	vals["p90_ms"] = windowQuantile(primary, start, 0.9)
 	vals["capacity_rps"] = medianRate(closed, cstart)
 	vals["cpu_ms_per_op"] = cpuPerOp(open, marks)
 	vals["read_p50_ms"] = median(reads)
@@ -302,12 +297,25 @@ func (w *httpMix) measure(ctx context.Context, dur time.Duration, traced bool, o
 	return vals, nil
 }
 
-// A slice of the fixed-rate phase needs tailWindowOps ops for ten of
-// them to lie beyond its 99th percentile.
-const (
-	tailWindowOps  = 1000
-	maxTailWindows = 8
-)
+// windowQuantile is the median, over one-second windows of the phase
+// from start, of the q-quantile latency of the ops due in each window.
+func windowQuantile(samples []sample, start time.Time, q float64) float64 {
+	var wins [][]float64
+	for _, s := range samples {
+		i := int(s.due.Sub(start) / time.Second)
+		for len(wins) <= i {
+			wins = append(wins, nil)
+		}
+		wins[i] = append(wins[i], latMS(s))
+	}
+	var qs []float64
+	for _, w := range wins {
+		if len(w) > 0 {
+			qs = append(qs, quantile(w, q))
+		}
+	}
+	return median(qs)
+}
 
 // latMS is an op's latency in ms; a failed op misses every limit.
 func latMS(s sample) float64 {
@@ -507,7 +515,7 @@ func (b *batch) measure(dur time.Duration, traced bool, out *outcome) map[string
 		cpus = append(cpus, ms(r.cpu)/float64(r.ops))
 	}
 	vals["p50_ms"] = median(all)
-	vals["p99_ms"] = quantile(all, 0.99)
+	vals["p90_ms"] = quantile(all, 0.9)
 	vals["capacity_rps"] = median(rates)
 	vals["cpu_ms_per_op"] = median(cpus)
 	vals["analyze_stack66_ms"] = median(byKind[kStack66])

@@ -14,7 +14,7 @@ type metricDef struct {
 var endToEnd = []metricDef{
 	{"setup_s", "s"},
 	{"p50_ms", "ms"},
-	{"p99_ms", "ms"},
+	{"p90_ms", "ms"},
 	{"capacity_rps", "1/s"},
 	{"cpu_ms_per_op", "ms"},
 	{"peak_rss_mb", "MB"},
@@ -55,7 +55,7 @@ func buildPerLayer() []metricDef {
 		{"e2e.mc_samples_per_s", "1/s"},
 		// Tracing overhead: traced half versus untraced half.
 		{"overhead.p50_ms_pct", "%"},
-		{"overhead.p99_ms_pct", "%"},
+		{"overhead.p90_ms_pct", "%"},
 		{"overhead.capacity_rps_pct", "%"},
 		{"overhead.cpu_ms_per_op_pct", "%"},
 		// The ledger, timed from outside each layer.

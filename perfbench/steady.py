@@ -63,7 +63,8 @@ def main():
         for name, m in res["metrics"].items():
             values.setdefault(name, []).append(m["value"])
             units[name] = m["unit"]
-        print(f"seed {seed}: {res['attempted']} ops, {wall:.1f}s wall", file=sys.stderr)
+        got = " ".join(f"{name}={m['value']:.4g}" for name, m in sorted(res["metrics"].items()))
+        print(f"seed {seed}: {res['attempted']} ops, {wall:.1f}s wall, {got}", file=sys.stderr)
 
     print(f"workload {args.workload}: {args.runs} runs x {seconds}s, seeds {args.first_seed}..{args.first_seed + args.runs - 1}")
     print(f"host {json.dumps(env.get('host', {}))}")
