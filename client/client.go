@@ -440,10 +440,28 @@ func (c *Client) doOnce(req *http.Request, out interface{}) error {
 		}
 		return apiErr
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case *[]byte:
+		*out, err = io.ReadAll(resp.Body)
+		return err
+	default:
+		return json.NewDecoder(resp.Body).Decode(out)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// PostRaw sends body verbatim as a JSON request to path and returns the
+// 2xx reply body undecoded. Retries and failure classification are the
+// typed calls' own: a non-2xx reply is an *APIError, a transport
+// failure an *UnreachableError. It is the forwarding primitive of the
+// cluster router, which relays read bodies without re-coding them.
+func (c *Client) PostRaw(ctx context.Context, path string, body []byte) ([]byte, error) {
+	var out []byte
+	if err := c.roundTrip(ctx, http.MethodPost, path, "application/json", body, &out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Upload sends a graph (raw .tsg body) and returns its fingerprint;

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -239,5 +240,48 @@ func TestClientIDStampsAreUnique(t *testing.T) {
 	}
 	if !strings.HasPrefix(a.ClientID(), "cli-") {
 		t.Fatalf("client id %q lacks cli- prefix", a.ClientID())
+	}
+}
+
+// TestPostRawRetriesAndClassifiesLikeTypedCalls pins the forwarding
+// primitive: a 2xx reply comes back byte for byte after the same 503
+// retries the typed calls make, and a 4xx is the same *APIError.
+func TestPostRawRetriesAndClassifiesLikeTypedCalls(t *testing.T) {
+	s := serve.New(serve.Config{})
+	f := &flaky503{inner: s, sheds: 1}
+	srv := httptest.NewServer(f)
+	t.Cleanup(srv.Close)
+	cl := client.New(srv.URL, client.WithRetries(2), client.WithBackoff(time.Millisecond, 5*time.Millisecond))
+	ctx := context.Background()
+
+	body := `{"fingerprint":"` + tsg.Fingerprint(gen.Oscillator()) + `"}`
+	if _, err := cl.Upload(ctx, gen.Oscillator()); err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	f.seen.Store(0) // the next request is shed once
+	raw, err := cl.PostRaw(ctx, "/v1/analyze", []byte(body))
+	if err != nil {
+		t.Fatalf("PostRaw through a shed: %v", err)
+	}
+	if n := f.seen.Load(); n != 2 {
+		t.Fatalf("server saw %d attempts, want 2 (1 shed + 1 success)", n)
+	}
+	resp, err := http.Post(srv.URL+"/v1/analyze", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("direct POST: %v", err)
+	}
+	defer resp.Body.Close()
+	var direct strings.Builder
+	if _, err := io.Copy(&direct, resp.Body); err != nil {
+		t.Fatalf("reading direct reply: %v", err)
+	}
+	if string(raw) != direct.String() {
+		t.Fatalf("PostRaw returned %s, the server answers %s", raw, direct.String())
+	}
+
+	_, err = cl.PostRaw(ctx, "/v1/analyze", []byte(`{"fingerprint":"nope"}`))
+	var api *client.APIError
+	if !errors.As(err, &api) || api.Status != http.StatusNotFound || api.Msg == "" {
+		t.Fatalf("PostRaw of an unknown fingerprint: %v, want a 404 *APIError", err)
 	}
 }

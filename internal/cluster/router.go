@@ -483,22 +483,32 @@ func (r *Router) writeBackendError(w http.ResponseWriter, err error) {
 	r.writeErrorStatus(w, http.StatusBadGateway, err.Error())
 }
 
+// readBody reads the whole request body under the edge's size cap: an
+// oversized body answers 413, a broken one 400.
+func (r *Router) readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
+	raw, err := io.ReadAll(req.Body)
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			r.writeErrorStatus(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+			return nil, false
+		}
+		r.writeErrorStatus(w, http.StatusBadRequest, "reading request body: "+err.Error())
+		return nil, false
+	}
+	return raw, true
+}
+
 // decodeJSON mirrors the serve layer's decode contract: bad syntax,
 // wrong shape, trailing garbage, and oversized bodies all answer the
 // right 4xx instead of leaking a 500.
 func (r *Router) decodeJSON(w http.ResponseWriter, req *http.Request, v any) bool {
-	dec := json.NewDecoder(req.Body)
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			r.writeErrorStatus(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		r.writeErrorStatus(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	raw, ok := r.readBody(w, req)
+	if !ok {
 		return false
 	}
-	if dec.More() {
-		r.writeErrorStatus(w, http.StatusBadRequest, "decoding request: trailing data after JSON value")
+	if err := json.Unmarshal(raw, v); err != nil {
+		r.writeErrorStatus(w, http.StatusBadRequest, "decoding request: "+err.Error())
 		return false
 	}
 	return true
@@ -521,14 +531,8 @@ func (r *Router) readGraphText(w http.ResponseWriter, req *http.Request) (string
 		}
 		return body.Graph, true
 	}
-	raw, err := io.ReadAll(req.Body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			r.writeErrorStatus(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return "", false
-		}
-		r.writeErrorStatus(w, http.StatusBadRequest, "reading request body: "+err.Error())
+	raw, ok := r.readBody(w, req)
+	if !ok {
 		return "", false
 	}
 	if len(raw) == 0 {
@@ -655,6 +659,25 @@ func (r *Router) hedgeDelay() time.Duration {
 	return d
 }
 
+// readReq is one routed read: the backend path and the request body
+// that every attempt (hedge, failover, lost-state retry) replays
+// verbatim.
+type readReq struct {
+	path string
+	body []byte
+}
+
+// forward runs the read's hop against one node and returns the
+// backend's 2xx reply body undecoded.
+func (r *Router) forward(ctx context.Context, n *node, failover bool, rd readReq) ([]byte, error) {
+	var out []byte
+	err := r.hop(ctx, n, failover, func(ctx context.Context) (err error) {
+		out, err = n.cl.PostRaw(ctx, rd.path, rd.body)
+		return err
+	})
+	return out, err
+}
+
 // attemptRead runs one full read attempt against one node: journal sync
 // if the node is behind, the hop, and the 404-lost-state resync-retry.
 // passThrough reports a genuine 4xx answer that must return to the
@@ -662,7 +685,7 @@ func (r *Router) hedgeDelay() time.Duration {
 // node's breaker — unless the attempt's context is already dead (the
 // caller gave up, or this was a hedge loser cancelled after the winner
 // answered), which is not the node's fault.
-func (r *Router) attemptRead(ctx context.Context, gs *graphState, n *node, failover bool, call func(context.Context, *node) (any, error)) (res any, err error, passThrough bool) {
+func (r *Router) attemptRead(ctx context.Context, gs *graphState, n *node, failover bool, rd readReq) (res []byte, err error, passThrough bool) {
 	if gs != nil {
 		// The sync runs detached from the attempt's cancellation (bounded
 		// by the hop timeout instead): a journal replay is shared
@@ -684,7 +707,7 @@ func (r *Router) attemptRead(ctx context.Context, gs *graphState, n *node, failo
 			return nil, ctx.Err(), false
 		}
 	}
-	res, err = r.hop(ctx, n, failover, call)
+	res, err = r.forward(ctx, n, failover, rd)
 	if err == nil {
 		return res, nil, false
 	}
@@ -705,7 +728,7 @@ func (r *Router) attemptRead(ctx context.Context, gs *graphState, n *node, failo
 				return nil, err, false
 			}
 			if syncErr := r.sync(ctx, n, gs); syncErr == nil {
-				res, err2 := r.hop(ctx, n, true, call)
+				res, err2 := r.forward(ctx, n, true, rd)
 				if err2 == nil {
 					return res, nil, false
 				}
@@ -725,13 +748,13 @@ func (r *Router) attemptRead(ctx context.Context, gs *graphState, n *node, failo
 // sequential budgeted failover over the rest. A 4xx from a backend is a
 // genuine answer and passes through; everything else demotes the node
 // and moves on.
-func (r *Router) forwardRead(ctx context.Context, gs *graphState, replicas []*node, call func(context.Context, *node) (any, error)) (any, error) {
+func (r *Router) forwardRead(ctx context.Context, gs *graphState, replicas []*node, rd readReq) ([]byte, error) {
 	r.hedgeBudget.credit()
 	ordered := orderForRead(replicas)
 	var lastErr error
 	next := 0
 	if !r.cfg.DisableHedge && len(ordered) > 1 {
-		res, err, passThrough, tried := r.hedgedRead(ctx, gs, ordered, call)
+		res, err, passThrough, tried := r.hedgedRead(ctx, gs, ordered, rd)
 		if err == nil {
 			return res, nil
 		}
@@ -753,7 +776,7 @@ func (r *Router) forwardRead(ctx context.Context, gs *graphState, replicas []*no
 		if !ok {
 			continue // half-open with a trial in flight: not a failure, just skip
 		}
-		res, err, passThrough := r.attemptRead(ctx, gs, n, i > 0, call)
+		res, err, passThrough := r.attemptRead(ctx, gs, n, i > 0, rd)
 		release()
 		if err == nil {
 			return res, nil
@@ -777,14 +800,18 @@ func (r *Router) forwardRead(ctx context.Context, gs *graphState, replicas []*no
 // error back to forwardRead's sequential pass. tried reports how many
 // of ordered's prefix this consumed (1 or 2), so the caller resumes
 // failover at the right replica.
-func (r *Router) hedgedRead(ctx context.Context, gs *graphState, ordered []*node, call func(context.Context, *node) (any, error)) (res any, err error, passThrough bool, tried int) {
+//
+// The attempts run on a detached copy of the request's span: a loser
+// may still start hop or sync spans after the winner answered and the
+// request's root span has Ended and gone back to the tracer's pool.
+func (r *Router) hedgedRead(ctx context.Context, gs *graphState, ordered []*node, rd readReq) (res []byte, err error, passThrough bool, tried int) {
 	type outcome struct {
-		res   any
+		res   []byte
 		err   error
 		pt    bool
 		hedge bool
 	}
-	hctx, hcancel := context.WithCancel(ctx)
+	hctx, hcancel := context.WithCancel(obs.Detach(ctx))
 	defer hcancel()
 	ch := make(chan outcome, 2) // buffered: the loser's late result must not leak its goroutine
 	launch := func(n *node, hedge bool) bool {
@@ -794,7 +821,7 @@ func (r *Router) hedgedRead(ctx context.Context, gs *graphState, ordered []*node
 		}
 		go func() {
 			defer release()
-			res, err, pt := r.attemptRead(hctx, gs, n, hedge, call)
+			res, err, pt := r.attemptRead(hctx, gs, n, hedge, rd)
 			ch <- outcome{res, err, pt, hedge}
 		}()
 		return true
@@ -844,9 +871,9 @@ func (r *Router) hedgedRead(ctx context.Context, gs *graphState, ordered []*node
 	}
 }
 
-// hop forwards one call to one node, with the inflight/latency
-// bookkeeping the balancer, telemetry, and hedge delay feed on.
-func (r *Router) hop(ctx context.Context, n *node, failover bool, call func(context.Context, *node) (any, error)) (any, error) {
+// hop runs one call to one node, with the inflight/latency bookkeeping
+// the balancer, telemetry, and hedge delay feed on.
+func (r *Router) hop(ctx context.Context, n *node, failover bool, call func(context.Context) error) error {
 	sp := obs.LeafN(ctx, nameHop)
 	sp.AnnotateN(keyNode, uint64(n.id))
 	if failover {
@@ -854,7 +881,7 @@ func (r *Router) hop(ctx context.Context, n *node, failover bool, call func(cont
 	}
 	n.inflight.Add(1)
 	t0 := time.Now()
-	res, err := call(ctx, n)
+	err := call(ctx)
 	dt := time.Since(t0)
 	n.inflight.Add(-1)
 	sp.End()
@@ -865,7 +892,7 @@ func (r *Router) hop(ctx context.Context, n *node, failover bool, call func(cont
 		r.noteSuccess(n)
 		r.lat.observe(dt) // successes only: the hedge delay must not chase failures
 	}
-	return res, err
+	return err
 }
 
 func (gs *graphState) hasText() bool {
@@ -874,22 +901,22 @@ func (gs *graphState) hasText() bool {
 	return gs.text != ""
 }
 
-// resolveRef turns a request's GraphRef into (fingerprint, forwardRef,
-// graphState): inline text is fingerprinted locally, journaled (first
-// sight becomes the replication baseline), and rewritten to a
-// by-fingerprint reference so every backend hop is cheap and the
-// replica set is well defined.
+// resolveRef turns a request's GraphRef into (fingerprint, graphState):
+// inline text is fingerprinted locally and journaled (first sight
+// becomes the replication baseline); the caller then forwards the
+// request by fingerprint, so every backend hop is cheap and the replica
+// set is well defined.
 //
 // Fingerprint-only references allocate state only when create is set
 // (the write path needs the journal lock); the read path passes false
 // and gets nil for a fingerprint the router never journaled, so bogus
 // or unknown fingerprints cannot grow r.graphs.
-func (r *Router) resolveRef(w http.ResponseWriter, ref serve.GraphRef, create bool) (string, serve.GraphRef, *graphState, bool) {
+func (r *Router) resolveRef(w http.ResponseWriter, ref serve.GraphRef, create bool) (string, *graphState, bool) {
 	if ref.Graph != "" {
 		fp, events, arcs, border, err := serve.FingerprintText(ref.Graph)
 		if err != nil {
 			r.writeErrorStatus(w, http.StatusBadRequest, err.Error())
-			return "", serve.GraphRef{}, nil, false
+			return "", nil, false
 		}
 		gs := r.lockGraph(fp)
 		if gs.text == "" {
@@ -898,11 +925,11 @@ func (r *Router) resolveRef(w http.ResponseWriter, ref serve.GraphRef, create bo
 		}
 		gs.mu.Unlock()
 		gs.requests.Add(1)
-		return fp, serve.GraphRef{Fingerprint: fp}, gs, true
+		return fp, gs, true
 	}
 	if ref.Fingerprint == "" {
 		r.writeErrorStatus(w, http.StatusBadRequest, "request must reference a graph by inline text or fingerprint")
-		return "", serve.GraphRef{}, nil, false
+		return "", nil, false
 	}
 	var gs *graphState
 	if create {
@@ -913,7 +940,7 @@ func (r *Router) resolveRef(w http.ResponseWriter, ref serve.GraphRef, create bo
 	if gs != nil {
 		gs.requests.Add(1)
 	}
-	return ref.Fingerprint, ref, gs, true
+	return ref.Fingerprint, gs, true
 }
 
 // --- handlers -------------------------------------------------------------
@@ -996,73 +1023,62 @@ func (r *Router) handleFingerprint(ctx context.Context, w http.ResponseWriter, r
 	r.writeJSON(w, serve.FingerprintResponse{Fingerprint: fp, Events: events, Arcs: arcs, Border: border})
 }
 
-// handleRead serves analyze/slacks/whatif/mc: resolve the replica set
-// from the fingerprint, balance by power-of-two-choices, fail over on
-// backend failure.
+// handleRead serves analyze/slacks/whatif/mc as a byte-level forward:
+// only the graph reference is decoded (for placement), the request body
+// goes to the replica unchanged, and the backend's reply comes back
+// unchanged. Inline .tsg text is the one rewrite: it is journaled as
+// the graph's baseline and forwarded by fingerprint.
 func (r *Router) handleRead(ctx context.Context, w http.ResponseWriter, req *http.Request) {
-	var (
-		call func(ref serve.GraphRef) func(context.Context, *node) (any, error)
-		ref  serve.GraphRef
-	)
-	switch req.URL.Path {
-	case "/v1/analyze":
-		var body serve.AnalyzeRequest
-		if !r.decodeJSON(w, req, &body) {
-			return
-		}
-		ref = body.GraphRef
-		call = func(ref serve.GraphRef) func(context.Context, *node) (any, error) {
-			return func(ctx context.Context, n *node) (any, error) { return n.cl.Analyze(ctx, ref) }
-		}
-	case "/v1/slacks":
-		var body serve.SlacksRequest
-		if !r.decodeJSON(w, req, &body) {
-			return
-		}
-		ref = body.GraphRef
-		call = func(ref serve.GraphRef) func(context.Context, *node) (any, error) {
-			return func(ctx context.Context, n *node) (any, error) { return n.cl.Slacks(ctx, ref) }
-		}
-	case "/v1/whatif":
-		var body serve.WhatIfRequest
-		if !r.decodeJSON(w, req, &body) {
-			return
-		}
-		ref = body.GraphRef
-		queries := body.Queries
-		call = func(ref serve.GraphRef) func(context.Context, *node) (any, error) {
-			return func(ctx context.Context, n *node) (any, error) { return n.cl.WhatIf(ctx, ref, queries) }
-		}
-	case "/v1/mc":
-		var body serve.MCRequest
-		if !r.decodeJSON(w, req, &body) {
-			return
-		}
-		ref = body.GraphRef
-		mcReq := body
-		call = func(ref serve.GraphRef) func(context.Context, *node) (any, error) {
-			return func(ctx context.Context, n *node) (any, error) { return n.cl.MC(ctx, ref, mcReq) }
-		}
-	default:
-		r.writeErrorStatus(w, http.StatusNotFound, "unknown read endpoint")
-		return
-	}
-
-	fp, fwdRef, gs, ok := r.resolveRef(w, ref, false)
+	body, ok := r.readBody(w, req)
 	if !ok {
 		return
+	}
+	var ref serve.GraphRef
+	if err := json.Unmarshal(body, &ref); err != nil {
+		r.writeErrorStatus(w, http.StatusBadRequest, "decoding request: "+err.Error())
+		return
+	}
+	fp, gs, ok := r.resolveRef(w, ref, false)
+	if !ok {
+		return
+	}
+	if ref.Graph != "" {
+		var err error
+		if body, err = byFingerprint(body, fp); err != nil {
+			r.writeErrorStatus(w, http.StatusBadRequest, "decoding request: "+err.Error())
+			return
+		}
 	}
 	replicas := r.replicaSet(ctx, fp)
 	if len(replicas) == 0 {
 		r.writeErrorStatus(w, http.StatusServiceUnavailable, "no live backend nodes")
 		return
 	}
-	res, err := r.forwardRead(ctx, gs, replicas, call(fwdRef))
+	res, err := r.forwardRead(ctx, gs, replicas, readReq{path: req.URL.Path, body: body})
 	if err != nil {
 		r.writeBackendErrorUnavailable(w, err)
 		return
 	}
-	r.writeJSON(w, res)
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(res)
+}
+
+// byFingerprint rewrites a read body that inlines .tsg text to
+// reference the graph by fingerprint instead, leaving every other field
+// as the caller sent it (the backend still validates them). Keys match
+// case-insensitively, as they do when the backend decodes them.
+func byFingerprint(body []byte, fp string) ([]byte, error) {
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(body, &fields); err != nil {
+		return nil, err
+	}
+	for k := range fields {
+		if strings.EqualFold(k, "graph") || strings.EqualFold(k, "fingerprint") {
+			delete(fields, k)
+		}
+	}
+	fields["fingerprint"], _ = json.Marshal(fp) // a string always marshals
+	return json.Marshal(fields)
 }
 
 // handleEdit is the write path: stamp if the client didn't, dedupe
@@ -1077,11 +1093,11 @@ func (r *Router) handleEdit(ctx context.Context, w http.ResponseWriter, req *htt
 	if !r.decodeJSON(w, req, &body) {
 		return
 	}
-	fp, fwdRef, _, ok := r.resolveRef(w, body.GraphRef, true)
+	fp, _, ok := r.resolveRef(w, body.GraphRef, true)
 	if !ok {
 		return
 	}
-	body.GraphRef = fwdRef
+	body.GraphRef = serve.GraphRef{Fingerprint: fp}
 
 	replicas := r.replicaSet(ctx, fp)
 	if len(replicas) == 0 {
@@ -1139,11 +1155,11 @@ func (r *Router) handleEdit(ctx context.Context, w http.ResponseWriter, req *htt
 				continue
 			}
 		}
-		res, err := r.hop(ctx, n, attempt > 0, func(ctx context.Context, n *node) (any, error) {
-			return n.cl.EditStamped(ctx, body)
+		err := r.hop(ctx, n, attempt > 0, func(ctx context.Context) (err error) {
+			resp, err = n.cl.EditStamped(ctx, body)
+			return err
 		})
 		if err == nil {
-			resp = res.(*client.EditResponse)
 			committed = n
 			committedEpoch = ep
 			break
@@ -1205,15 +1221,17 @@ func (r *Router) dedupeAnswer(ctx context.Context, w http.ResponseWriter, gs *gr
 	if sp := obs.FromContext(ctx); sp != nil {
 		sp.SetTierN(tierDeduped)
 	}
-	ref := serve.GraphRef{Fingerprint: fp}
-	res, err := r.forwardRead(ctx, gs, replicas, func(ctx context.Context, n *node) (any, error) {
-		return n.cl.Analyze(ctx, ref)
-	})
+	body, _ := json.Marshal(serve.AnalyzeRequest{GraphRef: serve.GraphRef{Fingerprint: fp}}) // strings always marshal
+	res, err := r.forwardRead(ctx, gs, replicas, readReq{path: "/v1/analyze", body: body})
 	if err != nil {
 		r.writeBackendErrorUnavailable(w, err)
 		return
 	}
-	an := res.(*client.AnalyzeResponse)
+	var an serve.AnalyzeResponse
+	if err := json.Unmarshal(res, &an); err != nil {
+		r.writeErrorStatus(w, http.StatusBadGateway, "decoding backend answer: "+err.Error())
+		return
+	}
 	r.writeJSON(w, serve.EditResponse{Fingerprint: fp, Applied: 0, Deduped: true, Lambda: an.Lambda})
 }
 

@@ -87,6 +87,21 @@ func ContextWith(ctx context.Context, sp *Span) context.Context {
 	return context.WithValue(ctx, ctxKey{}, sp)
 }
 
+// Detach returns ctx with its current span replaced by an unpooled
+// copy of the span's identity: tracer, trace id, span id and graph.
+// Spans started under the returned context are still children of the
+// original span, but they never touch the pooled handle, so they stay
+// safe after the original Ends and its handle is reused. Use it before
+// handing ctx to goroutines that may outlive the span, such as the
+// losing attempts of a hedged request. The copy must not be Ended.
+func Detach(ctx context.Context) context.Context {
+	cur, _ := ctx.Value(ctxKey{}).(*Span)
+	if cur == nil || cur.tr == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, ctxKey{}, &Span{tr: cur.tr, trace: cur.trace, id: cur.id, graph: cur.graph})
+}
+
 // StartRoot begins a root span of a new trace directly on the tracer,
 // fusing WithTracer+Start into a single context value: the per-request
 // entry point of the serving layer. The returned context carries the

@@ -244,3 +244,38 @@ func TestOnEndHookSeesDurations(t *testing.T) {
 		t.Fatalf("OnEnd saw %d ends, want 3", got["hooked"])
 	}
 }
+
+// TestDetachOutlivesParent pins the hedge-loser contract: a child
+// started under a detached context after its parent Ended (and the
+// parent's pooled handle went to another trace) still lands under the
+// original parent, in the original trace.
+func TestDetachOutlivesParent(t *testing.T) {
+	tr := NewTracer(256)
+	rctx, root := tr.StartRoot(context.Background(), N("router.analyze"))
+	root.SetGraph("g1")
+	dctx := Detach(rctx)
+	rootID, traceID := root.id, root.trace
+	root.End()
+	_, other := tr.StartRoot(context.Background(), N("router.slacks")) // may reuse root's handle
+	late := LeafN(dctx, N("router.hop"))
+	late.End()
+	other.End()
+
+	for _, s := range tr.Snapshot() {
+		if s.Name != "router.hop" {
+			continue
+		}
+		if s.Parent != rootID || s.Trace != traceID || s.Graph != "g1" {
+			t.Fatalf("late child = %+v, want parent %d trace %d graph g1", s, rootID, traceID)
+		}
+		return
+	}
+	t.Fatal("late child span not recorded")
+}
+
+func TestDetachWithoutTracer(t *testing.T) {
+	ctx := context.Background()
+	if Detach(ctx) != ctx {
+		t.Fatal("Detach without a tracer should return the same context")
+	}
+}
