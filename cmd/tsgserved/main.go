@@ -9,8 +9,8 @@
 //
 //	tsgserved [-addr host:port] [-cache-bytes N] [-max-body N]
 //	          [-data-dir dir] [-max-concurrent N] [-max-queue N]
-//	          [-request-timeout d] [-trace-buffer N] [-metrics-compat]
-//	          [-pprof] [-disable-obs] [-version]
+//	          [-request-timeout d] [-trace-buffer N] [-pprof]
+//	          [-disable-obs] [-version]
 //
 // The daemon prints its listen URL on startup (with -addr :0 the
 // kernel picks a free port — the printed URL is how scripts find it),
@@ -42,7 +42,7 @@
 //	POST /v1/mc       Monte-Carlo λ over delay distributions
 //	GET  /healthz     liveness + resident graph count
 //	GET  /metrics     Prometheus text exposition (HELP/TYPE on every
-//	                  family; -metrics-compat appends pre-rename names)
+//	                  family)
 //	GET  /debug/trace    recent request span trees (?graph=, ?format=tree)
 //	GET  /debug/cache    engine cache stats + resident entries
 //	GET  /debug/hotarcs  per-graph what-if/edit arc touch counts
@@ -91,7 +91,6 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "max queued requests per endpoint beyond -max-concurrent (0 = 4x concurrency)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline; expiry cancels the analysis and answers 503 (0 = none)")
 	traceBuffer := flag.Int("trace-buffer", 0, "span ring capacity for /debug/trace (0 = default 8192)")
-	metricsCompat := flag.Bool("metrics-compat", false, "also expose pre-rename metric series (tsgserve_queries_total etc.)")
 	enablePprof := flag.Bool("pprof", false, "mount Go profiler endpoints under /debug/pprof/")
 	disableObs := flag.Bool("disable-obs", false, "strip tracing/metrics entirely (/metrics and /debug answer 404)")
 	showVersion := flag.Bool("version", false, "print version and exit")
@@ -127,7 +126,6 @@ func main() {
 		MaxQueue:       *maxQueue,
 		RequestTimeout: *requestTimeout,
 		TraceBuffer:    *traceBuffer,
-		MetricsCompat:  *metricsCompat,
 		EnablePprof:    *enablePprof,
 		DisableObs:     *disableObs,
 		Version:        version,

@@ -309,10 +309,11 @@ func TestHedgeLoserOutlivesRequestSpan(t *testing.T) {
 var readPaths = [...]string{"/v1/analyze", "/v1/slacks", "/v1/whatif", "/v1/mc"}
 
 // mcBudget keeps fuzzed Monte-Carlo requests small: a body asking for
-// more than 4096 samples or 8 workers answers 400 before it reaches
-// the backend. Without it a mutated sample count turns the fuzz run
-// into a Monte-Carlo benchmark. To the router it is a backend 4xx like
-// any other.
+// more than 4096 samples answers 400 before it reaches the backend.
+// Without it a mutated sample count turns the fuzz run into a
+// Monte-Carlo benchmark. To the router it is a backend 4xx like any
+// other. Worker counts need no budget here: the backend refuses more
+// than serve.MaxMCWorkers itself.
 type mcBudget struct{ h http.Handler }
 
 func (m mcBudget) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -322,11 +323,10 @@ func (m mcBudget) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		var req struct {
 			Samples    float64 `json:"samples"`
 			MinSamples float64 `json:"min_samples"`
-			Workers    float64 `json:"workers"`
 		}
-		if json.Unmarshal(body, &req) == nil && (req.Samples > 4096 || req.MinSamples > 4096 || req.Workers > 8) {
+		if json.Unmarshal(body, &req) == nil && (req.Samples > 4096 || req.MinSamples > 4096) {
 			w.WriteHeader(http.StatusBadRequest)
-			_, _ = w.Write([]byte(`{"error":"fuzz budget: at most 4096 samples and 8 workers"}` + "\n"))
+			_, _ = w.Write([]byte(`{"error":"fuzz budget: at most 4096 samples"}` + "\n"))
 			return
 		}
 	}

@@ -72,28 +72,13 @@ type Options struct {
 	// the automatic pool. Takes precedence over Parallel; used by the
 	// scheduling ablation benchmarks.
 	Serial bool
-	// WindowBytes bounds the per-simulation working memory of the λ-only
-	// pass-1 path. A pass-1 simulation needs nothing but the origin's
-	// occurrence-time series, so when one full trace slab
-	// ((periods+2)·n·9 bytes) would exceed the bound, the engine runs
-	// the memory-bounded two-row kernel (timesim.RunFromWindow, O(n)
-	// working state) instead of materialising slabs. Results are
-	// bit-identical either way (the differential tests pin it); the
-	// only cost is that pass 2 re-simulates the handful of λ winners
-	// with full traces when critical cycles are actually requested —
-	// the spill-on-demand path.
-	//
-	// 0 means the default budget (DefaultWindowBytes); negative disables
-	// windowing. Sessions that retain traces for incremental commits
-	// (see NoIncremental) keep full slabs regardless — patching needs
-	// them.
-	WindowBytes int64
 	// LambdaOnly stops AnalyzeOpts after pass 1: λ and the border series
 	// are complete, the critical-cycle extraction (pass 2) is skipped.
-	// Pass 2 re-simulates each λ winner with a full parent-tracked trace
-	// slab, so on huge graphs a λ-only query under WindowBytes runs in
-	// O(n) working memory while a full analysis transiently needs one
-	// winner slab per worker. Result.Critical is empty and the series'
+	// Pass 1 runs the two-row windowed kernel (timesim.RunFromWindow),
+	// while pass 2 re-simulates each λ winner with a full parent-tracked
+	// trace slab, so on huge graphs a λ-only query runs in O(n) working
+	// memory while a full analysis transiently needs one winner slab per
+	// worker. Result.Critical is empty and the series'
 	// OnCritical flags are left unset (both are pass-2 products).
 	LambdaOnly bool
 	// NoIncremental disables the incremental commit path of an Engine:
@@ -110,14 +95,6 @@ type Options struct {
 // switches to the bounded worker pool on its own. Below it the pool's
 // goroutine overhead outweighs the win on the O(b·m) simulations.
 const AutoParallelThreshold = 8
-
-// DefaultWindowBytes is the slab budget above which a λ-only pass 1
-// switches to the memory-bounded two-row kernel when
-// Options.WindowBytes is zero. 64 MiB keeps small and mid-size graphs
-// on the slab path (whose traces the incremental session layer can
-// retain) while million-event unfoldings — where one slab alone would
-// be tens of gigabytes — window automatically.
-const DefaultWindowBytes = 64 << 20
 
 // BorderSeries records the distances collected from one cut-set event.
 type BorderSeries struct {
@@ -254,48 +231,38 @@ func runIndexed(n, workers int, fn func(int)) {
 	runWorkers(n, workers, func(_, i int) { fn(i) })
 }
 
-// extractSeries collects the average occurrence distances δ_{e_0}(e_j) of
-// one event-initiated trace (step 3 of the algorithm) into the provided
-// distances buffer (len periods).
+// extractSeries collects the average occurrence distances δ_{e_0}(e_j)
+// of one event-initiated trace (step 3 of the algorithm): it reads
+// t_e0(e_j), j = 1..periods, out of the trace into dist (NaN where e_j
+// is not instantiated or not reached) and folds them with
+// seriesFromTimes.
 func extractSeries(tr *timesim.Trace, ev sg.EventID, periods int, dist []float64) BorderSeries {
-	series := BorderSeries{Event: ev, Distances: dist}
-	seriesBest := stat.Ratio{Num: -1, Den: 1}
-	bestIdx := 0
 	for j := 1; j <= periods; j++ {
-		t, ok := tr.Time(ev, j)
-		if !ok || !tr.Reached(ev, j) {
-			series.Distances[j-1] = nan()
-			continue
-		}
-		series.Distances[j-1] = t / float64(j)
-		if r := stat.NewRatio(t, j); seriesBest.Less(r) {
-			seriesBest = r
-			bestIdx = j
+		if t, ok := tr.Time(ev, j); ok && tr.Reached(ev, j) {
+			dist[j-1] = t
+		} else {
+			dist[j-1] = nan()
 		}
 	}
-	series.Best = seriesBest
-	series.BestIndex = bestIdx
-	return series
+	return seriesFromTimes(ev, dist)
 }
 
 func nan() float64 { return math.NaN() }
 
-// seriesFromWindow is extractSeries for the memory-bounded kernel:
-// times[j-1] holds t_e0(e_j) (NaN when origin_j is not instantiated),
-// exactly what Time+Reached would report from a full trace, so the
-// arithmetic below is extractSeries' verbatim and the resulting series
-// is bit-identical.
-func seriesFromWindow(ev sg.EventID, times []float64, dist []float64) BorderSeries {
+// seriesFromTimes turns dist, holding t_e0(e_j) at index j-1 (NaN where
+// e_j is not reached) as timesim.RunFromWindow writes it, into the
+// distance series δ_{e0}(e_j) = t/j in place and records its maximum as
+// an exact ratio.
+func seriesFromTimes(ev sg.EventID, dist []float64) BorderSeries {
 	series := BorderSeries{Event: ev, Distances: dist}
 	seriesBest := stat.Ratio{Num: -1, Den: 1}
 	bestIdx := 0
-	for j := 1; j <= len(times); j++ {
-		t := times[j-1]
+	for j := 1; j <= len(dist); j++ {
+		t := dist[j-1]
 		if math.IsNaN(t) {
-			series.Distances[j-1] = nan()
 			continue
 		}
-		series.Distances[j-1] = t / float64(j)
+		dist[j-1] = t / float64(j)
 		if r := stat.NewRatio(t, j); seriesBest.Less(r) {
 			seriesBest = r
 			bestIdx = j

@@ -169,11 +169,10 @@ type EngineStats struct {
 	// simulation per distinct arc head) instead of a full O(b²m)
 	// re-analysis.
 	TableAnswers int64
-	// WindowedPass1 counts pass-1 runs that chose the memory-bounded
-	// two-row window kernel; SlabPass1 counts runs on the materialised
-	// slab kernel (including trace-retaining incremental sessions,
-	// which never window). Together they expose the kernel-selection
-	// policy (Options.WindowBytes) per session.
+	// WindowedPass1 counts pass-1 runs on the two-row window kernel —
+	// every pass 1 that does not retain its traces; SlabPass1 counts
+	// the runs that do (sessions that have committed an edit keep full
+	// trace slabs for incremental patching).
 	WindowedPass1 int64
 	SlabPass1     int64
 	// PatchFloods counts per-trace incremental patches whose dirty
@@ -333,13 +332,12 @@ func (e *Engine) sizeHintShallow() int64 {
 	sz := int64(1024)           // struct headers, cut set, options
 	sz += m * 72                // overlay: arc copies, delay column, nominal, dirty tracking
 	sz += e.sched.MemEstimate() // compiled record columns
-	if !e.incr && e.windowPass1() {
-		// Windowed λ-only sessions hold two rows, not a slab. Pass 2
-		// still slabs transiently per λ winner; steady state is the
-		// window.
-		sz += e.sched.WindowBytes()
-	} else {
+	if e.incr {
 		sz += e.sched.SlabBytes(e.periods + 2) // one pooled slab: times + reached bitset
+	} else {
+		// Pass 1 holds two rows, not a slab. Pass 2 still slabs
+		// transiently per λ winner; steady state is the window.
+		sz += e.sched.WindowBytes()
 	}
 	return sz
 }
@@ -1580,17 +1578,15 @@ func dedupeCycles(cycs []*CriticalCycle) []CriticalCycle {
 // traces deliberately do NOT track parents — patches and their flood
 // bail-outs then move a third of the memory, and the lazy pass 2
 // re-simulates only the λ winners with parents when critical cycles
-// are actually requested. Without retain each trace's slab is returned
-// to the pool as soon as its series is extracted (at most `workers`
-// simulations of memory live at once) — and when even one slab would
-// blow the window budget (Options.WindowBytes), the simulations run
-// the two-row memory-bounded kernel instead, which materialises no
-// slab at all. Callers hold the session lock.
+// are actually requested. Without retain the simulations run the
+// two-row windowed kernel, which materialises no slab at all and
+// writes each origin series straight into the result. Callers hold
+// the session lock.
 func (e *Engine) pass1Analysis(ctx context.Context, retain bool) (*Result, error) {
 	e.counters.analyses.Add(1)
 	cut := e.cut
-	simOpts := timesim.Options{Periods: e.periods + 1}
 	workers := e.workerCount(len(cut))
+	simErrs := make([]error, len(cut))
 	sp := obs.LeafN(ctx, spanPass1)
 	sp.AnnotateN(keyCut, uint64(len(cut)))
 	sp.AnnotateN(keyPeriods, uint64(e.periods))
@@ -1601,9 +1597,8 @@ func (e *Engine) pass1Analysis(ctx context.Context, retain bool) (*Result, error
 		e.counters.slabP1.Add(1)
 		sp.SetTierN(tierSlab)
 		traces := make([]*timesim.Trace, len(cut))
-		simErrs := make([]error, len(cut))
 		runIndexed(len(cut), workers, func(i int) {
-			traces[i], simErrs[i] = e.sched.RunFrom(cut[i], simOpts)
+			traces[i], simErrs[i] = e.sched.RunFrom(cut[i], timesim.Options{Periods: e.periods + 1})
 		})
 		release := func() {
 			for _, tr := range traces {
@@ -1612,11 +1607,9 @@ func (e *Engine) pass1Analysis(ctx context.Context, retain bool) (*Result, error
 				}
 			}
 		}
-		for i, err := range simErrs {
-			if err != nil {
-				release()
-				return nil, fmt.Errorf("cycletime: simulating from %q: %w", e.g.Event(cut[i]).Name, err)
-			}
+		if err := e.simErr(simErrs); err != nil {
+			release()
+			return nil, err
 		}
 		res, err := e.resultFromTraces(traces)
 		if err != nil {
@@ -1626,54 +1619,30 @@ func (e *Engine) pass1Analysis(ctx context.Context, retain bool) (*Result, error
 		e.simTraces = traces
 		return res, nil
 	}
+	e.counters.windowedP1.Add(1)
+	sp.SetTierN(tierWindow)
 	series := make([]BorderSeries, len(cut))
-	simErrs := make([]error, len(cut))
 	distSlab := make([]float64, len(cut)*e.periods)
-	if e.windowPass1() {
-		e.counters.windowedP1.Add(1)
-		sp.SetTierN(tierWindow)
-		runIndexed(len(cut), workers, func(i int) {
-			out := make([]float64, e.periods)
-			if err := e.sched.RunFromWindow(cut[i], e.periods, out); err != nil {
-				simErrs[i] = err
-				return
-			}
-			series[i] = seriesFromWindow(cut[i], out, distSlab[i*e.periods:(i+1)*e.periods:(i+1)*e.periods])
-		})
-	} else {
-		e.counters.slabP1.Add(1)
-		sp.SetTierN(tierSlab)
-		runIndexed(len(cut), workers, func(i int) {
-			tr, err := e.sched.RunFrom(cut[i], simOpts)
-			if err != nil {
-				simErrs[i] = err
-				return
-			}
-			series[i] = extractSeries(tr, cut[i], e.periods, distSlab[i*e.periods:(i+1)*e.periods:(i+1)*e.periods])
-			tr.Release()
-		})
-	}
-	for i, err := range simErrs {
-		if err != nil {
-			return nil, fmt.Errorf("cycletime: simulating from %q: %w", e.g.Event(cut[i]).Name, err)
+	runIndexed(len(cut), workers, func(i int) {
+		dist := distSlab[i*e.periods : (i+1)*e.periods : (i+1)*e.periods]
+		if simErrs[i] = e.sched.RunFromWindow(cut[i], e.periods, dist); simErrs[i] == nil {
+			series[i] = seriesFromTimes(cut[i], dist)
 		}
+	})
+	if err := e.simErr(simErrs); err != nil {
+		return nil, err
 	}
 	return e.assembleSeries(series)
 }
 
-// windowPass1 reports whether a non-retaining pass 1 should use the
-// memory-bounded two-row kernel: windowing is enabled and one full
-// trace slab would exceed the budget. Retaining sessions never
-// window — incremental patching needs the materialised traces.
-func (e *Engine) windowPass1() bool {
-	wb := e.opts.WindowBytes
-	if wb < 0 {
-		return false
+// simErr wraps the first failed pass-1 simulation, or returns nil.
+func (e *Engine) simErr(errs []error) error {
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("cycletime: simulating from %q: %w", e.g.Event(e.cut[i]).Name, err)
+		}
 	}
-	if wb == 0 {
-		wb = DefaultWindowBytes
-	}
-	return e.sched.SlabBytes(e.periods+2) > wb
+	return nil
 }
 
 // resultFromTraces assembles the pass-1 Result from committed

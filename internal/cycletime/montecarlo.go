@@ -254,7 +254,6 @@ func (a *mcAccum) slackStats() []ArcSlackStats {
 // at least e.periods floats. The caller owns the engine exclusively.
 func (e *Engine) mcSample(order []int, bounds []stat.Ratio, distBuf []float64, needCrit bool) (stat.Ratio, []*CriticalCycle, error) {
 	e.counters.analyses.Add(1)
-	simOpts := timesim.Options{Periods: e.periods + 1}
 	best := stat.Ratio{Num: -1, Den: 1}
 	type simmed struct {
 		ev   sg.EventID
@@ -272,12 +271,11 @@ func (e *Engine) mcSample(order []int, bounds []stat.Ratio, distBuf []float64, n
 			continue // cannot raise the maximum
 		}
 		ev := e.cut[ci]
-		tr, err := e.sched.RunFrom(ev, simOpts)
-		if err != nil {
+		dist := distBuf[:e.periods]
+		if err := e.sched.RunFromWindow(ev, e.periods, dist); err != nil {
 			return stat.Ratio{}, nil, fmt.Errorf("cycletime: simulating from %q: %w", e.g.Event(ev).Name, err)
 		}
-		s := extractSeries(tr, ev, e.periods, distBuf)
-		tr.Release()
+		s := seriesFromTimes(ev, dist)
 		if s.BestIndex == 0 {
 			continue
 		}
@@ -296,8 +294,7 @@ func (e *Engine) mcSample(order []int, bounds []stat.Ratio, distBuf []float64, n
 	if !needCrit {
 		return lam, nil, nil
 	}
-	parentOpts := simOpts
-	parentOpts.TrackParents = true
+	parentOpts := timesim.Options{Periods: e.periods + 1, TrackParents: true}
 	var cycs []*CriticalCycle
 	for _, s := range sims {
 		if !s.best.Equal(best) {

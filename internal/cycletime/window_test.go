@@ -2,12 +2,14 @@ package cycletime_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"tsg/internal/cycletime"
 	"tsg/internal/gen"
 	"tsg/internal/sg"
+	"tsg/internal/timesim"
 )
 
 // windowFixtures are the graphs the windowed pass-1 path is
@@ -59,72 +61,125 @@ func windowFixtures(t *testing.T) map[string]*sg.Graph {
 	return fx
 }
 
-// TestAnalyzeWindowedMatchesSlab forces the memory-bounded pass-1
-// kernel (WindowBytes: 1 — any slab exceeds one byte) against the slab
-// kernel (WindowBytes: -1) and requires the full Result — λ, series
-// distances bit for bit, and critical cycles — to be identical.
+// retainingEngine returns a session that has committed an edit (and
+// reverted it), so its analyses run pass 1 on full trace slabs and
+// retain them for incremental patching — the only slab pass 1 left.
+func retainingEngine(t *testing.T, g *sg.Graph) *cycletime.Engine {
+	t.Helper()
+	e, err := cycletime.NewEngine(g)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	d := g.Arc(0).Delay
+	if err := e.SetDelay(0, d+1); err != nil {
+		t.Fatalf("SetDelay: %v", err)
+	}
+	if err := e.SetDelay(0, d); err != nil {
+		t.Fatalf("SetDelay: %v", err)
+	}
+	return e
+}
+
+// analyzeKernel runs the session's first analysis and checks which
+// pass-1 kernel it took.
+func analyzeKernel(t *testing.T, e *cycletime.Engine, windowed bool) *cycletime.Result {
+	t.Helper()
+	res, err := e.Analyze()
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	wantWindow, wantSlab := int64(0), int64(1)
+	if windowed {
+		wantWindow, wantSlab = 1, 0
+	}
+	if st := e.Stats(); st.WindowedPass1 != wantWindow || st.SlabPass1 != wantSlab {
+		t.Fatalf("pass-1 kernels: window %d slab %d, want window %d slab %d",
+			st.WindowedPass1, st.SlabPass1, wantWindow, wantSlab)
+	}
+	return res
+}
+
+// diffReference checks every series distance of res, bit for bit,
+// against the reference kernel: δ = t/j read from ReferenceRunFrom,
+// NaN where the origin's instantiation j is not reached.
+func diffReference(t *testing.T, g *sg.Graph, res *cycletime.Result) {
+	t.Helper()
+	for i, s := range res.Series {
+		tr, err := timesim.ReferenceRunFrom(g, s.Event, timesim.Options{Periods: res.Periods + 1})
+		if err != nil {
+			t.Fatalf("ReferenceRunFrom: %v", err)
+		}
+		for j := 1; j <= res.Periods; j++ {
+			want := math.NaN()
+			if v, ok := tr.Time(s.Event, j); ok && tr.Reached(s.Event, j) {
+				want = v / float64(j)
+			}
+			if got := s.Distances[j-1]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("series[%d].Distances[%d]: got %v, reference %v", i, j-1, got, want)
+			}
+		}
+	}
+}
+
+// TestAnalyzeWindowedMatchesSlab runs a fresh session (pass 1 on the
+// two-row window) against a retaining session (pass 1 on full trace
+// slabs) and requires the full Result — λ, series distances bit for
+// bit, and critical cycles — to be identical, and the series to match
+// the reference kernel.
 func TestAnalyzeWindowedMatchesSlab(t *testing.T) {
 	for name, g := range windowFixtures(t) {
 		t.Run(name, func(t *testing.T) {
-			slab, err := cycletime.AnalyzeOpts(g, cycletime.Options{WindowBytes: -1})
+			fresh, err := cycletime.NewEngine(g)
 			if err != nil {
-				t.Fatalf("slab Analyze: %v", err)
+				t.Fatalf("NewEngine: %v", err)
 			}
-			windowed, err := cycletime.AnalyzeOpts(g, cycletime.Options{WindowBytes: 1})
-			if err != nil {
-				t.Fatalf("windowed Analyze: %v", err)
-			}
+			windowed := analyzeKernel(t, fresh, true)
+			slab := analyzeKernel(t, retainingEngine(t, g), false)
 			diffResults(t, windowed, slab)
+			diffReference(t, g, windowed)
 		})
 	}
 }
 
-// TestAnalyzeWindowedDefaultThreshold checks that the default budget
-// leaves ordinary graphs on the slab path (results equal either way,
-// so this is about not perturbing the small-graph default) and that an
-// explicit byte budget picks the windowed path deterministically.
-func TestAnalyzeWindowedDefaultThreshold(t *testing.T) {
-	g, err := gen.MullerRing(9)
+// TestAnalyzeFreshSessionWindows pins the kernel choice on the
+// benchmark's stack-66 graph: a fresh session's first analysis runs
+// pass 1 on the window, whatever the graph size, and only a session
+// that has committed an edit runs it on slabs. The one-shot
+// AnalyzeOpts path (also windowed) agrees bit for bit.
+func TestAnalyzeFreshSessionWindows(t *testing.T) {
+	g, err := gen.Stack(31)
 	if err != nil {
-		t.Fatalf("MullerRing: %v", err)
+		t.Fatalf("Stack: %v", err)
 	}
-	def, err := cycletime.AnalyzeOpts(g, cycletime.Options{})
+	e, err := cycletime.NewEngine(g)
 	if err != nil {
-		t.Fatalf("default Analyze: %v", err)
+		t.Fatalf("NewEngine: %v", err)
 	}
-	slab, err := cycletime.AnalyzeOpts(g, cycletime.Options{WindowBytes: -1})
+	res := analyzeKernel(t, e, true)
+	oneShot, err := cycletime.AnalyzeOpts(g, cycletime.Options{})
 	if err != nil {
-		t.Fatalf("slab Analyze: %v", err)
+		t.Fatalf("AnalyzeOpts: %v", err)
 	}
-	diffResults(t, def, slab)
+	diffResults(t, oneShot, res)
+	diffResults(t, analyzeKernel(t, retainingEngine(t, g), false), res)
 }
 
-// TestEngineWindowedSizeHint pins that a windowed engine advertises a
-// smaller footprint than a slab engine on a graph big enough for the
-// slab to dominate.
+// TestEngineWindowedSizeHint pins that a fresh (windowed) engine
+// advertises a smaller footprint than a retaining (slab) engine on a
+// graph big enough for the slab to dominate, and that both answer the
+// same.
 func TestEngineWindowedSizeHint(t *testing.T) {
 	g, err := gen.PipeGridSized(20000, 8, 4, 77)
 	if err != nil {
 		t.Fatalf("PipeGridSized: %v", err)
 	}
-	we, err := cycletime.NewEngineOpts(g, cycletime.Options{WindowBytes: 1, NoIncremental: true})
+	we, err := cycletime.NewEngine(g)
 	if err != nil {
-		t.Fatalf("NewEngineOpts(window): %v", err)
+		t.Fatalf("NewEngine: %v", err)
 	}
-	se, err := cycletime.NewEngineOpts(g, cycletime.Options{WindowBytes: -1, NoIncremental: true})
-	if err != nil {
-		t.Fatalf("NewEngineOpts(slab): %v", err)
-	}
+	se := retainingEngine(t, g)
 	if we.SizeHint() >= se.SizeHint() {
 		t.Fatalf("windowed SizeHint %d not below slab SizeHint %d", we.SizeHint(), se.SizeHint())
 	}
-	wres, err := we.Analyze()
-	if err != nil {
-		t.Fatalf("windowed engine Analyze: %v", err)
-	}
-	sres, err := se.Analyze()
-	if err != nil {
-		t.Fatalf("slab engine Analyze: %v", err)
-	}
-	diffResults(t, wres, sres)
+	diffResults(t, analyzeKernel(t, we, true), analyzeKernel(t, se, false))
 }

@@ -40,8 +40,7 @@ func init() {
 // tree that reaches the engine's kernel phases (visible via
 // /debug/trace), the hot-arc accounting must surface the touched arcs
 // (/debug/hotarcs), and the /metrics exposition must pass the
-// package's own Prometheus linter, including the -metrics-compat
-// aliases.
+// package's own Prometheus linter.
 //
 // Cost — the same warm workload is run A/B against an instrumented
 // server and one with DisableObs (no tracer, no registry, no /debug).
@@ -147,7 +146,7 @@ func runOBS(w io.Writer) error {
 // instrumented server and asserts what the introspection endpoints
 // must show afterwards.
 func obsFidelity(w io.Writer, g *sg.Graph, text string) error {
-	s := serve.New(serve.Config{MetricsCompat: true, Version: "exp-obs"})
+	s := serve.New(serve.Config{Version: "exp-obs"})
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	ctx := context.Background()
@@ -224,8 +223,8 @@ func obsFidelity(w io.Writer, g *sg.Graph, text string) error {
 	}
 	fmt.Fprintf(w, "hot arcs: %d touches recorded via /debug/hotarcs\n", hot.Graphs[0].Touches)
 
-	// Metrics: the exposition must lint clean and carry both the new
-	// names and (on this compat-enabled server) the deprecated aliases.
+	// Metrics: the exposition must lint clean and carry the core
+	// families.
 	metrics, err := cl.Metrics(ctx)
 	if err != nil {
 		return err
@@ -246,13 +245,12 @@ func obsFidelity(w io.Writer, g *sg.Graph, text string) error {
 		"tsgserve_http_request_duration_seconds_count",
 		"tsgserve_engine_phase_seconds_count",
 		"tsgserve_build_info",
-		"tsgserve_queries_total", // compat alias, MetricsCompat is on
 	} {
 		if _, ok := obs.FindSample(fams, series, nil); !ok {
 			return fmt.Errorf("exp: OBS: /metrics missing series %s", series)
 		}
 	}
-	fmt.Fprintf(w, "metrics: %d families, exposition lints clean, compat aliases present\n", len(fams))
+	fmt.Fprintf(w, "metrics: %d families, exposition lints clean\n", len(fams))
 	return nil
 }
 

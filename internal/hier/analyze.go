@@ -14,9 +14,6 @@ type Options struct {
 	// compressed graph; 0 means its border-set size, which equals the
 	// flat border-set size (compression preserves the border).
 	Periods int
-	// WindowBytes is passed through to the cycle-time engine (it mostly
-	// matters for the flat fallback; compressed graphs are small).
-	WindowBytes int64
 }
 
 // Result is the outcome of a hierarchical analysis, in flat-graph terms.
@@ -46,7 +43,7 @@ func Analyze(g *sg.Graph) (*Result, error) { return AnalyzeOpts(g, Options{}) }
 func AnalyzeOpts(g *sg.Graph, opts Options) (*Result, error) {
 	c, err := Compress(g)
 	if errors.Is(err, ErrNoGain) {
-		flat, ferr := cycletime.AnalyzeOpts(g, cycletime.Options{Periods: opts.Periods, WindowBytes: opts.WindowBytes})
+		flat, ferr := cycletime.AnalyzeOpts(g, cycletime.Options{Periods: opts.Periods})
 		if ferr != nil {
 			return nil, ferr
 		}
@@ -67,7 +64,7 @@ func AnalyzeOpts(g *sg.Graph, opts Options) (*Result, error) {
 
 // Analyze runs the compressed analysis and expands the winners.
 func (c *Compressed) Analyze(opts Options) (*Result, error) {
-	res, err := cycletime.AnalyzeOpts(c.comp, cycletime.Options{Periods: opts.Periods, WindowBytes: opts.WindowBytes})
+	res, err := cycletime.AnalyzeOpts(c.comp, cycletime.Options{Periods: opts.Periods})
 	if err != nil {
 		return nil, err
 	}

@@ -333,7 +333,7 @@ func TestHierCompressionRatioHuge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	flat, err := cycletime.AnalyzeOpts(g, cycletime.Options{WindowBytes: 1})
+	flat, err := cycletime.Analyze(g)
 	if err != nil {
 		t.Fatalf("flat Analyze: %v", err)
 	}

@@ -59,7 +59,7 @@ func BuildTrees(spans []SpanRecord) []*TreeNode {
 //	serve.analyze 1.21ms graph=ab12cd34ef56
 //	  admission.wait 2µs
 //	  engine.answer 1.18ms tier=full
-//	    engine.pass1 944µs tier=slab events=2000
+//	    engine.pass1 944µs tier=window events=2000
 //
 // the format printed by tsgtime -trace.
 func WriteTree(w io.Writer, spans []SpanRecord) {

@@ -174,3 +174,31 @@ func TestEvictionRacesInFlightRequests(t *testing.T) {
 		t.Fatalf("no evictions under the tiny budget (stats %+v); the race this test exists for never ran", st)
 	}
 }
+
+// TestMCWorkersCapped pins the Monte-Carlo worker cap: every worker is
+// an engine clone the cache entry keeps for its lifetime, so a request
+// above MaxMCWorkers answers 400 — refused, not clamped, since answers
+// are reproducible only for a fixed (seed, workers) pair — while the
+// cap itself is served.
+func TestMCWorkersCapped(t *testing.T) {
+	s := New(Config{})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	ref := GraphRef{Fingerprint: uploadGraph(t, srv, tsgText(t, gen.Oscillator())).Fingerprint}
+
+	body, err := json.Marshal(MCRequest{GraphRef: ref, Samples: 4096, Jitter: 0.1, Workers: MaxMCWorkers + 1})
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	resp, err := srv.Client().Post(srv.URL+"/v1/mc", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /v1/mc: %v", err)
+	}
+	var e ErrorResponse
+	_ = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "workers") {
+		t.Fatalf("workers %d: status %d (%q), want 400 naming workers", MaxMCWorkers+1, resp.StatusCode, e.Error)
+	}
+	postJSON(t, srv, "/v1/mc", MCRequest{GraphRef: ref, Samples: 16, Jitter: 0.1, Workers: MaxMCWorkers}, nil, http.StatusOK)
+}

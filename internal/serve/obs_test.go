@@ -231,35 +231,6 @@ func TestMetricsExpositionLintsClean(t *testing.T) {
 	}
 }
 
-// TestMetricsCompatFlag checks the deprecated series only appear behind
-// Config.MetricsCompat, and that the compat output still lints clean.
-func TestMetricsCompatFlag(t *testing.T) {
-	for _, compat := range []bool{false, true} {
-		s := New(Config{MetricsCompat: compat})
-		srv := httptest.NewServer(s)
-		resp, err := srv.Client().Get(srv.URL + "/metrics")
-		if err != nil {
-			t.Fatalf("GET /metrics: %v", err)
-		}
-		fams, problems, err := obs.Parse(resp.Body)
-		resp.Body.Close()
-		srv.Close()
-		if err != nil {
-			t.Fatalf("parsing exposition: %v", err)
-		}
-		if len(problems) != 0 {
-			t.Fatalf("compat=%v lint problems: %v", compat, problems)
-		}
-		_, hasOld := obs.FindSample(fams, "tsgserve_queries_total", map[string]string{"endpoint": "analyze"})
-		if hasOld != compat {
-			t.Fatalf("compat=%v but old series present=%v", compat, hasOld)
-		}
-		if _, hasNew := obs.FindSample(fams, "tsgserve_http_requests_total", map[string]string{"endpoint": "analyze"}); !hasNew {
-			t.Fatalf("compat=%v: new series missing", compat)
-		}
-	}
-}
-
 // TestDisableObs checks the off switch: no tracer cost, /metrics and
 // /debug/trace answer 404, and requests still serve correctly — the
 // compiled-out baseline of the OBS experiment.

@@ -195,6 +195,13 @@ type EditResponse struct {
 	Stats    EngineStats     `json:"stats"`
 }
 
+// MaxMCWorkers is the largest worker pool a /v1/mc request may ask
+// for. Each worker is an engine clone that the cache entry keeps for
+// its lifetime, so the cap bounds the memory one request can pin.
+// Larger requests are refused, not clamped: answers are bit-identical
+// only for a fixed (seed, workers) pair.
+const MaxMCWorkers = 64
+
 // MCRequest asks for a Monte-Carlo cycle-time analysis over the
 // graph's delay distributions (its ~ annotations; with none, Jitter
 // applies uniform ±Jitter to every delay).
@@ -207,9 +214,10 @@ type MCRequest struct {
 	Tol         float64   `json:"tol,omitempty"`
 	Confidence  float64   `json:"confidence,omitempty"`
 	Criticality bool      `json:"criticality,omitempty"`
-	// Workers bounds the engine's Monte-Carlo worker pool. Results are
-	// bit-identical for a fixed (seed, workers) pair; clients needing
-	// reproducibility across machines should pin it.
+	// Workers bounds the engine's Monte-Carlo worker pool, at most
+	// MaxMCWorkers. Results are bit-identical for a fixed (seed,
+	// workers) pair; clients needing reproducibility across machines
+	// should pin it.
 	Workers int `json:"workers,omitempty"`
 	// Jitter applies a uniform ±Jitter fractional delay model when the
 	// graph carries no distribution annotations.

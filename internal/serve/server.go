@@ -63,10 +63,6 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: profiling endpoints on a production daemon are opt-in.
 	EnablePprof bool
-	// MetricsCompat appends the pre-rename metric series (e.g.
-	// tsgserve_queries_total) to /metrics alongside their conforming
-	// replacements, for scrapes that have not migrated yet.
-	MetricsCompat bool
 	// Version is stamped into the tsgserve_build_info gauge (and the
 	// daemon's -version output); empty means "dev".
 	Version string
@@ -109,8 +105,7 @@ type Server struct {
 
 	// Observability (nil tel = Config.DisableObs; every span call is a
 	// cheap nil no-op then).
-	tel           *telemetry
-	metricsCompat bool
+	tel *telemetry
 }
 
 // endpoint indices for the per-endpoint query counters.
@@ -164,7 +159,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/fingerprint", s.admit(epFingerprint, s.handleFingerprint))
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.metricsCompat = cfg.MetricsCompat
 	if !cfg.DisableObs {
 		s.tel = newTelemetry(s, cfg)
 	}
@@ -761,6 +755,10 @@ func (s *Server) handleMC(ctx context.Context, w http.ResponseWriter, r *http.Re
 	// genuine 500 rather than a misclassified client error.
 	if req.Samples < 0 || req.MinSamples < 0 || req.Workers < 0 {
 		s.writeError(w, badRequest("negative sample/worker counts"))
+		return
+	}
+	if req.Workers > MaxMCWorkers {
+		s.writeError(w, badRequest("workers %d above the limit of %d", req.Workers, MaxMCWorkers))
 		return
 	}
 	if req.Tol < 0 || math.IsNaN(req.Tol) || req.Jitter < 0 || math.IsNaN(req.Jitter) {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -171,7 +170,7 @@ func newTelemetry(s *Server, cfg Config) *telemetry {
 			emit([]string{"certificate"}, float64(es.FastPathHits))
 			emit([]string{"whatif_row"}, float64(es.TableAnswers))
 		}),
-		gauge("tsgserve_engine_pass1_kernel", "Pass-1 runs by resident engines, split by kernel: memory-bounded window vs materialised slab. Gauge: evicted engines leave the aggregate.", []string{"kernel"}, func(emit func([]string, float64)) {
+		gauge("tsgserve_engine_pass1_kernel", "Pass-1 runs by resident engines, split by kernel: two-row window (every pass 1 of a fresh session) vs full trace slabs (sessions that have committed an edit retain them for incremental patching). Gauge: evicted engines leave the aggregate.", []string{"kernel"}, func(emit func([]string, float64)) {
 			es := s.cache.AggregateEngineStats()
 			emit([]string{"window"}, float64(es.WindowedPass1))
 			emit([]string{"slab"}, float64(es.SlabPass1))
@@ -359,9 +358,7 @@ func (s *Server) handleDebugHotArcs(w http.ResponseWriter, r *http.Request) {
 // handleMetrics renders every registered family in Prometheus text
 // exposition format — HELP/TYPE on all of them, counters suffixed
 // _total, histograms with cumulative le buckets (the promlint command
-// and the CI smoke step parse this output back). With MetricsCompat
-// the pre-rename series are appended so existing scrapes keep working
-// one release longer.
+// and the CI smoke step parse this output back).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	if s.tel == nil {
@@ -373,49 +370,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	if s.metricsCompat {
-		s.writeCompatMetrics(&b)
-	}
 	_, _ = w.Write([]byte(b.String()))
-}
-
-// writeCompatMetrics appends the pre-PR-8 series names that were
-// renamed for exposition-format conformance: queries_total →
-// http_requests_total, request_failures_total →
-// http_request_failures_total, shed_total → admission_sheds_total.
-// Behind Config.MetricsCompat / tsgserved -metrics-compat only; dashboards
-// should migrate to the new names.
-func (s *Server) writeCompatMetrics(b *strings.Builder) {
-	b.WriteString("# HELP tsgserve_queries_total Deprecated alias of tsgserve_http_requests_total.\n")
-	b.WriteString("# TYPE tsgserve_queries_total counter\n")
-	for i, name := range endpointNames {
-		writeSample(b, "tsgserve_queries_total", []string{"endpoint"}, []string{name}, float64(s.queries[i].Load()))
-	}
-	b.WriteString("# HELP tsgserve_request_failures_total Deprecated alias of tsgserve_http_request_failures_total.\n")
-	b.WriteString("# TYPE tsgserve_request_failures_total counter\n")
-	writeSample(b, "tsgserve_request_failures_total", nil, nil, float64(s.failures.Load()))
-	b.WriteString("# HELP tsgserve_shed_total Deprecated alias of tsgserve_admission_sheds_total.\n")
-	b.WriteString("# TYPE tsgserve_shed_total counter\n")
-	for ep, name := range endpointNames {
-		for rs, reason := range shedReasonNames {
-			writeSample(b, "tsgserve_shed_total", []string{"endpoint", "reason"}, []string{name, reason}, float64(s.sheds[ep][rs].Load()))
-		}
-	}
-}
-
-// writeSample renders one compat exposition line; label values here
-// are fixed endpoint/reason identifiers, so %q quoting suffices.
-func writeSample(b *strings.Builder, name string, labels, values []string, v float64) {
-	b.WriteString(name)
-	if len(labels) > 0 {
-		b.WriteByte('{')
-		for i, l := range labels {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(b, "%s=%q", l, values[i])
-		}
-		b.WriteByte('}')
-	}
-	fmt.Fprintf(b, " %d\n", int64(v))
 }

@@ -48,9 +48,9 @@ type BatchDelays struct {
 func (sch *Schedule) NewBatchDelays(s int) *BatchDelays {
 	return &BatchDelays{
 		s:  s,
-		d0: make([]float64, len(sch.del0)*s),
-		d1: make([]float64, len(sch.del1)*s),
-		dS: make([]float64, len(sch.delS)*s),
+		d0: make([]float64, len(sch.c0.del)*s),
+		d1: make([]float64, len(sch.c1.del)*s),
+		dS: make([]float64, len(sch.cS.del)*s),
 	}
 }
 
@@ -59,13 +59,13 @@ func (b *BatchDelays) Samples() int { return b.s }
 
 // Set fills sample column `sample` from a per-arc delay vector.
 func (b *BatchDelays) Set(sch *Schedule, sample int, delays []float64) {
-	for r, a := range sch.arc0 {
+	for r, a := range sch.c0.arc {
 		b.d0[r*b.s+sample] = delays[a]
 	}
-	for r, a := range sch.arc1 {
+	for r, a := range sch.c1.arc {
 		b.d1[r*b.s+sample] = delays[a]
 	}
-	for r, a := range sch.arcS {
+	for r, a := range sch.cS.arc {
 		b.dS[r*b.s+sample] = delays[a]
 	}
 }
@@ -104,10 +104,10 @@ func (sch *Schedule) RunFromBatch(origin sg.EventID, bd *BatchDelays, periods in
 
 	// Period 0: every event has an instantiation; all live in-arc
 	// sources sit in the same period (earlier in topological order).
-	for idx, f := range sch.order {
+	for idx, f := range sch.c0.order {
 		any := false
-		for r := sch.off0[idx]; r < sch.off0[idx+1]; r++ {
-			src := int(sch.src0[r])
+		for r := sch.c0.off[idx]; r < sch.c0.off[idx+1]; r++ {
+			src := int(sch.c0.src[r])
 			if !rCur[src] {
 				continue
 			}
@@ -143,16 +143,16 @@ func (sch *Schedule) RunFromBatch(origin sg.EventID, bd *BatchDelays, periods in
 	for p := 1; p <= periods; p++ {
 		cur, prev = prev, cur
 		rCur, rPrev = rPrev, rCur
-		off, src, mark := sch.off1, sch.src1, sch.mark1
+		off, src, mark := sch.c1.off, sch.c1.src, sch.c1.mark
 		del := bd.d1
 		if p >= 2 {
-			off, src, mark = sch.offS, sch.srcS, sch.markS
+			off, src, mark = sch.cS.off, sch.cS.src, sch.cS.mark
 			del = bd.dS
 		}
 		for i := range rCur {
 			rCur[i] = false
 		}
-		for idx, f := range sch.orderR {
+		for idx, f := range sch.c1.order {
 			any := false
 			for r := off[idx]; r < off[idx+1]; r++ {
 				sp := int(src[r])

@@ -2,10 +2,7 @@ package timesim
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
-
-	"tsg/internal/sg"
 )
 
 // Patch is the incremental re-simulation kernel: it updates a finished
@@ -18,9 +15,8 @@ import (
 // heads. The worklist is one bitset per period over topological
 // positions, swept in ascending bit order — exactly the (period, topo)
 // evaluation order of the full kernel; every set position is
-// recomputed with the same per-class record scan as Run — same record
-// order, same comparison association, same first-max-wins parent
-// selection — against rows whose already-final entries are either
+// recomputed by the walk Run itself uses (class.walk, one position
+// at a time) against rows whose already-final entries are either
 // untouched (outside the cone) or previously recomputed (inside it, at
 // a smaller position). An instantiation whose recomputed time equals
 // its old value bitwise stops the expansion: its successors read only
@@ -35,7 +31,7 @@ import (
 // Reachedness is structural: which instantiations exist and which are
 // preceded by the origin depends only on the graph and the origin,
 // never on delays, so the trace's reached bitset (and its NaN holes)
-// are read but never written.
+// never change: the walk only re-sets bits that are already set.
 //
 // Cost: O(periods · n/64) to sweep the bitset words plus the record
 // scans of the cone members — for a localized edit a small fraction of
@@ -71,82 +67,54 @@ func (s *Schedule) Patch(tr *Trace, dirty []int) (PatchStats, error) {
 	// Validate before seeding any bits, so an error return cannot pool
 	// the scratch with pending bits set (its contract is empty bitsets
 	// between patches).
+	m := len(s.arcTo)
 	for _, ai := range dirty {
-		if ai < 0 || ai >= len(s.rec0) {
-			return PatchStats{}, fmt.Errorf("timesim: dirty arc %d out of range [0,%d)", ai, len(s.rec0))
+		if ai < 0 || ai >= m {
+			return PatchStats{}, fmt.Errorf("timesim: dirty arc %d out of range [0,%d)", ai, m)
 		}
 	}
 	// Seed the worklist: every instantiation whose in-record delay
-	// column changed, in every period class the arc has a record in.
+	// column changed, in every period the arc has a class record in.
 	for _, ai := range dirty {
-		to := s.arcTo[ai]
-		if s.rec0[ai] >= 0 {
-			ps.set(0, int(s.pos0[to]))
-		}
-		if P > 1 && s.rec1[ai] >= 0 {
-			ps.set(1, int(s.posR[to]))
-		}
-		if s.recS[ai] >= 0 {
-			for p := 2; p < P; p++ {
-				ps.set(p, int(s.posR[to]))
-			}
+		for p := 0; p < P; p++ {
+			ps.queue(s, p, ai)
 		}
 	}
 
-	initiated := tr.origin != sg.None
-	parents := tr.parentEvent != nil
 	// The flood budget: beyond this many recomputations, re-evaluating
 	// the remaining rows outright is cheaper than worklist propagation.
-	budget := (len(s.order) + (P-1)*len(s.orderR)) / patchBailFraction
+	budget := (len(s.c0.order) + (P-1)*len(s.c1.order)) / patchBailFraction
 	recomputed := 0
 	for p := 0; p < P; p++ {
+		c := s.class(p)
+		rw := tr.rows(p)
 		pend := ps.pend[p*ps.words : (p+1)*ps.words]
 		for w := 0; w < ps.words; w++ {
 			for pend[w] != 0 {
 				if budget--; budget < 0 {
+					// Flood: re-evaluate every row from p on in place.
+					// Earlier rows are final, reached bits structural,
+					// and the walk rewrites every cell and parent.
 					ps.clear()
-					s.reevaluate(tr, p, initiated, parents)
+					s.runPeriods(tr, p)
 					return PatchStats{Recomputed: recomputed, Flooded: true}, nil
 				}
 				recomputed++
 				b := pend[w] & (-pend[w])
 				pend[w] &^= b
 				pos := w<<6 + bits.TrailingZeros64(b)
-				var changed bool
-				var f sg.EventID
-				if p == 0 {
-					f = s.order[pos]
-					changed = s.repatch0(tr, pos, initiated, parents)
-				} else {
-					f = s.orderR[pos]
-					changed = s.repatch(tr, p, pos, initiated, parents)
-				}
-				if !changed {
+				f := c.order[pos]
+				fi := rw.cur + int(f)
+				old := tr.times[fi]
+				c.walk(pos, pos+1, &rw)
+				if tr.times[fi] == old {
 					continue
 				}
 				// Forward the change to every successor instantiation
-				// that exists within the simulated horizon. The
-				// record-class inverse columns double as the existence
-				// test of §IV.A: an arc has a class record exactly when
-				// it constrains the target period.
+				// within the simulated horizon.
 				for _, ai := range s.g.OutArcs(f) {
-					t := p + int(s.arcMark[ai])
-					if t >= P {
-						continue
-					}
-					switch {
-					case t == 0:
-						if s.rec0[ai] >= 0 {
-							ps.set(0, int(s.pos0[s.arcTo[ai]]))
-						}
-					case t == 1:
-						if s.rec1[ai] >= 0 {
-							ps.set(1, int(s.posR[s.arcTo[ai]]))
-						}
-					default:
-						if s.recS[ai] >= 0 {
-							ps.set(t, int(s.posR[s.arcTo[ai]]))
-						}
+					if t := p + int(s.arcMark[ai]); t < P {
+						ps.queue(s, t, ai)
 					}
 				}
 			}
@@ -178,105 +146,6 @@ type PatchStats struct {
 // kernel exists for) never hit the budget.
 const patchBailFraction = 8
 
-// reevaluate abandons an in-flight patch: every row from period p on
-// is re-evaluated in place with the straight kernel loops. Rows before
-// p are already final (the worklist sweep finishes a period before
-// entering the next). Reached bits are structural and already set, and
-// the kernel rewrites every row cell and every tracked parent entry,
-// so the trace is bit-identical to a fresh run.
-func (s *Schedule) reevaluate(tr *Trace, p int, initiated, parents bool) {
-	if p == 0 {
-		s.runPeriod0(tr, initiated, parents)
-		p = 1
-	}
-	if p == 1 && tr.periods > 1 {
-		s.runPeriod(tr, 1, s.off1, s.src1, s.del1, s.mark1, s.arc1, initiated, parents)
-		p = 2
-	}
-	for ; p < tr.periods; p++ {
-		s.runPeriod(tr, p, s.offS, s.srcS, s.delS, s.markS, s.arcS, initiated, parents)
-	}
-}
-
-// repatch0 recomputes one period-0 instantiation — the single-event
-// body of runPeriod0 — and reports whether its time changed.
-func (s *Schedule) repatch0(tr *Trace, pos int, initiated, parents bool) bool {
-	f := s.order[pos]
-	times := tr.times
-	best := math.Inf(-1)
-	bestE := sg.None
-	var bestArc int32 = -1
-	any := false
-	for r := s.off0[pos]; r < s.off0[pos+1]; r++ {
-		src := int(s.src0[r])
-		if initiated && !bitGet(tr.reached, src) {
-			continue
-		}
-		any = true
-		if v := times[src] + s.del0[r]; v > best {
-			best = v
-			bestE = s.src0[r]
-			bestArc = s.arc0[r]
-		}
-	}
-	if (initiated && f == tr.origin) || !any {
-		// Pinned to 0 by definition or structure — delay-independent.
-		return false
-	}
-	fi := int(f)
-	changed := times[fi] != best
-	times[fi] = best
-	if parents {
-		tr.parentEvent[fi] = bestE
-		tr.parentPeriod[fi] = 0
-		tr.parentArc[fi] = bestArc
-	}
-	return changed
-}
-
-// repatch recomputes one instantiation of a period >= 1 — the
-// single-event body of runPeriod — and reports whether its time
-// changed.
-func (s *Schedule) repatch(tr *Trace, p, pos int, initiated, parents bool) bool {
-	off, src, del, mark, arc := s.offS, s.srcS, s.delS, s.markS, s.arcS
-	if p == 1 {
-		off, src, del, mark, arc = s.off1, s.src1, s.del1, s.mark1, s.arc1
-	}
-	n := s.n
-	base := p * n
-	times := tr.times
-	f := s.orderR[pos]
-	best := math.Inf(-1)
-	bestE := sg.None
-	var bestP, bestArc int32 = -1, -1
-	any := false
-	for r := off[pos]; r < off[pos+1]; r++ {
-		sb := base - int(mark[r])*n + int(src[r])
-		if initiated && !bitGet(tr.reached, sb) {
-			continue
-		}
-		any = true
-		if v := times[sb] + del[r]; v > best {
-			best = v
-			bestE = src[r]
-			bestP = int32(p) - mark[r]
-			bestArc = arc[r]
-		}
-	}
-	if !any {
-		return false
-	}
-	fi := base + int(f)
-	changed := times[fi] != best
-	times[fi] = best
-	if parents {
-		tr.parentEvent[fi] = bestE
-		tr.parentPeriod[fi] = bestP
-		tr.parentArc[fi] = bestArc
-	}
-	return changed
-}
-
 // patchScratch is the private working memory of one Patch: one pending
 // bitset per period over topological positions. Setting a bit queues
 // an instantiation (idempotently); the sweep clears each bit before
@@ -287,8 +156,16 @@ type patchScratch struct {
 	words int      // words per period
 }
 
-// set queues position pos of period p.
-func (ps *patchScratch) set(p, pos int) {
+// queue queues the head of arc ai in period p, if the arc constrains
+// that period at all: the record-class inverse columns double as the
+// existence test of §IV.A (an arc has a class record exactly when it
+// constrains the target period).
+func (ps *patchScratch) queue(s *Schedule, p, ai int) {
+	c := s.class(p)
+	if c.rec[ai] < 0 {
+		return
+	}
+	pos := int(c.pos[s.arcTo[ai]])
 	ps.pend[p*ps.words+pos>>6] |= 1 << (uint(pos) & 63)
 }
 

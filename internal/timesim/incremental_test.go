@@ -1,6 +1,7 @@
 package timesim_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -199,5 +200,75 @@ func TestPatchErrors(t *testing.T) {
 	tr.Release()
 	if _, err := sched.Patch(tr, nil); err == nil {
 		t.Error("Patch accepted a released trace")
+	}
+}
+
+// TestPatchConeHitsOriginAndUnreached pins the two pinned cases the
+// patch walk meets inside a dirty cone, from origin a: the initiating
+// instantiation a_0, whose unmarked in-arc x→a is edited (t_a(a_0)
+// stays 0 by definition), and x_0, which a never precedes (its only
+// period-0 source is the non-repetitive n; editing n→x recomputes x_0,
+// which must stay pinned and unreached). Each edit is patched into the
+// initiated trace and compared bit for bit, parents included, with a
+// fresh RunFrom and with the reference kernel.
+func TestPatchConeHitsOriginAndUnreached(t *testing.T) {
+	g, err := sg.NewBuilder("patch-pinned").
+		Events("a", "b", "x").
+		Event("n", sg.NonRepetitive()).
+		Arc("a", "b", 2).              // 0
+		Arc("b", "x", 3, sg.Marked()). // 1
+		Arc("x", "a", 4).              // 2: into the origin
+		Arc("n", "x", 5, sg.Once()).   // 3: into the never-reached x_0
+		Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	ov := sg.NewOverlay(g)
+	sched, err := timesim.Compile(ov.Graph())
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	const periods = 6
+	opts := timesim.Options{Periods: periods, TrackParents: true}
+	tr, err := sched.RunFrom(0, opts)
+	if err != nil {
+		t.Fatalf("RunFrom: %v", err)
+	}
+	if tr.Reached(2, 0) || !tr.Reached(2, 1) {
+		t.Fatal("fixture broken: want x_0 unreached and x_1 reached from a_0")
+	}
+	for _, edit := range []struct {
+		arc int
+		d   float64
+	}{{2, 9}, {3, 1}, {2, 0}, {1, 0.5}, {3, 7}, {0, 6}} {
+		if err := ov.SetDelay(edit.arc, edit.d); err != nil {
+			t.Fatalf("SetDelay: %v", err)
+		}
+		var dirty []int
+		ov.DrainDirty(func(a int, delay float64) {
+			sched.RefreshArcDelay(a, delay)
+			dirty = append(dirty, a)
+		})
+		st, err := sched.Patch(tr, dirty)
+		if err != nil {
+			t.Fatalf("Patch: %v", err)
+		}
+		if st.Recomputed == 0 {
+			t.Fatalf("arc %d: empty dirty cone", edit.arc)
+		}
+		fresh, err := g.WithDelays(func(i int, _ float64) float64 { return ov.Delay(i) })
+		if err != nil {
+			t.Fatalf("WithDelays: %v", err)
+		}
+		want, err := timesim.RunFrom(fresh, 0, opts)
+		if err != nil {
+			t.Fatalf("fresh RunFrom: %v", err)
+		}
+		sameTrace(t, g, tr, want, periods, fmt.Sprintf("arc %d", edit.arc))
+		ref, err := timesim.ReferenceRunFrom(fresh, 0, opts)
+		if err != nil {
+			t.Fatalf("ReferenceRunFrom: %v", err)
+		}
+		sameTrace(t, g, tr, ref, periods, fmt.Sprintf("arc %d vs reference", edit.arc))
 	}
 }

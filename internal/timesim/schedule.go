@@ -37,45 +37,19 @@ import (
 // their working slabs from its pool. Refreshes must not run
 // concurrently with Run/RunFrom; the session layer serialises them.
 type Schedule struct {
-	g      *sg.Graph
-	n      int
-	order  []sg.EventID // full period order (evaluated in period 0)
-	orderR []sg.EventID // repetitive events in period order (periods >= 1)
+	g *sg.Graph
+	n int
 
-	// Period-0 records, CSR over order positions.
-	off0 []int32
-	src0 []sg.EventID
-	del0 []float64
-	arc0 []int32
+	// The three record classes: period 0 over the full period order,
+	// period 1 and the steady state (periods >= 2) over the repetitive
+	// events in period order. c1 and cS share their order and pos views.
+	c0, c1, cS class
 
-	// Period-1 records, CSR over orderR positions.
-	off1  []int32
-	src1  []sg.EventID
-	del1  []float64
-	mark1 []int32
-	arc1  []int32
-
-	// Steady-state (period >= 2) records, CSR over orderR positions.
-	offS  []int32
-	srcS  []sg.EventID
-	delS  []float64
-	markS []int32
-	arcS  []int32
-
-	// rec0/rec1/recS invert the arc columns: graph arc index -> record
-	// position within each class, -1 where the arc has no record of that
-	// class. They make a single-arc delay refresh O(1).
-	rec0, rec1, recS []int32
-
-	// pos0/posR invert the order views: event -> position in order
-	// (period 0) and in orderR (periods >= 1; -1 for non-repetitive
-	// events). The incremental kernel (Patch) uses them to address the
-	// per-class record ranges of a single event. arcTo/arcMark are the
-	// flat head-event and marking columns of the graph's arcs, so the
-	// kernel's propagation loop never copies Arc structs.
-	pos0, posR []int32
-	arcTo      []sg.EventID
-	arcMark    []int32
+	// arcTo/arcMark are the flat head-event and marking columns of the
+	// graph's arcs, so the incremental kernel's propagation loop never
+	// copies Arc structs.
+	arcTo   []sg.EventID
+	arcMark []int32
 
 	patchPool sync.Pool // *patchScratch
 
@@ -86,6 +60,54 @@ type Schedule struct {
 
 	pool    sync.Pool // *slab
 	winPool sync.Pool // *window (the two-row memory-bounded kernel)
+}
+
+// class is the in-arc record table of one period class: CSR over the
+// positions of its order view, records of one event in ascending
+// arc-index order. In every class the source period of a record is the
+// evaluated period minus the record's marking offset.
+type class struct {
+	order []sg.EventID // events evaluated in a period of this class
+	pos   []int32      // event -> position in order, -1 where absent
+
+	off  []int32 // records of position i are off[i]..off[i+1]-1
+	src  []sg.EventID
+	del  []float64
+	mark []int32 // marking offset of the source period (0 throughout class 0)
+	arc  []int32
+
+	// rec inverts the arc column: graph arc index -> record position,
+	// -1 where the arc has no record of this class. It makes a
+	// single-arc delay refresh O(1) and doubles as the existence test
+	// of §IV.A in the incremental kernel.
+	rec []int32
+}
+
+// newClass allocates a class for exactly recs records over the events
+// of order (pos shared with the caller).
+func newClass(order []sg.EventID, pos []int32, recs, m int) class {
+	c := class{
+		order: order, pos: pos,
+		off:  make([]int32, 1, len(order)+1),
+		src:  make([]sg.EventID, 0, recs),
+		del:  make([]float64, 0, recs),
+		mark: make([]int32, 0, recs),
+		arc:  make([]int32, 0, recs),
+		rec:  make([]int32, m),
+	}
+	for i := range c.rec {
+		c.rec[i] = -1
+	}
+	return c
+}
+
+// push appends in-CSR record r to the class.
+func (c *class) push(csr *sg.InCSR, r int32) {
+	c.rec[csr.Arc[r]] = int32(len(c.src))
+	c.src = append(c.src, csr.Src[r])
+	c.del = append(c.del, csr.Delay[r])
+	c.mark = append(c.mark, csr.Mark[r])
+	c.arc = append(c.arc, int32(csr.Arc[r]))
 }
 
 // slab bundles the working memory of one simulation so traces can return
@@ -107,7 +129,8 @@ func Compile(g *sg.Graph) (*Schedule, error) {
 	}
 	csr := g.InCSR()
 	n := g.NumEvents()
-	s := &Schedule{g: g, n: n, order: order}
+	m := g.NumArcs()
+	s := &Schedule{g: g, n: n}
 
 	// Exact record counts per class, so the column arrays are allocated
 	// once instead of growing by appends.
@@ -132,48 +155,53 @@ func Compile(g *sg.Graph) (*Schedule, error) {
 			}
 		}
 	}
-	s.src0 = make([]sg.EventID, 0, n0)
-	s.del0 = make([]float64, 0, n0)
-	s.arc0 = make([]int32, 0, n0)
-	s.src1 = make([]sg.EventID, 0, n1)
-	s.del1 = make([]float64, 0, n1)
-	s.mark1 = make([]int32, 0, n1)
-	s.arc1 = make([]int32, 0, n1)
-	s.srcS = make([]sg.EventID, 0, nS)
-	s.delS = make([]float64, 0, nS)
-	s.markS = make([]int32, 0, nS)
-	s.arcS = make([]int32, 0, nS)
-	s.orderR = make([]sg.EventID, 0, nR)
 
-	m := g.NumArcs()
-	s.rec0 = make([]int32, m)
-	s.rec1 = make([]int32, m)
-	s.recS = make([]int32, m)
-	for i := 0; i < m; i++ {
-		s.rec0[i], s.rec1[i], s.recS[i] = -1, -1, -1
-	}
-
-	s.off0 = make([]int32, 1, n+1)
-	for _, f := range order {
-		for r := csr.Off[f]; r < csr.Off[f+1]; r++ {
-			if csr.Mark[r] == 0 {
-				s.rec0[csr.Arc[r]] = int32(len(s.src0))
-				s.src0 = append(s.src0, csr.Src[r])
-				s.del0 = append(s.del0, csr.Delay[r])
-				s.arc0 = append(s.arc0, int32(csr.Arc[r]))
-			}
-		}
-		s.off0 = append(s.off0, int32(len(s.src0)))
-	}
-
-	s.pos0 = make([]int32, n)
-	s.posR = make([]int32, n)
-	for i := range s.posR {
-		s.posR[i] = -1
+	pos0 := make([]int32, n)
+	posR := make([]int32, n)
+	orderR := make([]sg.EventID, 0, nR)
+	for i := range posR {
+		posR[i] = -1
 	}
 	for idx, f := range order {
-		s.pos0[f] = int32(idx)
+		pos0[f] = int32(idx)
+		if g.Event(f).Repetitive {
+			posR[f] = int32(len(orderR))
+			orderR = append(orderR, f)
+		}
 	}
+	s.c0 = newClass(order, pos0, n0, m)
+	s.c1 = newClass(orderR, posR, n1, m)
+	s.cS = newClass(orderR, posR, nS, m)
+
+	s.rowInit = make([]float64, n)
+	for i := range s.rowInit {
+		s.rowInit[i] = math.NaN()
+	}
+	for _, f := range order {
+		rep := g.Event(f).Repetitive
+		for r := csr.Off[f]; r < csr.Off[f+1]; r++ {
+			if csr.Mark[r] == 0 {
+				s.c0.push(&csr, r)
+			}
+			if !rep {
+				continue
+			}
+			srcRep := g.Event(csr.Src[r]).Repetitive
+			if srcRep || csr.Mark[r] == 1 {
+				s.c1.push(&csr, r)
+			}
+			if srcRep {
+				s.cS.push(&csr, r)
+			}
+		}
+		s.c0.off = append(s.c0.off, int32(len(s.c0.src)))
+		if rep {
+			s.rowInit[f] = 0
+			s.c1.off = append(s.c1.off, int32(len(s.c1.src)))
+			s.cS.off = append(s.cS.off, int32(len(s.cS.src)))
+		}
+	}
+
 	s.arcTo = make([]sg.EventID, m)
 	s.arcMark = make([]int32, m)
 	for i := 0; i < m; i++ {
@@ -183,41 +211,21 @@ func Compile(g *sg.Graph) (*Schedule, error) {
 			s.arcMark[i] = 1
 		}
 	}
-
-	s.rowInit = make([]float64, n)
-	for i := range s.rowInit {
-		s.rowInit[i] = math.NaN()
-	}
-	s.off1 = make([]int32, 1, n+1)
-	s.offS = make([]int32, 1, n+1)
-	for _, f := range order {
-		if !g.Event(f).Repetitive {
-			continue
-		}
-		s.posR[f] = int32(len(s.orderR))
-		s.orderR = append(s.orderR, f)
-		s.rowInit[f] = 0
-		for r := csr.Off[f]; r < csr.Off[f+1]; r++ {
-			srcRep := g.Event(csr.Src[r]).Repetitive
-			if srcRep || csr.Mark[r] == 1 {
-				s.rec1[csr.Arc[r]] = int32(len(s.src1))
-				s.src1 = append(s.src1, csr.Src[r])
-				s.del1 = append(s.del1, csr.Delay[r])
-				s.mark1 = append(s.mark1, csr.Mark[r])
-				s.arc1 = append(s.arc1, int32(csr.Arc[r]))
-			}
-			if srcRep {
-				s.recS[csr.Arc[r]] = int32(len(s.srcS))
-				s.srcS = append(s.srcS, csr.Src[r])
-				s.delS = append(s.delS, csr.Delay[r])
-				s.markS = append(s.markS, csr.Mark[r])
-				s.arcS = append(s.arcS, int32(csr.Arc[r]))
-			}
-		}
-		s.off1 = append(s.off1, int32(len(s.src1)))
-		s.offS = append(s.offS, int32(len(s.srcS)))
-	}
 	return s, nil
+}
+
+// classes returns the three record classes.
+func (s *Schedule) classes() [3]*class { return [3]*class{&s.c0, &s.c1, &s.cS} }
+
+// class returns the record class that evaluates period p.
+func (s *Schedule) class(p int) *class {
+	switch p {
+	case 0:
+		return &s.c0
+	case 1:
+		return &s.c1
+	}
+	return &s.cS
 }
 
 // Graph returns the compiled graph.
@@ -233,12 +241,14 @@ func (s *Schedule) Graph() *sg.Graph { return s.g }
 // layer accounts for whichever layout it runs; see
 // cycletime.Engine.SizeHint.
 func (s *Schedule) MemEstimate() int64 {
-	recs := int64(len(s.src0)+len(s.src1)+len(s.srcS)) * 24 // src+del+arc columns
-	recs += int64(len(s.mark1)+len(s.markS)) * 4
-	offs := int64(len(s.off0)+len(s.off1)+len(s.offS)) * 4
-	inv := int64(len(s.rec0)+len(s.rec1)+len(s.recS)+len(s.pos0)+len(s.posR)+len(s.arcMark))*4 + int64(len(s.arcTo))*8
-	views := int64(len(s.order)+len(s.orderR)+len(s.rowInit)) * 8
-	return recs + offs + inv + views
+	var sz int64
+	for _, c := range s.classes() {
+		sz += int64(len(c.src)) * 28 // src+del+mark+arc columns
+		sz += int64(len(c.off)+len(c.rec)) * 4
+	}
+	sz += int64(len(s.c0.pos)+len(s.c1.pos)+len(s.arcMark))*4 + int64(len(s.arcTo))*8
+	sz += int64(len(s.c0.order)+len(s.c1.order)+len(s.rowInit)) * 8
+	return sz
 }
 
 // RefreshArcDelay rewrites the compiled delay columns for one arc. It
@@ -247,14 +257,10 @@ func (s *Schedule) MemEstimate() int64 {
 // delay edits without recompiling. Must not run concurrently with
 // Run/RunFrom.
 func (s *Schedule) RefreshArcDelay(arc int, delay float64) {
-	if r := s.rec0[arc]; r >= 0 {
-		s.del0[r] = delay
-	}
-	if r := s.rec1[arc]; r >= 0 {
-		s.del1[r] = delay
-	}
-	if r := s.recS[arc]; r >= 0 {
-		s.delS[r] = delay
+	for _, c := range s.classes() {
+		if r := c.rec[arc]; r >= 0 {
+			c.del[r] = delay
+		}
 	}
 }
 
@@ -263,14 +269,10 @@ func (s *Schedule) RefreshArcDelay(arc int, delay float64) {
 // columns: the O(m) full-refresh counterpart of RefreshArcDelay. Must
 // not run concurrently with Run/RunFrom.
 func (s *Schedule) RefreshDelays() {
-	for r, a := range s.arc0 {
-		s.del0[r] = s.g.Arc(int(a)).Delay
-	}
-	for r, a := range s.arc1 {
-		s.del1[r] = s.g.Arc(int(a)).Delay
-	}
-	for r, a := range s.arcS {
-		s.delS[r] = s.g.Arc(int(a)).Delay
+	for _, c := range s.classes() {
+		for r, a := range c.arc {
+			c.del[r] = s.g.Arc(int(a)).Delay
+		}
 	}
 }
 
@@ -337,7 +339,7 @@ func (s *Schedule) run(origin sg.EventID, opts Options) (*Trace, error) {
 	initiated := origin != sg.None
 	sl := s.acquire(opts.Periods, initiated, opts.TrackParents)
 	tr := &Trace{
-		g: s.g, origin: origin, periods: opts.Periods, n: s.n, order: s.order,
+		g: s.g, origin: origin, periods: opts.Periods, n: s.n, order: s.c0.order,
 		times: sl.times, sched: s, slab: sl,
 	}
 	if initiated {
@@ -346,99 +348,106 @@ func (s *Schedule) run(origin sg.EventID, opts Options) (*Trace, error) {
 	if opts.TrackParents {
 		tr.parentEvent, tr.parentPeriod, tr.parentArc = sl.pe, sl.pp, sl.pa
 	}
-	s.runPeriod0(tr, initiated, opts.TrackParents)
-	if opts.Periods > 1 {
-		s.runPeriod(tr, 1, s.off1, s.src1, s.del1, s.mark1, s.arc1, initiated, opts.TrackParents)
-	}
-	for p := 2; p < opts.Periods; p++ {
-		s.runPeriod(tr, p, s.offS, s.srcS, s.delS, s.markS, s.arcS, initiated, opts.TrackParents)
-	}
+	s.runPeriods(tr, 0)
 	return tr, nil
 }
 
-// runPeriod0 evaluates period 0, where every event has an instantiation
-// and every live in-arc has source period 0.
-func (s *Schedule) runPeriod0(tr *Trace, initiated, parents bool) {
-	times := tr.times
-	for idx, f := range s.order {
-		best := math.Inf(-1)
-		bestE := sg.None
-		var bestArc int32 = -1
-		any := false
-		for r := s.off0[idx]; r < s.off0[idx+1]; r++ {
-			src := int(s.src0[r])
-			if initiated && !bitGet(tr.reached, src) {
-				continue
-			}
-			any = true
-			if v := times[src] + s.del0[r]; v > best {
-				best = v
-				bestE = s.src0[r]
-				bestArc = s.arc0[r]
-			}
+// runPeriods evaluates every period of a slab trace from period `from`
+// on, in place, with the straight walk.
+func (s *Schedule) runPeriods(tr *Trace, from int) {
+	for p := from; p < tr.periods; p++ {
+		c := s.class(p)
+		rw := tr.rows(p)
+		if p > 0 {
+			copy(tr.times[rw.cur:rw.cur+s.n], s.rowInit)
 		}
-		fi := int(f)
-		switch {
-		case initiated && f == tr.origin:
-			// t_g(g_0) = 0 by definition, regardless of in-arcs.
-			times[fi] = 0
-			bitSet(tr.reached, fi)
-		case !any:
-			// Member of I_u, or (initiated) not preceded by the origin:
-			// pinned to 0; reached stays false so successors skip it.
-			times[fi] = 0
-		default:
-			times[fi] = best
-			if initiated {
-				bitSet(tr.reached, fi)
-			}
-			if parents {
-				tr.parentEvent[fi] = bestE
-				tr.parentPeriod[fi] = 0
-				tr.parentArc[fi] = bestArc
-			}
-		}
+		c.walk(0, len(c.order), &rw)
 	}
 }
 
-// runPeriod evaluates one period >= 1 against a record class. Source
-// periods are p minus the record's marking offset.
-func (s *Schedule) runPeriod(tr *Trace, p int, off []int32, src []sg.EventID, del []float64, mark []int32, arc []int32, initiated, parents bool) {
-	n := s.n
-	base := p * n
-	times := tr.times
-	copy(times[base:base+n], s.rowInit)
-	for idx, f := range s.orderR {
+// rows is the storage one period's walk reads and writes. Times,
+// reached bits and parent columns share one index space: the evaluated
+// period's row starts at cur, its predecessor's at cur-back, and event
+// e of a row sits at row start + e. A full trace slab lays every period
+// out in turn (back = n); the windowed kernel alternates two rows.
+type rows struct {
+	times  []float64
+	reach  []uint64     // reached bits; nil when every live source counts
+	pe     []sg.EventID // parent columns; nil when parents are not tracked
+	pp, pa []int32
+	cur    int
+	back   int
+	p      int32      // the evaluated period, recorded as parent period base
+	pin    sg.EventID // the initiating instantiation (period 0 only), else sg.None
+	// unreached is the time written where no live record reaches an
+	// instantiation: 0 on slabs (the reached bits, when kept, mark it
+	// unreached), or -Inf for the window, whose rows carry reachedness
+	// in the times themselves — a -Inf source sums to -Inf (NaN on a
+	// +Inf delay) and never wins a max, exactly as if skipped.
+	unreached float64
+}
+
+// rows returns the storage view that evaluates period p of a slab trace.
+func (tr *Trace) rows(p int) rows {
+	rw := rows{
+		times: tr.times, reach: tr.reached,
+		pe: tr.parentEvent, pp: tr.parentPeriod, pa: tr.parentArc,
+		cur: p * tr.n, back: tr.n, p: int32(p), pin: sg.None,
+	}
+	if p == 0 {
+		rw.pin = tr.origin
+	}
+	return rw
+}
+
+// walk is the simulation kernel: it evaluates the instantiations at
+// positions [lo,hi) of the class's order view into rw under the MAX
+// rule. Each position scans its records in order, skips sources the
+// origin does not precede (when reached bits are kept) and keeps the
+// first strict maximum, so every kernel built on it — full slab runs,
+// the two-row window, the incremental patch — performs the same float
+// adds, comparisons and parent tie-breaks as the reference kernel.
+//
+// An instantiation with no live in-record is pinned (§IV.B: to 0,
+// written as rw.unreached) and, in an initiated simulation, left
+// unreached so its successors skip it; the initiating instantiation
+// rw.pin is 0 and reached by definition. Delays are never NaN or -Inf
+// (sg validates them), so the first live record always beats -Inf and
+// "some record won" is exactly "some record was live".
+func (c *class) walk(lo, hi int, rw *rows) {
+	times, reach, pe, pin, unreached := rw.times, rw.reach, rw.pe, rw.pin, rw.unreached
+	cur, back := rw.cur, rw.back
+	off, src, del, mark := c.off, c.src, c.del, c.mark
+	for idx := lo; idx < hi; idx++ {
 		best := math.Inf(-1)
-		bestE := sg.None
-		var bestP, bestArc int32 = -1, -1
-		any := false
+		win := int32(-1)
 		for r := off[idx]; r < off[idx+1]; r++ {
-			sb := base - int(mark[r])*n + int(src[r])
-			if initiated && !bitGet(tr.reached, sb) {
+			sb := cur - int(mark[r])*back + int(src[r])
+			if reach != nil && !bitGet(reach, sb) {
 				continue
 			}
-			any = true
 			if v := times[sb] + del[r]; v > best {
-				best = v
-				bestE = src[r]
-				bestP = int32(p) - mark[r]
-				bestArc = arc[r]
+				best, win = v, r
 			}
 		}
-		fi := base + int(f)
-		if !any {
+		f := c.order[idx]
+		fi := cur + int(f)
+		switch {
+		case f == pin:
 			times[fi] = 0
+		case win < 0:
+			times[fi] = unreached
 			continue
+		default:
+			times[fi] = best
+			if pe != nil {
+				pe[fi] = src[win]
+				rw.pp[fi] = rw.p - mark[win]
+				rw.pa[fi] = c.arc[win]
+			}
 		}
-		times[fi] = best
-		if initiated {
-			bitSet(tr.reached, fi)
-		}
-		if parents {
-			tr.parentEvent[fi] = bestE
-			tr.parentPeriod[fi] = bestP
-			tr.parentArc[fi] = bestArc
+		if reach != nil {
+			bitSet(reach, fi)
 		}
 	}
 }

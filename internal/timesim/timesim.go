@@ -20,7 +20,10 @@
 // Schedule (see Compile): the graph's in-arcs are specialised per
 // unfolding period into flat record arrays, so the inner loop is a
 // linear scan with no existence tests, and the b simulations of one
-// cycle-time analysis share the compiled form and a slab pool.
+// cycle-time analysis share the compiled form and a slab pool. One
+// walk over those records evaluates every scalar simulation — full
+// trace slabs, the two-row window of RunFromWindow and the in-place
+// re-evaluation of Patch — so they agree by construction.
 // ReferenceRun and ReferenceRunFrom walk the graph's adjacency lists
 // directly; they are retained as the executable specification the
 // compiled kernel is differentially tested against.

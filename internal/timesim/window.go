@@ -7,54 +7,43 @@ import (
 	"tsg/internal/sg"
 )
 
-// Windowed scalar kernel: the memory-bounded variant of the pass-1
-// simulation. A λ-only analysis needs nothing from an event-initiated
-// trace but the origin's occurrence time per period (the distance
-// series of Prop. 7) — yet RunFrom materialises the full
-// (periods+1)×n slab. Like the Monte-Carlo batch kernel (batch.go),
-// the existence rules of §IV.A only ever reference the current period
-// (unmarked in-arcs) and the previous one (marked in-arcs), so the
-// scalar kernel too can roll a two-row window: O(n) working state
-// regardless of the period count, emitting just the origin series.
+// Windowed scalar kernel: the λ-only pass-1 simulation. A λ-only
+// analysis needs nothing from an event-initiated trace but the
+// origin's occurrence time per period (the distance series of
+// Prop. 7) — yet RunFrom materialises the full (periods+1)×n slab.
+// Like the Monte-Carlo batch kernel (batch.go), the existence rules of
+// §IV.A only ever reference the current period (unmarked in-arcs) and
+// the previous one (marked in-arcs), so the scalar walk can roll a
+// two-row window: O(n) working state regardless of the period count,
+// emitting just the origin series.
 //
-// Results are bit-identical to RunFrom + Trace.Time/Reached: the
-// record order, and hence every float add, max and tie-break, is the
-// same. The engine's pass 1 switches to this kernel when the full slab
-// would exceed its window budget (cycletime.Options.WindowBytes);
-// pass 2 — which needs parent pointers for backtracking — re-simulates
-// only the handful of λ-winning origins with full traces, which is the
-// spill-on-demand path.
+// Results are bit-identical to RunFrom + Trace.Time/Reached: both run
+// the same walk, only the row storage differs. The engine's pass 1
+// runs this kernel whenever it does not retain traces; pass 2 — which
+// needs parent pointers for backtracking — re-simulates only the
+// handful of λ-winning origins with full traces.
 
-// window is the pooled working set of one windowed simulation.
+// window is the pooled working set of one windowed simulation: two
+// times rows back to back (row A at [0,n), row B at [n,2n)). The rows
+// keep no reached bits: an instantiation the origin does not precede
+// holds -Inf (see rows.unreached).
 type window struct {
-	cur, prev   []float64
-	rCur, rPrev []bool
+	times []float64
 }
 
 // acquireWindow draws a two-row window from the schedule's pool.
 func (s *Schedule) acquireWindow() *window {
 	w, _ := s.winPool.Get().(*window)
-	if w == nil {
-		w = &window{}
-	}
-	if cap(w.cur) < s.n {
-		w.cur = make([]float64, s.n)
-		w.prev = make([]float64, s.n)
-		w.rCur = make([]bool, s.n)
-		w.rPrev = make([]bool, s.n)
-	} else {
-		w.cur = w.cur[:s.n]
-		w.prev = w.prev[:s.n]
-		w.rCur = w.rCur[:s.n]
-		w.rPrev = w.rPrev[:s.n]
+	if w == nil || len(w.times) != 2*s.n {
+		w = &window{times: make([]float64, 2*s.n)}
 	}
 	return w
 }
 
 // WindowBytes returns the approximate heap bytes of one pooled
 // two-row window: the per-simulation working set of the windowed
-// kernel (two float64 rows plus two reachedness rows).
-func (s *Schedule) WindowBytes() int64 { return int64(s.n) * (2*8 + 2) }
+// kernel (two float64 rows).
+func (s *Schedule) WindowBytes() int64 { return int64(s.n) * 2 * 8 }
 
 // SlabBytes returns the approximate heap bytes of one pooled full
 // trace slab for the given period count (times plus reached bitset;
@@ -80,81 +69,31 @@ func (s *Schedule) RunFromWindow(origin sg.EventID, periods int, out []float64) 
 	if len(out) < periods {
 		return fmt.Errorf("timesim: window output has %d entries, need %d", len(out), periods)
 	}
+	if s.c1.pos[origin] < 0 {
+		// A non-repetitive origin has no instantiation past period 0.
+		for j := range out[:periods] {
+			out[j] = math.NaN()
+		}
+		return nil
+	}
 	w := s.acquireWindow()
-	cur, prev, rCur, rPrev := w.cur, w.prev, w.rCur, w.rPrev
-	for i := range rCur {
-		rCur[i] = false
-	}
-
-	// Period 0: all live in-arc sources sit in the same period.
-	for idx, f := range s.order {
-		best := math.Inf(-1)
-		any := false
-		for r := s.off0[idx]; r < s.off0[idx+1]; r++ {
-			src := int(s.src0[r])
-			if !rCur[src] {
-				continue
-			}
-			any = true
-			if v := cur[src] + s.del0[r]; v > best {
-				best = v
-			}
-		}
-		fi := int(f)
-		switch {
-		case f == origin:
-			cur[fi] = 0
-			rCur[fi] = true
-		case !any:
-			cur[fi] = 0 // pinned; rCur stays false so successors skip it
-		default:
-			cur[fi] = best
-			rCur[fi] = true
-		}
-	}
-
+	n := s.n
+	// Period 0 has no predecessor row; its records are all unmarked.
+	rw := rows{times: w.times, pin: origin, unreached: math.Inf(-1)}
+	s.c0.walk(0, len(s.c0.order), &rw)
+	rw.pin = sg.None
 	for p := 1; p <= periods; p++ {
-		cur, prev = prev, cur
-		rCur, rPrev = rPrev, rCur
-		off, src, del, mark := s.off1, s.src1, s.del1, s.mark1
-		if p >= 2 {
-			off, src, del, mark = s.offS, s.srcS, s.delS, s.markS
-		}
-		for i := range rCur {
-			rCur[i] = false
-		}
-		for idx, f := range s.orderR {
-			best := math.Inf(-1)
-			any := false
-			for r := off[idx]; r < off[idx+1]; r++ {
-				sp := int(src[r])
-				row, reachedRow := cur, rCur
-				if mark[r] == 1 {
-					row, reachedRow = prev, rPrev
-				}
-				if !reachedRow[sp] {
-					continue
-				}
-				any = true
-				if v := row[sp] + del[r]; v > best {
-					best = v
-				}
-			}
-			fi := int(f)
-			if !any {
-				cur[fi] = 0
-				continue
-			}
-			cur[fi] = best
-			rCur[fi] = true
-		}
-		if rCur[origin] {
-			out[p-1] = cur[int(origin)]
+		prev := rw.cur
+		rw.cur = n - prev
+		rw.back = rw.cur - prev
+		c := s.class(p)
+		c.walk(0, len(c.order), &rw)
+		if t := w.times[rw.cur+int(origin)]; t != math.Inf(-1) {
+			out[p-1] = t
 		} else {
 			out[p-1] = math.NaN()
 		}
 	}
-	w.cur, w.prev, w.rCur, w.rPrev = cur, prev, rCur, rPrev
 	s.winPool.Put(w)
 	return nil
 }

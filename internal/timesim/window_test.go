@@ -140,7 +140,8 @@ func TestWindowBytesBounded(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	n := int64(g.NumEvents())
-	if got, want := s.WindowBytes(), n*(2*8+2); got != want {
+	// Two float64 rows; reachedness rides in the times (-Inf).
+	if got, want := s.WindowBytes(), n*2*8; got != want {
 		t.Fatalf("WindowBytes = %d, want %d", got, want)
 	}
 	if s.SlabBytes(1000) <= 100*s.WindowBytes() {
@@ -162,36 +163,57 @@ func TestWindowBytesBounded(t *testing.T) {
 	}
 }
 
-// BenchmarkRunFromWindow compares the two pass-1 kernels at a size
-// where the slab is the dominant cost.
+// BenchmarkRunFromWindow compares the two pass-1 kernels: one op is a
+// full pass 1 — every border event simulated over b periods — on the
+// window or on slabs, for the three graph shapes of the repository
+// benchmark's batch workload: the 66-event stack, a 2000-event random
+// graph and a 10^5-event pipegrid (where the slab is the dominant
+// cost).
 func BenchmarkRunFromWindow(b *testing.B) {
-	g, err := gen.PipeGridSized(20000, 8, 4, 99)
+	stack, err := gen.Stack(31)
+	if err != nil {
+		b.Fatalf("Stack: %v", err)
+	}
+	random, err := gen.RandomLive(rand.New(rand.NewSource(5)), gen.RandomOptions{
+		Events: 2000, Border: 8, ExtraArcs: 2000, MaxDelay: 16,
+	})
+	if err != nil {
+		b.Fatalf("RandomLive: %v", err)
+	}
+	grid, err := gen.PipeGridSized(100_000, 16, 4, 7003)
 	if err != nil {
 		b.Fatalf("PipeGridSized: %v", err)
 	}
-	s, err := timesim.Compile(g)
-	if err != nil {
-		b.Fatalf("Compile: %v", err)
+	for _, c := range []struct {
+		name string
+		g    *sg.Graph
+	}{{"stack66", stack}, {"random2000", random}, {"pipegrid1e5", grid}} {
+		s, err := timesim.Compile(c.g)
+		if err != nil {
+			b.Fatalf("Compile: %v", err)
+		}
+		border := c.g.BorderEvents()
+		periods := len(border)
+		b.Run(c.name+"/window", func(b *testing.B) {
+			out := make([]float64, periods)
+			for i := 0; i < b.N; i++ {
+				for _, o := range border {
+					if err := s.RunFromWindow(o, periods, out); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run(c.name+"/slab", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, o := range border {
+					tr, err := s.RunFrom(o, timesim.Options{Periods: periods + 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					tr.Release()
+				}
+			}
+		})
 	}
-	periods := 2*len(g.BorderEvents()) + 1
-	origin := g.BorderEvents()[0]
-	b.Run("window", func(b *testing.B) {
-		out := make([]float64, periods)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := s.RunFromWindow(origin, periods, out); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("slab", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr, err := s.RunFrom(origin, timesim.Options{Periods: periods + 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tr.Release()
-		}
-	})
 }
