@@ -75,11 +75,11 @@ type Options struct {
 	// LambdaOnly stops AnalyzeOpts after pass 1: λ and the border series
 	// are complete, the critical-cycle extraction (pass 2) is skipped.
 	// Pass 1 runs the two-row windowed kernel (timesim.RunFromWindow),
-	// while pass 2 re-simulates each λ winner with a full parent-tracked
-	// trace slab, so on huge graphs a λ-only query runs in O(n) working
-	// memory while a full analysis transiently needs one winner slab per
-	// worker. Result.Critical is empty and the series'
-	// OnCritical flags are left unset (both are pass-2 products).
+	// while pass 2 re-simulates each λ winner with a full trace slab,
+	// so on huge graphs a λ-only query runs in O(n) working memory
+	// while a full analysis transiently needs one winner slab per
+	// worker. Result.Critical is empty and the series' OnCritical
+	// flags are left unset (both are pass-2 products).
 	LambdaOnly bool
 	// NoIncremental disables the incremental commit path of an Engine:
 	// the session never retains its simulation traces, and every
@@ -273,9 +273,21 @@ func seriesFromTimes(ev sg.EventID, dist []float64) BorderSeries {
 	return series
 }
 
+// criticalCycle is pass 2 for one λ-winner (Prop. 7/8): it re-simulates
+// origin with a full trace, backtracks from origin_k and releases the
+// trace. The caller owns the engine's schedule for reading.
+func (e *Engine) criticalCycle(origin sg.EventID, k int, lambda stat.Ratio) (*CriticalCycle, error) {
+	tr, err := e.sched.RunFrom(origin, timesim.Options{Periods: e.periods + 1})
+	if err != nil {
+		return nil, fmt.Errorf("cycletime: re-simulating from %q: %w", e.g.Event(origin).Name, err)
+	}
+	defer tr.Release()
+	return backtrack(e.g, tr, origin, k, lambda)
+}
+
 // backtrack reconstructs the unfolded critical path from origin_k back to
-// origin_0 via the recorded max-predecessors (Prop. 1) and folds it into
-// a simple cycle attaining the cycle time.
+// origin_0 via the max-predecessors the trace's times determine
+// (Prop. 1) and folds it into a simple cycle attaining the cycle time.
 func backtrack(g *sg.Graph, tr *timesim.Trace, origin sg.EventID, k int, lambda stat.Ratio) (*CriticalCycle, error) {
 	type step struct {
 		event  sg.EventID

@@ -291,10 +291,11 @@ func (e *Engine) Delay(arc int) float64 {
 
 // SizeHint estimates the resident heap bytes of the compiled session:
 // the delay overlay, the compiled schedule's record columns, one pooled
-// simulation slab, the cached certificate (slacks and what-if rows) and
-// any worker/bounds clones. It deliberately excludes the immutable
-// graph, which the engine shares with its builder. Serving caches use
-// the hint as the per-entry cost when bounding total engine memory
+// simulation slab or window (times only, 8 B per instantiation), the
+// cached certificate (slacks and what-if rows) and any worker/bounds
+// clones. It deliberately excludes the immutable graph, which the
+// engine shares with its builder. Serving caches use the hint as the
+// per-entry cost when bounding total engine memory
 // (internal/serve.Cache).
 func (e *Engine) SizeHint() int64 {
 	e.mu.RLock()
@@ -333,7 +334,7 @@ func (e *Engine) sizeHintShallow() int64 {
 	sz += m * 72                // overlay: arc copies, delay column, nominal, dirty tracking
 	sz += e.sched.MemEstimate() // compiled record columns
 	if e.incr {
-		sz += e.sched.SlabBytes(e.periods + 2) // one pooled slab: times + reached bitset
+		sz += e.sched.SlabBytes(e.periods + 2) // one pooled slab: 8 B per instantiation
 	} else {
 		// Pass 1 holds two rows, not a slab. Pass 2 still slabs
 		// transiently per λ winner; steady state is the window.
@@ -940,7 +941,7 @@ func (e *Engine) ensureResult(ctx context.Context) (*certificate, error) {
 
 // ensureCriticals runs pass 2 (Prop. 7/8) against the certificate if
 // it has not run yet: exactly the cut-set events attaining λ lie on
-// critical cycles; each winner is re-simulated with parent tracking on
+// critical cycles; each winner is re-simulated with a full trace on
 // the bounded worker pool and backtracked (Prop. 1), and the cycles
 // deduplicated. The outcome is cached on the certificate until the
 // next commit, so a session answering λ-only traffic (the edit→analyze
@@ -962,7 +963,7 @@ func (e *Engine) ensureCriticals(ctx context.Context, c *certificate) error {
 
 // extractCriticals is pass 2 (Prop. 7/8) against a pass-1 result:
 // exactly the cut-set events attaining λ lie on critical cycles; only
-// those winners are re-simulated with parent tracking, on the bounded
+// those winners are re-simulated with full traces, on the bounded
 // worker pool — in symmetric graphs (rings) every border event can
 // attain λ, so this pass may be as wide as pass 1 — and each is
 // backtracked (Prop. 1). Deduplication runs serially afterwards in
@@ -981,23 +982,11 @@ func (e *Engine) extractCriticals(ctx context.Context, res *Result) error {
 	sp := obs.LeafN(ctx, spanPass2)
 	sp.AnnotateN(keyWinners, uint64(len(winners)))
 	defer sp.End()
-	parentOpts := timesim.Options{Periods: e.periods + 1, TrackParents: true}
 	cycs := make([]*CriticalCycle, len(winners))
 	cycErrs := make([]error, len(winners))
 	runIndexed(len(winners), e.workerCount(len(winners)), func(k int) {
 		s := &res.Series[winners[k]]
-		tr, err := e.sched.RunFrom(s.Event, parentOpts)
-		if err != nil {
-			cycErrs[k] = fmt.Errorf("cycletime: re-simulating from %q: %w", e.g.Event(s.Event).Name, err)
-			return
-		}
-		cyc, err := backtrack(e.g, tr, s.Event, s.BestIndex, res.CycleTime)
-		tr.Release()
-		if err != nil {
-			cycErrs[k] = err
-			return
-		}
-		cycs[k] = cyc
+		cycs[k], cycErrs[k] = e.criticalCycle(s.Event, s.BestIndex, res.CycleTime)
 	})
 	for _, err := range cycErrs {
 		if err != nil {
@@ -1026,8 +1015,8 @@ func (e *Engine) workerCount(n int) int {
 // patched through the forward cone of the dirty arcs — each trace
 // independently, on the bounded worker pool — and the result is
 // re-assembled from them. Bit-identical to a from-scratch analysis:
-// the patched traces equal fresh parent-tracked simulations (the Patch
-// contract), and result assembly is shared with the full path.
+// the patched traces equal fresh simulations (the Patch contract), and
+// result assembly is shared with the full path.
 func (e *Engine) patchedAnalysis(ctx context.Context, dirty []int) (*Result, error) {
 	e.counters.incremental.Add(1)
 	sp := obs.LeafN(ctx, spanPatch)
@@ -1574,11 +1563,9 @@ func dedupeCycles(cycs []*CriticalCycle) []CriticalCycle {
 // pass1Analysis runs pass 1 of the session analysis (Prop. 7): the b
 // event-initiated simulations and their distance series, yielding λ.
 // With retain set the simulations are kept as the session's committed
-// traces, which later post-commit analyses patch in place. Retained
-// traces deliberately do NOT track parents — patches and their flood
-// bail-outs then move a third of the memory, and the lazy pass 2
-// re-simulates only the λ winners with parents when critical cycles
-// are actually requested. Without retain the simulations run the
+// traces, which later post-commit analyses patch in place; the lazy
+// pass 2 re-simulates only the λ winners when critical cycles are
+// actually requested. Without retain the simulations run the
 // two-row windowed kernel, which materialises no slab at all and
 // writes each origin series straight into the result. Callers hold
 // the session lock.

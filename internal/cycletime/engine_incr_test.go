@@ -12,7 +12,7 @@ import (
 // sameResult fails unless two analysis results agree bitwise: λ as an
 // exact ratio, every distance series entry, the best indices, the
 // on-critical flags, and the critical cycles (events, arcs, length,
-// period — so the parent pointers behind the backtracking agree too).
+// period — so the parents derived for the backtracking agree too).
 func sameResult(t *testing.T, got, want *Result, label string) {
 	t.Helper()
 	if !got.CycleTime.Equal(want.CycleTime) {
@@ -140,7 +140,7 @@ func editWalk(t *testing.T, rng *rand.Rand, g *sg.Graph, edits int, checkEvery i
 // TestIncrementalCommitDifferential: random graphs, random edit walks —
 // the incremental session must stay bit-identical to a from-scratch
 // engine after every committed edit: λ, series, critical cycles (which
-// pin the patched parent pointers) and slack certificates.
+// pin the parents derived from patched times) and slack certificates.
 func TestIncrementalCommitDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 8; trial++ {

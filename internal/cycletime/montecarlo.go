@@ -249,8 +249,8 @@ func (a *mcAccum) slackStats() []ArcSlackStats {
 // most the running maximum cannot raise λ and is skipped (strictly
 // below, when criticality needs the exact winner set). With criticality
 // requested it finishes with the PR 1 λ-winner trick: only the
-// simulated events attaining λ are re-simulated with parent tracking
-// and backtracked into critical cycles. distBuf is a scratch buffer of
+// simulated events attaining λ are re-simulated with full traces and
+// backtracked into critical cycles. distBuf is a scratch buffer of
 // at least e.periods floats. The caller owns the engine exclusively.
 func (e *Engine) mcSample(order []int, bounds []stat.Ratio, distBuf []float64, needCrit bool) (stat.Ratio, []*CriticalCycle, error) {
 	e.counters.analyses.Add(1)
@@ -294,18 +294,12 @@ func (e *Engine) mcSample(order []int, bounds []stat.Ratio, distBuf []float64, n
 	if !needCrit {
 		return lam, nil, nil
 	}
-	parentOpts := timesim.Options{Periods: e.periods + 1, TrackParents: true}
 	var cycs []*CriticalCycle
 	for _, s := range sims {
 		if !s.best.Equal(best) {
 			continue
 		}
-		tr, err := e.sched.RunFrom(s.ev, parentOpts)
-		if err != nil {
-			return stat.Ratio{}, nil, fmt.Errorf("cycletime: re-simulating from %q: %w", e.g.Event(s.ev).Name, err)
-		}
-		cyc, err := backtrack(e.g, tr, s.ev, s.idx, best)
-		tr.Release()
+		cyc, err := e.criticalCycle(s.ev, s.idx, best)
 		if err != nil {
 			return stat.Ratio{}, nil, err
 		}

@@ -161,7 +161,7 @@ type EditRequest struct {
 	Reset bool        `json:"reset,omitempty"`
 	// Criticals additionally returns the critical cycles at the edited
 	// baseline. Off by default: extracting them forces the engine's
-	// lazy pass 2 (parent-tracked winner re-simulation) on every edit,
+	// lazy pass 2 (full-trace winner re-simulation) on every edit,
 	// while the λ-only answer keeps the loop simulation-free for
 	// localized edits.
 	Criticals bool `json:"criticals,omitempty"`

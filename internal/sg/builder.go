@@ -2,6 +2,7 @@ package sg
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -85,8 +86,8 @@ func (b *Builder) Arc(from, to string, delay float64, opts ...ArcOption) *Builde
 		b.err = fmt.Errorf("sg: arc references unknown event %q in graph %q", to, b.name)
 		return b
 	}
-	if delay < 0 {
-		b.err = fmt.Errorf("sg: negative delay %g on arc %s -> %s in graph %q", delay, from, to, b.name)
+	if delay < 0 || math.IsNaN(delay) {
+		b.err = fmt.Errorf("sg: delay %g on arc %s -> %s in graph %q: want a non-negative delay", delay, from, to, b.name)
 		return b
 	}
 	a := Arc{From: src, To: dst, Delay: delay}

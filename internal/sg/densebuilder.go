@@ -1,6 +1,9 @@
 package sg
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // DenseBuilder is the streamed construction path for huge graphs. The
 // chaining Builder is convenient for hand-written fixtures but pays for
@@ -72,8 +75,8 @@ func (b *DenseBuilder) AddArc(from, to EventID, delay float64, marked bool) {
 		b.err = fmt.Errorf("sg: arc references unknown event ID in graph %q", b.name)
 		return
 	}
-	if delay < 0 {
-		b.err = fmt.Errorf("sg: negative delay %g on arc %d -> %d in graph %q", delay, from, to, b.name)
+	if delay < 0 || math.IsNaN(delay) {
+		b.err = fmt.Errorf("sg: delay %g on arc %d -> %d in graph %q: want a non-negative delay", delay, from, to, b.name)
 		return
 	}
 	if len(b.arcs) == cap(b.arcs) {

@@ -2,6 +2,7 @@ package sg_test
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -100,6 +101,7 @@ func TestBuilderErrors(t *testing.T) {
 		{"unknown from", sg.NewBuilder("g").Events("a+").Arc("x", "a+", 1), "unknown event"},
 		{"unknown to", sg.NewBuilder("g").Events("a+").Arc("a+", "x", 1), "unknown event"},
 		{"negative delay", sg.NewBuilder("g").Events("a+", "b+").Arc("a+", "b+", -1), "negative delay"},
+		{"NaN delay", sg.NewBuilder("g").Events("a+", "b+").Arc("a+", "b+", math.NaN()), "want a non-negative delay"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -19,19 +19,11 @@ import (
 // at a time) against rows whose already-final entries are either
 // untouched (outside the cone) or previously recomputed (inside it, at
 // a smaller position). An instantiation whose recomputed time equals
-// its old value bitwise stops the expansion: its successors read only
-// the time, so nothing downstream can change. Parent pointers, when
-// the trace tracks them, are rewritten on every recomputation but
-// never propagate on their own — a changed parent with an unchanged
-// time is a local repair. Same-period propagation only ever targets
-// positions after the sweep cursor (unmarked arcs respect the topo
-// order), and marked arcs target later periods, so the sweep never
-// misses a queued position.
-//
-// Reachedness is structural: which instantiations exist and which are
-// preceded by the origin depends only on the graph and the origin,
-// never on delays, so the trace's reached bitset (and its NaN holes)
-// never change: the walk only re-sets bits that are already set.
+// its old value bitwise stops the expansion: the trace holds nothing
+// but times, so nothing downstream can change. Same-period propagation
+// only ever targets positions after the sweep cursor (unmarked arcs
+// respect the topo order), and marked arcs target later periods, so
+// the sweep never misses a queued position.
 //
 // Cost: O(periods · n/64) to sweep the bitset words plus the record
 // scans of the cone members — for a localized edit a small fraction of
@@ -93,8 +85,8 @@ func (s *Schedule) Patch(tr *Trace, dirty []int) (PatchStats, error) {
 			for pend[w] != 0 {
 				if budget--; budget < 0 {
 					// Flood: re-evaluate every row from p on in place.
-					// Earlier rows are final, reached bits structural,
-					// and the walk rewrites every cell and parent.
+					// Earlier rows are final and the walk rewrites
+					// every cell.
 					ps.clear()
 					s.runPeriods(tr, p)
 					return PatchStats{Recomputed: recomputed, Flooded: true}, nil
@@ -186,14 +178,10 @@ func (s *Schedule) acquirePatch(periods, n int) *patchScratch {
 	return ps
 }
 
-// MemEstimate returns the approximate heap bytes of the trace's
-// retained slabs: the times rows plus, when present, the reached
-// bitset and the three parent arrays. Session layers retaining
-// committed traces for incremental re-simulation account them with
-// this (see cycletime.Engine.SizeHint).
+// MemEstimate returns the approximate heap bytes of a compiled trace's
+// retained slab: its times rows, 8 B per instantiation. Session layers
+// retaining committed traces for incremental re-simulation account
+// them with this (see cycletime.Engine.SizeHint).
 func (tr *Trace) MemEstimate() int64 {
-	sz := int64(len(tr.times)) * 8
-	sz += int64(len(tr.reached)) * 8
-	sz += int64(len(tr.parentEvent)) * 16 // EventID + period + arc columns
-	return sz
+	return int64(len(tr.times)) * 8
 }

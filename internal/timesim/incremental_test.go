@@ -39,8 +39,9 @@ func patchRound(t *testing.T, rng *rand.Rand, ov *sg.Overlay, sched *timesim.Sch
 
 // TestPatchMatchesFreshRun: a committed trace patched through the
 // dirty cone is bit-identical to a fresh simulation of a schedule
-// compiled over the edited graph — plain and event-initiated, with and
-// without parent tracking, across several successive edit rounds.
+// compiled over the edited graph — plain and event-initiated, across
+// several successive edit rounds. The patched traces' derived parents
+// are also checked against the reference kernel's recorded ones.
 func TestPatchMatchesFreshRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 15; trial++ {
@@ -58,8 +59,7 @@ func TestPatchMatchesFreshRun(t *testing.T) {
 			t.Fatalf("Compile: %v", err)
 		}
 		periods := b + 2
-		parents := trial%2 == 0
-		opts := timesim.Options{Periods: periods, TrackParents: parents}
+		opts := timesim.Options{Periods: periods}
 
 		// The committed traces: one plain, one initiated per border event.
 		plain, err := sched.Run(opts)
@@ -98,6 +98,11 @@ func TestPatchMatchesFreshRun(t *testing.T) {
 			}
 			sameTrace(t, g, plain, want, periods, "patched plain")
 			want.Release()
+			ref, err := timesim.ReferenceRun(fresh, opts)
+			if err != nil {
+				t.Fatalf("ReferenceRun: %v", err)
+			}
+			sameTrace(t, g, plain, ref, periods, "patched plain vs reference")
 			for i, ev := range borders {
 				want, err := freshSched.RunFrom(ev, opts)
 				if err != nil {
@@ -105,6 +110,11 @@ func TestPatchMatchesFreshRun(t *testing.T) {
 				}
 				sameTrace(t, g, initiated[i], want, periods, "patched initiated")
 				want.Release()
+				ref, err := timesim.ReferenceRunFrom(fresh, ev, opts)
+				if err != nil {
+					t.Fatalf("ReferenceRunFrom: %v", err)
+				}
+				sameTrace(t, g, initiated[i], ref, periods, "patched initiated vs reference")
 			}
 		}
 	}
@@ -133,7 +143,7 @@ func TestPatchMarkedAndMultiArc(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	const periods = 5
-	opts := timesim.Options{Periods: periods, TrackParents: true}
+	opts := timesim.Options{Periods: periods}
 	tr, err := sched.Run(opts)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -229,7 +239,7 @@ func TestPatchConeHitsOriginAndUnreached(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	const periods = 6
-	opts := timesim.Options{Periods: periods, TrackParents: true}
+	opts := timesim.Options{Periods: periods}
 	tr, err := sched.RunFrom(0, opts)
 	if err != nil {
 		t.Fatalf("RunFrom: %v", err)

@@ -20,7 +20,7 @@ func CriticalPath(g *sg.Graph) (makespan float64, path []sg.EventID, err error) 
 	if len(g.RepetitiveEvents()) > 0 {
 		return 0, nil, fmt.Errorf("timesim: graph %q has repetitive events; PERT analysis needs an acyclic project network", g.Name())
 	}
-	tr, err := Run(g, Options{Periods: 1, TrackParents: true})
+	tr, err := Run(g, Options{Periods: 1})
 	if err != nil {
 		return 0, nil, err
 	}

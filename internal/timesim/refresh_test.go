@@ -72,7 +72,7 @@ func TestScheduleRefreshArcDelay(t *testing.T) {
 			t.Fatalf("Compile fresh: %v", err)
 		}
 		periods := b + 1
-		opts := timesim.Options{Periods: periods, TrackParents: true}
+		opts := timesim.Options{Periods: periods}
 		got, err := sched.Run(opts)
 		if err != nil {
 			t.Fatalf("refreshed Run: %v", err)
@@ -121,7 +121,7 @@ func refreshVsFresh(t *testing.T, g *sg.Graph, ov *sg.Overlay, sched *timesim.Sc
 		t.Fatalf("%s: Compile fresh: %v", label, err)
 	}
 	periods := len(g.BorderEvents()) + 2
-	opts := timesim.Options{Periods: periods, TrackParents: true}
+	opts := timesim.Options{Periods: periods}
 	got, err := sched.Run(opts)
 	if err != nil {
 		t.Fatalf("%s: refreshed Run: %v", label, err)
@@ -250,7 +250,7 @@ func TestScheduleRefreshDelays(t *testing.T) {
 		t.Fatalf("Compile fresh: %v", err)
 	}
 	periods := len(g.BorderEvents()) + 1
-	opts := timesim.Options{Periods: periods, TrackParents: true}
+	opts := timesim.Options{Periods: periods}
 	got, err := sched.Run(opts)
 	if err != nil {
 		t.Fatalf("refreshed Run: %v", err)

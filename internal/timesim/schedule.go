@@ -25,8 +25,8 @@ import (
 // every class the source period is p - markingOffset, so the inner loop
 // of a period is a single linear scan with no branching on event or
 // source kinds. All records within one event keep ascending arc-index
-// order, making parent selection (first max wins) bit-identical to the
-// reference kernel.
+// order, so the first record attaining an instantiation's time is the
+// parent the reference kernel selects (first max wins).
 //
 // A Schedule is immutable after Compile — except for its delay columns,
 // which RefreshArcDelay and RefreshDelays rewrite in place so one
@@ -110,14 +110,9 @@ func (c *class) push(csr *sg.InCSR, r int32) {
 	c.arc = append(c.arc, int32(csr.Arc[r]))
 }
 
-// slab bundles the working memory of one simulation so traces can return
-// it to the schedule's pool in a single Put.
+// slab is the pooled times storage of one full trace.
 type slab struct {
 	times []float64
-	reach []uint64
-	pe    []sg.EventID
-	pp    []int32
-	pa    []int32
 }
 
 // Compile builds the simulation schedule of a graph. The graph must have
@@ -291,9 +286,10 @@ func (s *Schedule) RunFrom(origin sg.EventID, opts Options) (*Trace, error) {
 	return s.run(origin, opts)
 }
 
-// acquire prepares a slab for a run of the given shape, reusing pooled
-// memory where the capacity suffices.
-func (s *Schedule) acquire(periods int, initiated, parents bool) *slab {
+// acquire prepares a slab for a run of the given period count, reusing
+// pooled memory where the capacity suffices. The walk writes every
+// cell, so the slab is not cleared.
+func (s *Schedule) acquire(periods int) *slab {
 	need := periods * s.n
 	sl, _ := s.pool.Get().(*slab)
 	if sl == nil {
@@ -304,31 +300,6 @@ func (s *Schedule) acquire(periods int, initiated, parents bool) *slab {
 	} else {
 		sl.times = sl.times[:need]
 	}
-	if initiated {
-		words := (need + 63) >> 6
-		if cap(sl.reach) < words {
-			sl.reach = make([]uint64, words)
-		} else {
-			sl.reach = sl.reach[:words]
-			clear(sl.reach)
-		}
-	}
-	if parents {
-		if cap(sl.pe) < need {
-			sl.pe = make([]sg.EventID, need)
-			sl.pp = make([]int32, need)
-			sl.pa = make([]int32, need)
-		} else {
-			sl.pe = sl.pe[:need]
-			sl.pp = sl.pp[:need]
-			sl.pa = sl.pa[:need]
-		}
-		for i := range sl.pe {
-			sl.pe[i] = sg.None
-			sl.pp[i] = -1
-			sl.pa[i] = -1
-		}
-	}
 	return sl
 }
 
@@ -336,17 +307,10 @@ func (s *Schedule) run(origin sg.EventID, opts Options) (*Trace, error) {
 	if opts.Periods < 1 {
 		return nil, fmt.Errorf("timesim: periods must be >= 1, got %d", opts.Periods)
 	}
-	initiated := origin != sg.None
-	sl := s.acquire(opts.Periods, initiated, opts.TrackParents)
+	sl := s.acquire(opts.Periods)
 	tr := &Trace{
 		g: s.g, origin: origin, periods: opts.Periods, n: s.n, order: s.c0.order,
 		times: sl.times, sched: s, slab: sl,
-	}
-	if initiated {
-		tr.reached = sl.reach
-	}
-	if opts.TrackParents {
-		tr.parentEvent, tr.parentPeriod, tr.parentArc = sl.pe, sl.pp, sl.pa
 	}
 	s.runPeriods(tr, 0)
 	return tr, nil
@@ -365,89 +329,90 @@ func (s *Schedule) runPeriods(tr *Trace, from int) {
 	}
 }
 
-// rows is the storage one period's walk reads and writes. Times,
-// reached bits and parent columns share one index space: the evaluated
-// period's row starts at cur, its predecessor's at cur-back, and event
-// e of a row sits at row start + e. A full trace slab lays every period
-// out in turn (back = n); the windowed kernel alternates two rows.
+// rows is the storage one period's walk reads and writes: the
+// evaluated period's row starts at cur, its predecessor's at cur-back,
+// and event e of a row sits at row start + e. A full trace slab lays
+// every period out in turn (back = n); the windowed kernel alternates
+// two rows.
 type rows struct {
-	times  []float64
-	reach  []uint64     // reached bits; nil when every live source counts
-	pe     []sg.EventID // parent columns; nil when parents are not tracked
-	pp, pa []int32
-	cur    int
-	back   int
-	p      int32      // the evaluated period, recorded as parent period base
-	pin    sg.EventID // the initiating instantiation (period 0 only), else sg.None
+	times []float64
+	cur   int
+	back  int
+	pin   sg.EventID // the initiating instantiation (period 0 only), else sg.None
 	// unreached is the time written where no live record reaches an
-	// instantiation: 0 on slabs (the reached bits, when kept, mark it
-	// unreached), or -Inf for the window, whose rows carry reachedness
-	// in the times themselves — a -Inf source sums to -Inf (NaN on a
-	// +Inf delay) and never wins a max, exactly as if skipped.
+	// instantiation: 0 in a plain simulation (a member of I_u), -Inf in
+	// an event-initiated one. A -Inf source sums to -Inf (NaN on a +Inf
+	// delay) and never wins a max, exactly as if skipped, so the times
+	// carry reachedness themselves.
 	unreached float64
 }
 
 // rows returns the storage view that evaluates period p of a slab trace.
 func (tr *Trace) rows(p int) rows {
-	rw := rows{
-		times: tr.times, reach: tr.reached,
-		pe: tr.parentEvent, pp: tr.parentPeriod, pa: tr.parentArc,
-		cur: p * tr.n, back: tr.n, p: int32(p), pin: sg.None,
-	}
-	if p == 0 {
-		rw.pin = tr.origin
+	rw := rows{times: tr.times, cur: p * tr.n, back: tr.n, pin: sg.None}
+	if tr.origin != sg.None {
+		rw.unreached = math.Inf(-1)
+		if p == 0 {
+			rw.pin = tr.origin
+		}
 	}
 	return rw
 }
 
 // walk is the simulation kernel: it evaluates the instantiations at
 // positions [lo,hi) of the class's order view into rw under the MAX
-// rule. Each position scans its records in order, skips sources the
-// origin does not precede (when reached bits are kept) and keeps the
-// first strict maximum, so every kernel built on it — full slab runs,
-// the two-row window, the incremental patch — performs the same float
-// adds, comparisons and parent tie-breaks as the reference kernel.
+// rule. Each position keeps the maximum over its records, so every
+// kernel built on it — full slab runs, the two-row window, the
+// incremental patch — performs the same float adds and comparisons as
+// the reference kernel.
 //
-// An instantiation with no live in-record is pinned (§IV.B: to 0,
-// written as rw.unreached) and, in an initiated simulation, left
-// unreached so its successors skip it; the initiating instantiation
-// rw.pin is 0 and reached by definition. Delays are never NaN or -Inf
-// (sg validates them), so the first live record always beats -Inf and
-// "some record won" is exactly "some record was live".
+// The initiating instantiation rw.pin is 0 by definition (§IV.B). An
+// instantiation with no live in-record is written as rw.unreached.
+// Delays are never NaN or -Inf (sg validates them), so a live source
+// always beats -Inf and "the max stayed -Inf" is exactly "no record was
+// live".
 func (c *class) walk(lo, hi int, rw *rows) {
-	times, reach, pe, pin, unreached := rw.times, rw.reach, rw.pe, rw.pin, rw.unreached
+	times, pin, unreached := rw.times, rw.pin, rw.unreached
 	cur, back := rw.cur, rw.back
 	off, src, del, mark := c.off, c.src, c.del, c.mark
 	for idx := lo; idx < hi; idx++ {
 		best := math.Inf(-1)
-		win := int32(-1)
 		for r := off[idx]; r < off[idx+1]; r++ {
-			sb := cur - int(mark[r])*back + int(src[r])
-			if reach != nil && !bitGet(reach, sb) {
-				continue
-			}
-			if v := times[sb] + del[r]; v > best {
-				best, win = v, r
+			if v := times[cur-int(mark[r])*back+int(src[r])] + del[r]; v > best {
+				best = v
 			}
 		}
 		f := c.order[idx]
-		fi := cur + int(f)
 		switch {
 		case f == pin:
-			times[fi] = 0
-		case win < 0:
-			times[fi] = unreached
-			continue
-		default:
-			times[fi] = best
-			if pe != nil {
-				pe[fi] = src[win]
-				rw.pp[fi] = rw.p - mark[win]
-				rw.pa[fi] = c.arc[win]
-			}
+			best = 0
+		case math.IsInf(best, -1):
+			best = unreached
 		}
-		if reach != nil {
-			bitSet(reach, fi)
+		times[cur+int(f)] = best
+	}
+}
+
+// parent derives the max-predecessor of f_p from the trace's times: the
+// first record, in ascending arc order, whose source time plus delay
+// equals t(f_p). The walk keeps the first strict maximum, so this is
+// the record it would have kept, ties and +Inf delays included. An
+// unreached source sums to -Inf or NaN and never matches a live time.
+func (s *Schedule) parent(tr *Trace, f sg.EventID, p int) (sg.EventID, int, int, bool) {
+	c := s.class(p)
+	idx := c.pos[f]
+	rw := tr.rows(p)
+	if idx < 0 || f == rw.pin {
+		return sg.None, -1, -1, false
+	}
+	t := tr.times[rw.cur+int(f)]
+	if math.IsInf(t, -1) {
+		return sg.None, -1, -1, false
+	}
+	for r := c.off[idx]; r < c.off[idx+1]; r++ {
+		if tr.times[rw.cur-int(c.mark[r])*rw.back+int(c.src[r])]+c.del[r] == t {
+			return c.src[r], p - int(c.mark[r]), int(c.arc[r]), true
 		}
 	}
+	return sg.None, -1, -1, false
 }

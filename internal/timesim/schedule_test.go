@@ -39,8 +39,9 @@ func fixtures(t testing.TB) map[string]*sg.Graph {
 }
 
 // diffTraces fails the test unless the two traces agree bit-for-bit on
-// every instantiation: existence, occurrence time, reachedness and (when
-// tracked) the parent that realised the max.
+// every instantiation: existence, occurrence time, reachedness and the
+// parent that realised the max (derived from the times on a compiled
+// trace, recorded during the walk on a reference one).
 func diffTraces(t *testing.T, g *sg.Graph, got, want *timesim.Trace) {
 	t.Helper()
 	if got.Periods() != want.Periods() {
@@ -70,37 +71,35 @@ func diffTraces(t *testing.T, g *sg.Graph, got, want *timesim.Trace) {
 
 // checkKernelEquivalence compares the compiled kernel against the
 // reference on the plain simulation and on the event-initiated
-// simulation from every repetitive event, with and without parents.
+// simulation from every repetitive event.
 func checkKernelEquivalence(t *testing.T, g *sg.Graph, periods int) {
 	t.Helper()
 	sched, err := timesim.Compile(g)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	for _, parents := range []bool{false, true} {
-		opts := timesim.Options{Periods: periods, TrackParents: parents}
-		got, err := sched.Run(opts)
+	opts := timesim.Options{Periods: periods}
+	got, err := sched.Run(opts)
+	if err != nil {
+		t.Fatalf("Schedule.Run: %v", err)
+	}
+	want, err := timesim.ReferenceRun(g, opts)
+	if err != nil {
+		t.Fatalf("ReferenceRun: %v", err)
+	}
+	diffTraces(t, g, got, want)
+	got.Release()
+	for _, origin := range g.RepetitiveEvents() {
+		got, err := sched.RunFrom(origin, opts)
 		if err != nil {
-			t.Fatalf("Schedule.Run: %v", err)
+			t.Fatalf("Schedule.RunFrom(%s): %v", g.Event(origin).Name, err)
 		}
-		want, err := timesim.ReferenceRun(g, opts)
+		want, err := timesim.ReferenceRunFrom(g, origin, opts)
 		if err != nil {
-			t.Fatalf("ReferenceRun: %v", err)
+			t.Fatalf("ReferenceRunFrom(%s): %v", g.Event(origin).Name, err)
 		}
 		diffTraces(t, g, got, want)
 		got.Release()
-		for _, origin := range g.RepetitiveEvents() {
-			got, err := sched.RunFrom(origin, opts)
-			if err != nil {
-				t.Fatalf("Schedule.RunFrom(%s): %v", g.Event(origin).Name, err)
-			}
-			want, err := timesim.ReferenceRunFrom(g, origin, opts)
-			if err != nil {
-				t.Fatalf("ReferenceRunFrom(%s): %v", g.Event(origin).Name, err)
-			}
-			diffTraces(t, g, got, want)
-			got.Release()
-		}
 	}
 }
 
@@ -140,7 +139,7 @@ func TestCompiledKernelEquivalenceRandom(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Compile: %v", err)
 				}
-				simOpts := timesim.Options{Periods: periods, TrackParents: rep%2 == 0}
+				simOpts := timesim.Options{Periods: periods}
 				for _, origin := range g.BorderEvents() {
 					got, err := sched.RunFrom(origin, simOpts)
 					if err != nil {
@@ -159,8 +158,8 @@ func TestCompiledKernelEquivalenceRandom(t *testing.T) {
 }
 
 // TestScheduleSlabReuse checks that a released slab reused for a
-// differently-shaped run (different origin, periods, parent tracking)
-// leaks nothing between simulations.
+// differently-shaped run (different origin, periods) leaks nothing
+// between simulations.
 func TestScheduleSlabReuse(t *testing.T) {
 	g := gen.Oscillator()
 	sched, err := timesim.Compile(g)
@@ -171,13 +170,13 @@ func TestScheduleSlabReuse(t *testing.T) {
 	if len(borders) < 2 {
 		t.Fatal("oscillator needs >= 2 border events")
 	}
-	// Seed the pool with a large parent-tracked run.
-	tr, err := sched.RunFrom(borders[0], timesim.Options{Periods: 6, TrackParents: true})
+	// Seed the pool with a larger run.
+	tr, err := sched.RunFrom(borders[0], timesim.Options{Periods: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.Release()
-	// A smaller run without parents must match the reference exactly.
+	// A smaller run must match the reference exactly, parents included.
 	opts := timesim.Options{Periods: 3}
 	got, err := sched.RunFrom(borders[1], opts)
 	if err != nil {
@@ -188,9 +187,50 @@ func TestScheduleSlabReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffTraces(t, g, got, want)
-	// Parents must not be visible on an untracked run.
-	if _, _, _, ok := got.Parent(borders[1], 1); ok {
-		t.Error("untracked run exposes parents from a recycled slab")
-	}
 	got.Release()
+}
+
+// TestDerivedParentFirstMaxWins pins the tie-break of the derived
+// parents: b has two in-records realising the same time and d three
+// +Inf delays, one from a source the origin c does not precede. The
+// parent must be the first record in arc order attaining the max, as
+// the reference kernel records it.
+func TestDerivedParentFirstMaxWins(t *testing.T) {
+	inf := math.Inf(1)
+	g, err := sg.NewBuilder("ties").
+		Events("a", "b", "c", "d").
+		Arc("a", "c", 1).
+		Arc("c", "b", 1). // arc 1: t(c)+1 == t(a)+2, listed first
+		Arc("a", "b", 2).
+		Arc("a", "d", inf). // arc 3: from a source c does not precede
+		Arc("b", "d", inf). // arc 4
+		Arc("c", "d", inf).
+		Arc("d", "a", 1, sg.Marked()).
+		Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	const periods = 3
+	checkKernelEquivalence(t, g, periods)
+
+	plain, err := timesim.Run(g, timesim.Options{Periods: periods})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, c, d := g.MustEvent("b"), g.MustEvent("c"), g.MustEvent("d")
+	for p := 0; p < periods; p++ {
+		if pe, _, arc, ok := plain.Parent(b, p); !ok || pe != c || arc != 1 {
+			t.Errorf("plain parent(b_%d) = %d via arc %d (%v), want c via arc 1", p, pe, arc, ok)
+		}
+	}
+	if pe, _, arc, ok := plain.Parent(d, 0); !ok || pe != g.MustEvent("a") || arc != 3 {
+		t.Errorf("plain parent(d_0) = %d via arc %d (%v), want a via arc 3", pe, arc, ok)
+	}
+	from, err := timesim.RunFrom(g, c, timesim.Options{Periods: periods})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pe, _, arc, ok := from.Parent(d, 0); !ok || pe != b || arc != 4 {
+		t.Errorf("parent(d_0) from c = %d via arc %d (%v), want b via arc 4", pe, arc, ok)
+	}
 }

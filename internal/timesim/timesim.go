@@ -13,8 +13,9 @@
 // unmarked-arc subgraph, so it needs O(n) working state and O(m) time per
 // period and never materialises the unfolding. Occurrence times for all
 // simulated periods are retained for table and diagram generation, and
-// optional parent pointers support the critical-cycle backtracking of
-// §VI.B (Prop. 1).
+// they are the whole trace: the max-predecessors the critical-cycle
+// backtracking of §VI.B (Prop. 1) walks are derived from them on
+// demand (Trace.Parent), never stored.
 //
 // Two kernels produce traces. Run and RunFrom go through a compiled
 // Schedule (see Compile): the graph's in-arcs are specialised per
@@ -41,9 +42,6 @@ import (
 type Options struct {
 	// Periods is the number of unfolding periods to simulate (>= 1).
 	Periods int
-	// TrackParents records, per instantiation, the predecessor that
-	// realised the max, enabling critical-cycle backtracking.
-	TrackParents bool
 }
 
 // Trace holds the occurrence times of a finished simulation. Rows are
@@ -57,20 +55,30 @@ type Trace struct {
 	order   []sg.EventID
 
 	// times[p*n+e] is t(e_p); NaN where the instantiation does not exist
-	// (non-repetitive events beyond period 0).
+	// (non-repetitive events beyond period 0). On compiled traces of an
+	// event-initiated simulation, -Inf marks an instantiation the origin
+	// does not precede (the paper pins it to 0; Time reports it so).
 	times []float64
-	// reached is a bitset over p*n+e reporting origin ⇒ e_p (or
-	// e_p == origin_0); nil for plain simulations.
-	reached []uint64
 
+	// Set for compiled traces: the schedule whose records Parent
+	// rescans, and the pooled slab Release returns.
+	sched *Schedule
+	slab  *slab
+
+	// ref is the reference kernel's recorded reachedness and parents;
+	// nil for compiled traces.
+	ref *recorded
+}
+
+// recorded is what the reference kernel notes during its forward walk
+// besides the times: the reached bitset over p*n+e (nil for plain
+// simulations) and the parent that realised each max. Tests compare the
+// compiled kernel's derived answers against it.
+type recorded struct {
+	reached      []uint64
 	parentEvent  []sg.EventID // sg.None where no parent
 	parentPeriod []int32
 	parentArc    []int32
-
-	// Set for traces whose slabs come from a Schedule's pool; Release
-	// returns them.
-	sched *Schedule
-	slab  *slab
 }
 
 func bitGet(b []uint64, i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
@@ -131,21 +139,20 @@ func referenceRun(g *sg.Graph, origin sg.EventID, opts Options) (*Trace, error) 
 		tr.times[i] = math.NaN()
 	}
 	initiated := origin != sg.None
+	rec := &recorded{
+		parentEvent:  make([]sg.EventID, need),
+		parentPeriod: make([]int32, need),
+		parentArc:    make([]int32, need),
+	}
 	if initiated {
-		tr.reached = make([]uint64, (need+63)>>6)
+		rec.reached = make([]uint64, (need+63)>>6)
 	}
-	if opts.TrackParents {
-		tr.parentEvent = make([]sg.EventID, need)
-		tr.parentPeriod = make([]int32, need)
-		tr.parentArc = make([]int32, need)
-		for i := range tr.parentEvent {
-			tr.parentEvent[i] = sg.None
-			tr.parentPeriod[i] = -1
-			tr.parentArc[i] = -1
-		}
+	for i := range rec.parentEvent {
+		rec.parentEvent[i] = sg.None
 	}
+	tr.ref = rec
 	for p := 0; p < opts.Periods; p++ {
-		tr.referencePeriod(p, initiated, opts.TrackParents)
+		tr.referencePeriod(p, initiated)
 	}
 	return tr, nil
 }
@@ -153,8 +160,8 @@ func referenceRun(g *sg.Graph, origin sg.EventID, opts Options) (*Trace, error) 
 // referencePeriod evaluates all instantiations of period p in topological
 // order, resolving each in-arc's existence and source period from first
 // principles (§IV.A/§IV.B).
-func (tr *Trace) referencePeriod(p int, initiated, parents bool) {
-	g := tr.g
+func (tr *Trace) referencePeriod(p int, initiated bool) {
+	g, rec := tr.g, tr.ref
 	n := tr.n
 	base := p * n
 	for _, f := range tr.order {
@@ -185,7 +192,7 @@ func (tr *Trace) referencePeriod(p int, initiated, parents bool) {
 			if !exists {
 				continue
 			}
-			if initiated && !bitGet(tr.reached, srcPeriod*n+int(a.From)) {
+			if initiated && !bitGet(rec.reached, srcPeriod*n+int(a.From)) {
 				continue // arc from an event not preceded by the origin
 			}
 			anyPred = true
@@ -199,7 +206,7 @@ func (tr *Trace) referencePeriod(p int, initiated, parents bool) {
 		case initiated && f == tr.origin && p == 0:
 			// t_g(g) = 0 by definition, regardless of in-arcs.
 			tr.times[fi] = 0
-			bitSet(tr.reached, fi)
+			bitSet(rec.reached, fi)
 		case initiated && !anyPred:
 			// g does not precede f_p: pinned to 0, out-arcs ignored
 			// (reached stays false so successors skip it).
@@ -209,13 +216,11 @@ func (tr *Trace) referencePeriod(p int, initiated, parents bool) {
 		default:
 			tr.times[fi] = best
 			if initiated {
-				bitSet(tr.reached, fi)
+				bitSet(rec.reached, fi)
 			}
-			if parents {
-				tr.parentEvent[fi] = bestE
-				tr.parentPeriod[fi] = int32(bestP)
-				tr.parentArc[fi] = int32(bestArc)
-			}
+			rec.parentEvent[fi] = bestE
+			rec.parentPeriod[fi] = int32(bestP)
+			rec.parentArc[fi] = int32(bestArc)
 		}
 	}
 }
@@ -230,10 +235,6 @@ func (tr *Trace) Release() {
 	sl := tr.slab
 	tr.slab = nil
 	tr.times = nil
-	tr.reached = nil
-	tr.parentEvent = nil
-	tr.parentPeriod = nil
-	tr.parentArc = nil
 	tr.sched.pool.Put(sl)
 }
 
@@ -246,48 +247,68 @@ func (tr *Trace) Periods() int { return tr.periods }
 // Origin returns the initiating event, or sg.None for plain simulations.
 func (tr *Trace) Origin() sg.EventID { return tr.origin }
 
-// Time returns t(e_period) and whether that instantiation exists.
+// index returns the slab index of e_period, or false when either is
+// out of range.
+func (tr *Trace) index(e sg.EventID, period int) (int, bool) {
+	if e < 0 || int(e) >= tr.n || period < 0 || period >= tr.periods {
+		return 0, false
+	}
+	return period*tr.n + int(e), true
+}
+
+// Time returns t(e_period) and whether that instantiation exists. An
+// instantiation the origin does not precede reports the paper's pinned
+// time 0.
 func (tr *Trace) Time(e sg.EventID, period int) (float64, bool) {
-	if period < 0 || period >= tr.periods {
+	i, ok := tr.index(e, period)
+	if !ok {
 		return 0, false
 	}
-	v := tr.times[period*tr.n+int(e)]
-	if math.IsNaN(v) {
+	switch v := tr.times[i]; {
+	case math.IsNaN(v):
 		return 0, false
+	case math.IsInf(v, -1):
+		return 0, true
+	default:
+		return v, true
 	}
-	return v, true
 }
 
 // Reached reports whether the origin precedes e_period (always true for
 // existing instantiations of plain simulations; the origin itself counts
 // as reached).
 func (tr *Trace) Reached(e sg.EventID, period int) bool {
-	if period < 0 || period >= tr.periods {
+	i, ok := tr.index(e, period)
+	if !ok {
 		return false
 	}
-	i := period*tr.n + int(e)
-	if math.IsNaN(tr.times[i]) {
+	v := tr.times[i]
+	if math.IsNaN(v) {
 		return false
 	}
-	if tr.reached == nil {
-		return true
+	if tr.ref != nil {
+		return tr.ref.reached == nil || bitGet(tr.ref.reached, i)
 	}
-	return bitGet(tr.reached, i)
+	return !math.IsInf(v, -1)
 }
 
 // Parent returns the predecessor instantiation and graph-arc index that
 // realised the max for e_period. ok is false when the instantiation has
-// no parent (initial, unreached, or parents were not tracked).
+// no parent: it does not exist, is initial (a member of I_u or the
+// origin_0 of an event-initiated simulation) or is not preceded by the
+// origin.
 func (tr *Trace) Parent(e sg.EventID, period int) (pe sg.EventID, pp int, arc int, ok bool) {
-	if tr.parentEvent == nil || period < 0 || period >= tr.periods {
+	i, ok := tr.index(e, period)
+	if !ok {
 		return sg.None, -1, -1, false
 	}
-	i := period*tr.n + int(e)
-	pe = tr.parentEvent[i]
-	if pe == sg.None {
-		return sg.None, -1, -1, false
+	if rec := tr.ref; rec != nil {
+		if pe = rec.parentEvent[i]; pe == sg.None {
+			return sg.None, -1, -1, false
+		}
+		return pe, int(rec.parentPeriod[i]), int(rec.parentArc[i]), true
 	}
-	return pe, int(tr.parentPeriod[i]), int(tr.parentArc[i]), true
+	return tr.sched.parent(tr, e, period)
 }
 
 // AvgDistances returns the average occurrence distance series of §IV.C

@@ -295,7 +295,7 @@ func TestAgainstUnfoldingLongestPath(t *testing.T) {
 
 func TestParents(t *testing.T) {
 	g := oscillator(t)
-	tr, err := timesim.RunFrom(g, g.MustEvent("a+"), timesim.Options{Periods: 3, TrackParents: true})
+	tr, err := timesim.RunFrom(g, g.MustEvent("a+"), timesim.Options{Periods: 3})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -314,13 +314,16 @@ func TestParents(t *testing.T) {
 	if _, _, _, ok := tr.Parent(g.MustEvent("a+"), 0); ok {
 		t.Error("origin a+_0 has a parent")
 	}
-	// Untracked trace returns ok=false.
+	// A plain trace derives parents too; a member of I_u has none.
 	tr2, err := timesim.Run(g, timesim.Options{Periods: 2})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, _, _, ok := tr2.Parent(g.MustEvent("a+"), 1); ok {
-		t.Error("Parent reported on untracked trace")
+	if pe, pp, _, ok := tr2.Parent(g.MustEvent("a+"), 1); !ok || g.Event(pe).Name != "c-" || pp != 0 {
+		t.Errorf("plain Parent(a+,1) = %d_%d,%v, want c-_0", pe, pp, ok)
+	}
+	if _, _, _, ok := tr2.Parent(g.MustEvent("e-"), 0); ok {
+		t.Error("initial e-_0 has a parent")
 	}
 }
 

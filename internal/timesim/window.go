@@ -20,13 +20,13 @@ import (
 // Results are bit-identical to RunFrom + Trace.Time/Reached: both run
 // the same walk, only the row storage differs. The engine's pass 1
 // runs this kernel whenever it does not retain traces; pass 2 — which
-// needs parent pointers for backtracking — re-simulates only the
+// backtracks through every period of a trace — re-simulates only the
 // handful of λ-winning origins with full traces.
 
 // window is the pooled working set of one windowed simulation: two
-// times rows back to back (row A at [0,n), row B at [n,2n)). The rows
-// keep no reached bits: an instantiation the origin does not precede
-// holds -Inf (see rows.unreached).
+// times rows back to back (row A at [0,n), row B at [n,2n)). Like a
+// slab, an instantiation the origin does not precede holds -Inf (see
+// rows.unreached).
 type window struct {
 	times []float64
 }
@@ -46,11 +46,11 @@ func (s *Schedule) acquireWindow() *window {
 func (s *Schedule) WindowBytes() int64 { return int64(s.n) * 2 * 8 }
 
 // SlabBytes returns the approximate heap bytes of one pooled full
-// trace slab for the given period count (times plus reached bitset;
-// parent columns, used only by pass-2 backtracking, excluded). This is
-// the quantity the windowed kernel avoids.
+// trace slab for the given period count: 8 B of time per
+// instantiation, the whole of a trace. This is the quantity the
+// windowed kernel avoids.
 func (s *Schedule) SlabBytes(periods int) int64 {
-	return int64(periods)*int64(s.n)*8 + int64(periods)*int64(s.n)/8
+	return int64(periods) * int64(s.n) * 8
 }
 
 // RunFromWindow executes the event-initiated simulation t_origin of

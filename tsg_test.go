@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tsg"
+	"tsg/internal/timesim"
 )
 
 // TestPublicAPIGraphFlow exercises the documented quick-start flow.
@@ -253,5 +254,71 @@ func TestExtendedAnalyses(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "gate c C a b : 3 2") {
 		t.Errorf("serialised circuit missing C gate:\n%s", sb.String())
+	}
+}
+
+// TestTraceAccessorsRejectOutOfRangeEvents: an event id outside [0,n)
+// names no instantiation in any period, so Time, Reached and Parent
+// answer false instead of reading a neighbouring period's row or
+// panicking.
+func TestTraceAccessorsRejectOutOfRangeEvents(t *testing.T) {
+	g, err := tsg.LoadGraph(filepath.Join("testdata", "oscillator.tsg"))
+	if err != nil {
+		t.Fatalf("LoadGraph: %v", err)
+	}
+	tr, err := tsg.Simulate(g, 3)
+	if err != nil {
+		t.Fatalf("Simulate: %v", err)
+	}
+	n := g.NumEvents()
+	for _, e := range []tsg.EventID{-1, tsg.EventID(n), tsg.EventID(n + 3), tsg.EventID(2*n + 1)} {
+		if v, ok := tr.Time(e, 0); ok {
+			t.Errorf("Time(%d, 0) = %g, true; want false", e, v)
+		}
+		if tr.Reached(e, 0) {
+			t.Errorf("Reached(%d, 0) = true", e)
+		}
+		if _, _, _, ok := tr.Parent(e, 0); ok {
+			t.Errorf("Parent(%d, 0) reported a parent", e)
+		}
+	}
+}
+
+// TestSimulateFromParents: every trace the public API returns answers
+// Parent, and the answer is the max-predecessor the reference kernel
+// records during its walk.
+func TestSimulateFromParents(t *testing.T) {
+	g, err := tsg.LoadGraph(filepath.Join("testdata", "oscillator.tsg"))
+	if err != nil {
+		t.Fatalf("LoadGraph: %v", err)
+	}
+	const periods = 4
+	parents := 0
+	for _, origin := range g.RepetitiveEvents() {
+		got, err := tsg.SimulateFrom(g, origin, periods)
+		if err != nil {
+			t.Fatalf("SimulateFrom: %v", err)
+		}
+		want, err := timesim.ReferenceRunFrom(g, origin, timesim.Options{Periods: periods})
+		if err != nil {
+			t.Fatalf("ReferenceRunFrom: %v", err)
+		}
+		for p := 0; p < periods; p++ {
+			for e := 0; e < g.NumEvents(); e++ {
+				id := tsg.EventID(e)
+				ge, gp, ga, gok := got.Parent(id, p)
+				we, wp, wa, wok := want.Parent(id, p)
+				if ge != we || gp != wp || ga != wa || gok != wok {
+					t.Fatalf("origin %s: Parent(%s_%d) = (%d,%d,%d,%v), want (%d,%d,%d,%v)",
+						g.Event(origin).Name, g.Event(id).Name, p, ge, gp, ga, gok, we, wp, wa, wok)
+				}
+				if gok {
+					parents++
+				}
+			}
+		}
+	}
+	if parents == 0 {
+		t.Fatal("no instantiation had a parent")
 	}
 }
