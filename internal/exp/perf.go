@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"tsg/internal/cycles"
@@ -64,19 +65,40 @@ func runPERF8B(w io.Writer) error {
 	return nil
 }
 
-// timeIt measures f in seconds, best of three runs.
+// timeIt measures f in seconds: the median of five runs.
 func timeIt(f func() error) (float64, error) {
-	best := math.Inf(1)
-	for i := 0; i < 3; i++ {
+	ds := make([]time.Duration, 5)
+	for i := range ds {
 		start := time.Now()
 		if err := f(); err != nil {
 			return 0, err
 		}
-		if d := time.Since(start).Seconds(); d < best {
-			best = d
+		ds[i] = time.Since(start)
+	}
+	return median(ds).Seconds(), nil
+}
+
+// timeSweep times Analyze on each graph as the median of five runs. The
+// runs go in five rounds, each running every graph once, so a burst of
+// host noise lands on one run of several points rather than on all five
+// runs of one point.
+func timeSweep(gs []*sg.Graph) ([]float64, error) {
+	runs := make([][]time.Duration, len(gs))
+	for round := 0; round < 5; round++ {
+		for i, g := range gs {
+			runtime.GC() // start every run from the same heap state
+			start := time.Now()
+			if _, err := cycletime.Analyze(g); err != nil {
+				return nil, err
+			}
+			runs[i] = append(runs[i], time.Since(start))
 		}
 	}
-	return best, nil
+	secs := make([]float64, len(gs))
+	for i, r := range runs {
+		secs[i] = median(r).Seconds()
+	}
+	return secs, nil
 }
 
 func runCOMPLX(w io.Writer) error {
@@ -84,19 +106,22 @@ func runCOMPLX(w io.Writer) error {
 
 	// Sweep 1: m grows at fixed b -> runtime must be linear in m.
 	tabM := textio.New("runtime vs m at fixed b = 4 (random live graphs)", "events", "arcs m", "time")
-	var ms, ts []float64
+	var gm []*sg.Graph
 	for _, n := range []int{500, 1000, 2000, 4000, 8000} {
 		g, err := gen.RandomLive(rng, gen.RandomOptions{Events: n, Border: 4, ExtraArcs: n, MaxDelay: 16})
 		if err != nil {
 			return err
 		}
-		sec, err := timeIt(func() error { _, err := cycletime.Analyze(g); return err })
-		if err != nil {
-			return err
-		}
-		tabM.AddRow(n, g.NumArcs(), fmt.Sprintf("%.3gms", sec*1e3))
+		gm = append(gm, g)
+	}
+	ts, err := timeSweep(gm)
+	if err != nil {
+		return err
+	}
+	var ms []float64
+	for i, g := range gm {
+		tabM.AddRow(g.NumEvents(), g.NumArcs(), fmt.Sprintf("%.3gms", ts[i]*1e3))
 		ms = append(ms, float64(g.NumArcs()))
-		ts = append(ts, sec)
 	}
 	if err := tabM.Render(w); err != nil {
 		return err
@@ -110,19 +135,21 @@ func runCOMPLX(w io.Writer) error {
 
 	// Sweep 2: b grows at fixed n, m -> runtime must be quadratic in b.
 	tabB := textio.New("runtime vs b at fixed n = 3000, m = 6000", "border b", "time", "time/b²")
-	var bs, tb []float64
-	for _, b := range []int{2, 4, 8, 16, 32} {
-		g, err := gen.RandomLive(rng, gen.RandomOptions{Events: 3000, Border: b, ExtraArcs: 3000, MaxDelay: 16})
+	var gb []*sg.Graph
+	bs := []float64{2, 4, 8, 16, 32}
+	for _, b := range bs {
+		g, err := gen.RandomLive(rng, gen.RandomOptions{Events: 3000, Border: int(b), ExtraArcs: 3000, MaxDelay: 16})
 		if err != nil {
 			return err
 		}
-		sec, err := timeIt(func() error { _, err := cycletime.Analyze(g); return err })
-		if err != nil {
-			return err
-		}
-		tabB.AddRow(b, fmt.Sprintf("%.3gms", sec*1e3), fmt.Sprintf("%.3gus", sec/float64(b*b)*1e6))
-		bs = append(bs, float64(b))
-		tb = append(tb, sec)
+		gb = append(gb, g)
+	}
+	tb, err := timeSweep(gb)
+	if err != nil {
+		return err
+	}
+	for i, b := range bs {
+		tabB.AddRow(int(b), fmt.Sprintf("%.3gms", tb[i]*1e3), fmt.Sprintf("%.3gus", tb[i]/(b*b)*1e6))
 	}
 	if err := tabB.Render(w); err != nil {
 		return err

@@ -1,7 +1,6 @@
 package netlist
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -29,19 +28,13 @@ type Netlist struct {
 // delay list after ':' gives per-pin delays (one value applies to every
 // pin; none defaults to 1). 'at' lines script primary-input transitions.
 func ReadCKT(r io.Reader) (*Netlist, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	lx := newLexer(r)
 	var (
 		b      *circuit.Builder
 		inputs []circuit.InputEvent
 	)
-	line := 0
-	for sc.Scan() {
-		line++
-		fields, err := splitLine(sc.Text(), line)
-		if err != nil {
-			return nil, err
-		}
+	for lx.scan() {
+		fields, line := lx.texts(), lx.line
 		if len(fields) == 0 {
 			continue
 		}
@@ -130,11 +123,11 @@ func ReadCKT(r io.Reader) (*Netlist, error) {
 			return nil, errf(line, "unknown directive %q", fields[0])
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if lx.err != nil {
+		return nil, lx.err
 	}
 	if b == nil {
-		return nil, errf(line, "missing circuit header")
+		return nil, errf(lx.line, "missing circuit header")
 	}
 	c, err := b.Build()
 	if err != nil {

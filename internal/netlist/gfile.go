@@ -1,7 +1,6 @@
 package netlist
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -35,8 +34,7 @@ import (
 
 // ReadG parses a `.g` Signal Transition Graph.
 func ReadG(r io.Reader) (*sg.Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	lx := newLexer(r)
 	b := sg.NewBuilder("stg")
 	var (
 		inGraph   bool
@@ -52,13 +50,8 @@ func ReadG(r io.Reader) (*sg.Graph, error) {
 			b.Event(name)
 		}
 	}
-	line := 0
-	for sc.Scan() {
-		line++
-		fields, err := splitLine(sc.Text(), line)
-		if err != nil {
-			return nil, err
-		}
+	for lx.scan() {
+		fields, line := lx.texts(), lx.line
 		if len(fields) == 0 {
 			continue
 		}
@@ -124,11 +117,11 @@ func ReadG(r io.Reader) (*sg.Graph, error) {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	if lx.err != nil {
+		return nil, lx.err
 	}
 	if !inGraph {
-		return nil, errf(line, "missing .graph section")
+		return nil, errf(lx.line, "missing .graph section")
 	}
 	for _, a := range arcs {
 		d, ok := delays[a]

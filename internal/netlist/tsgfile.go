@@ -10,7 +10,7 @@
 package netlist
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -46,7 +46,7 @@ func errf(line int, format string, args ...interface{}) error {
 // dist.Model. The graph is validated (sg.Validate); use ReadTSGLax to
 // load invalid graphs for diagnosis.
 func ReadTSG(r io.Reader) (*sg.Graph, error) {
-	b, _, err := readTSGBuilder(r)
+	b, _, err := readTSG(r)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +56,7 @@ func ReadTSG(r io.Reader) (*sg.Graph, error) {
 // ReadTSGLax parses like ReadTSG but skips semantic validation, so that
 // tools can load a broken graph and report its problems.
 func ReadTSGLax(r io.Reader) (*sg.Graph, error) {
-	b, _, err := readTSGBuilder(r)
+	b, _, err := readTSG(r)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +71,7 @@ func ReadTSGLax(r io.Reader) (*sg.Graph, error) {
 // distribution stay points at their nominal delay, so a file without
 // annotations yields the deterministic model.
 func ReadTSGDist(r io.Reader) (*sg.Graph, *dist.Model, error) {
-	b, anns, err := readTSGBuilder(r)
+	b, anns, err := readTSG(r)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -79,19 +79,29 @@ func ReadTSGDist(r io.Reader) (*sg.Graph, *dist.Model, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	m, err := delayModel(g, anns)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, m, nil
+}
+
+// delayModel is the graph's nominal delays with the parsed annotations
+// applied.
+func delayModel(g *sg.Graph, anns []arcAnn) (*dist.Model, error) {
 	nominal := make([]float64, g.NumArcs())
 	for i := range nominal {
 		nominal[i] = g.Arc(i).Delay
 	}
 	m, err := dist.NewModel(nominal)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	groups := map[string]int{}
 	for _, a := range anns {
 		if a.hasDist {
 			if err := m.SetArc(a.arc, a.d); err != nil {
-				return nil, nil, errf(a.line, "%v", err)
+				return nil, errf(a.line, "%v", err)
 			}
 		}
 		if a.group != "" {
@@ -101,11 +111,11 @@ func ReadTSGDist(r io.Reader) (*sg.Graph, *dist.Model, error) {
 				groups[a.group] = gid
 			}
 			if err := m.SetGroup(a.arc, gid); err != nil {
-				return nil, nil, errf(a.line, "%v", err)
+				return nil, errf(a.line, "%v", err)
 			}
 		}
 	}
-	return g, m, nil
+	return m, nil
 }
 
 // arcAnn is one arc's statistical annotation, collected during parsing.
@@ -117,23 +127,21 @@ type arcAnn struct {
 	group   string
 }
 
-func readTSGBuilder(r io.Reader) (*sg.Builder, []arcAnn, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	var b *sg.Builder
+// readTSG parses the input in one pass: the lexer splits each line
+// into fields in place, and events and arcs stream into a DenseBuilder
+// sized by counting the directive words in the input (an upper bound:
+// names may contain them too).
+func readTSG(r io.Reader) (*sg.DenseBuilder, []arcAnn, error) {
+	lx := newLexer(r)
+	var b *sg.DenseBuilder
 	var anns []arcAnn
-	line := 0
 	arcs := 0
-	for sc.Scan() {
-		line++
-		fields, err := splitLine(sc.Text(), line)
-		if err != nil {
-			return nil, nil, err
-		}
+	for lx.scan() {
+		fields, line := lx.fields, lx.line
 		if len(fields) == 0 {
 			continue
 		}
-		switch fields[0] {
+		switch string(fields[0]) {
 		case "tsg":
 			if b != nil {
 				return nil, nil, errf(line, "duplicate tsg header")
@@ -141,7 +149,8 @@ func readTSGBuilder(r io.Reader) (*sg.Builder, []arcAnn, error) {
 			if len(fields) != 2 {
 				return nil, nil, errf(line, "usage: tsg <name>")
 			}
-			b = sg.NewBuilder(fields[1])
+			b = sg.NewDenseBuilder(string(fields[1]),
+				bytes.Count(lx.rest, []byte("event")), bytes.Count(lx.rest, []byte("arc")))
 		case "event":
 			if b == nil {
 				return nil, nil, errf(line, "event before tsg header")
@@ -149,14 +158,14 @@ func readTSGBuilder(r io.Reader) (*sg.Builder, []arcAnn, error) {
 			if len(fields) < 2 || len(fields) > 3 {
 				return nil, nil, errf(line, "usage: event <name> [nonrepetitive]")
 			}
-			var opts []sg.EventOption
 			if len(fields) == 3 {
-				if fields[2] != "nonrepetitive" {
+				if string(fields[2]) != "nonrepetitive" {
 					return nil, nil, errf(line, "unknown event attribute %q", fields[2])
 				}
-				opts = append(opts, sg.NonRepetitive())
+				b.AddNonRepetitiveEvent(string(fields[1]))
+			} else {
+				b.AddEvent(string(fields[1]))
 			}
-			b.Event(fields[1], opts...)
 		case "arc":
 			if b == nil {
 				return nil, nil, errf(line, "arc before tsg header")
@@ -164,40 +173,40 @@ func readTSGBuilder(r io.Reader) (*sg.Builder, []arcAnn, error) {
 			if len(fields) < 4 {
 				return nil, nil, errf(line, "usage: arc <from> <to> <delay> [marked] [once] [~dist] [@group]")
 			}
-			delay, err := strconv.ParseFloat(fields[3], 64)
+			delay, err := strconv.ParseFloat(string(fields[3]), 64)
 			if err != nil {
 				return nil, nil, errf(line, "bad delay %q: %v", fields[3], err)
 			}
 			ann := arcAnn{arc: arcs, line: line}
-			var opts []sg.ArcOption
+			var marked, once bool
 			for _, attr := range fields[4:] {
 				switch {
-				case attr == "marked":
-					opts = append(opts, sg.Marked())
-				case attr == "once":
-					opts = append(opts, sg.Once())
-				case strings.HasPrefix(attr, "~"):
+				case string(attr) == "marked":
+					marked = true
+				case string(attr) == "once":
+					once = true
+				case attr[0] == '~':
 					if ann.hasDist {
 						return nil, nil, errf(line, "duplicate distribution annotation %q", attr)
 					}
-					d, err := dist.Parse(attr[1:])
+					d, err := dist.Parse(string(attr[1:]))
 					if err != nil {
 						return nil, nil, errf(line, "%v", err)
 					}
 					ann.d, ann.hasDist = d, true
-				case strings.HasPrefix(attr, "@"):
+				case attr[0] == '@':
 					if ann.group != "" {
 						return nil, nil, errf(line, "duplicate correlation tag %q", attr)
 					}
-					if attr == "@" {
+					if len(attr) == 1 {
 						return nil, nil, errf(line, "empty correlation tag")
 					}
-					ann.group = attr[1:]
+					ann.group = string(attr[1:])
 				default:
 					return nil, nil, errf(line, "unknown arc attribute %q", attr)
 				}
 			}
-			b.Arc(fields[1], fields[2], delay, opts...)
+			b.AddArcNamed(fields[1], fields[2], delay, marked, once)
 			if ann.hasDist || ann.group != "" {
 				anns = append(anns, ann)
 			}
@@ -209,11 +218,11 @@ func readTSGBuilder(r io.Reader) (*sg.Builder, []arcAnn, error) {
 			return nil, nil, errf(line, "%v", err)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, err
+	if lx.err != nil {
+		return nil, nil, lx.err
 	}
 	if b == nil {
-		return nil, nil, errf(line, "missing tsg header")
+		return nil, nil, errf(lx.line, "missing tsg header")
 	}
 	return b, anns, nil
 }
@@ -275,18 +284,4 @@ func writeTSG(w io.Writer, g *sg.Graph, m *dist.Model) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// splitLine tokenises one line, stripping comments.
-func splitLine(s string, line int) ([]string, error) {
-	if i := strings.IndexByte(s, '#'); i >= 0 {
-		s = s[:i]
-	}
-	fields := strings.Fields(s)
-	for _, f := range fields {
-		if strings.ContainsAny(f, "\"'") {
-			return nil, errf(line, "quoting is not supported (token %q)", f)
-		}
-	}
-	return fields, nil
 }

@@ -2,8 +2,9 @@ package sg
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 )
 
 // EventOption configures an event added through a Builder.
@@ -24,41 +25,25 @@ func Marked() ArcOption { return func(a *Arc) { a.Marked = true } }
 func Once() ArcOption { return func(a *Arc) { a.Once = true } }
 
 // Builder accumulates events and arcs and produces a validated Graph.
-// Methods chain; the first recorded error is reported by Build.
-type Builder struct {
-	name   string
-	events []Event
-	arcs   []Arc
-	byName map[string]EventID
-	err    error
-}
+// Methods chain; the first recorded error is reported by Build. It is
+// a DenseBuilder addressed by names, with no declared counts; Build
+// may be called again, and each Build copies.
+type Builder struct{ d DenseBuilder }
 
 // NewBuilder returns an empty Builder for a graph with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{name: name, byName: make(map[string]EventID)}
+	return &Builder{DenseBuilder{name: name, byName: make(map[string]EventID),
+		maxEvents: math.MaxInt, maxArcs: math.MaxInt}}
 }
 
 // Event adds an event. Names ending in '+'/'-' are parsed as rising or
 // falling transitions of the prefix signal. Duplicate names are an error.
 func (b *Builder) Event(name string, opts ...EventOption) *Builder {
-	if b.err != nil {
-		return b
+	if id := b.d.addEvent(name, true); id != None {
+		for _, o := range opts {
+			o(&b.d.events[id])
+		}
 	}
-	if name == "" {
-		b.err = fmt.Errorf("sg: empty event name in graph %q", b.name)
-		return b
-	}
-	if _, dup := b.byName[name]; dup {
-		b.err = fmt.Errorf("sg: duplicate event %q in graph %q", name, b.name)
-		return b
-	}
-	sig, dir := splitName(name)
-	ev := Event{Name: name, Signal: sig, Dir: dir, Repetitive: true}
-	for _, o := range opts {
-		o(&ev)
-	}
-	b.byName[name] = EventID(len(b.events))
-	b.events = append(b.events, ev)
 	return b
 }
 
@@ -73,89 +58,68 @@ func (b *Builder) Events(names ...string) *Builder {
 // Arc adds an arc from one named event to another with the given delay.
 // Both endpoints must have been added already.
 func (b *Builder) Arc(from, to string, delay float64, opts ...ArcOption) *Builder {
-	if b.err != nil {
-		return b
+	if addArcNamed(&b.d, from, to, delay, false, false) {
+		for _, o := range opts {
+			o(&b.d.arcs[len(b.d.arcs)-1])
+		}
 	}
-	src, ok := b.byName[from]
-	if !ok {
-		b.err = fmt.Errorf("sg: arc references unknown event %q in graph %q", from, b.name)
-		return b
-	}
-	dst, ok := b.byName[to]
-	if !ok {
-		b.err = fmt.Errorf("sg: arc references unknown event %q in graph %q", to, b.name)
-		return b
-	}
-	if delay < 0 || math.IsNaN(delay) {
-		b.err = fmt.Errorf("sg: delay %g on arc %s -> %s in graph %q: want a non-negative delay", delay, from, to, b.name)
-		return b
-	}
-	a := Arc{From: src, To: dst, Delay: delay}
-	for _, o := range opts {
-		o(&a)
-	}
-	b.arcs = append(b.arcs, a)
 	return b
 }
 
 // Err returns the first error recorded so far, if any.
-func (b *Builder) Err() error { return b.err }
+func (b *Builder) Err() error { return b.d.err }
 
 // Build validates the accumulated structure and returns the immutable
 // Graph. The validation enforces the restrictions of §III.A of the paper
 // (see Validate for the full list).
-func (b *Builder) Build() (*Graph, error) {
-	g, err := b.assemble()
-	if err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
+func (b *Builder) Build() (*Graph, error) { return validated(b.assemble()) }
 
 // BuildUnchecked assembles the Graph without semantic validation. It still
 // fails on builder-level errors (unknown events, negative delays). It is
 // intended for tests that exercise Validate's failure paths and for tools
 // that want to load a graph in order to report its problems.
-func (b *Builder) BuildUnchecked() (*Graph, error) {
-	return b.assemble()
-}
+func (b *Builder) BuildUnchecked() (*Graph, error) { return b.assemble() }
 
 func (b *Builder) assemble() (*Graph, error) {
-	if b.err != nil {
-		return nil, b.err
+	if b.d.err != nil {
+		return nil, b.d.err
 	}
-	g := &Graph{
-		name:   b.name,
-		events: append([]Event(nil), b.events...),
-		arcs:   append([]Arc(nil), b.arcs...),
-		byName: make(map[string]EventID, len(b.events)),
+	return assemble(b.d.name, slices.Clone(b.d.events), slices.Clone(b.d.arcs), maps.Clone(b.d.byName)), nil
+}
+
+// validated returns the assembled graph if it passes Validate.
+func validated(g *Graph, err error) (*Graph, error) {
+	if err == nil {
+		err = g.Validate()
 	}
-	for name, id := range b.byName {
-		g.byName[name] = id
+	if err != nil {
+		return nil, err
 	}
+	return g, nil
+}
+
+// assemble derives a Graph's indexes (CSR adjacency, initial events,
+// repetitive and border sets, period order) from its elements. The
+// Graph takes ownership of all three arguments.
+func assemble(name string, events []Event, arcs []Arc, byName map[string]EventID) *Graph {
+	g := &Graph{name: name, events: events, arcs: arcs, byName: byName}
 	g.buildCSR()
-	// Derive Initial: non-repetitive events without in-arcs.
 	for i := range g.events {
-		if !g.events[i].Repetitive && len(g.in[i]) == 0 {
-			g.events[i].Initial = true
-		}
-	}
-	for i, ev := range g.events {
+		ev := &g.events[i]
 		if ev.Repetitive {
 			g.repetitive = append(g.repetitive, EventID(i))
+		} else if len(g.InArcs(EventID(i))) == 0 {
+			ev.Initial = true
 		}
 	}
 	g.border = g.computeBorder()
 	g.topo, g.topoErr = g.computePeriodOrder()
-	return g, nil
+	return g
 }
 
-// buildCSR flattens the adjacency into packed CSR arrays: the per-event
-// in/out index slices become views into two shared backing arrays, and
-// the in-arcs additionally get a struct-of-arrays record layout
+// buildCSR flattens the adjacency into packed CSR arrays: the arc
+// indices leaving and entering each event are runs of two shared
+// backing arrays, delimited by offset arrays, and the in-arcs additionally get a struct-of-arrays record layout
 // (source, delay, marking offset, arc index) grouped by target. Within
 // each group records appear in ascending arc index, matching the order
 // arcs were added — the tie-breaking order the simulation kernels rely
@@ -173,7 +137,7 @@ func (g *Graph) buildCSR() {
 		inCnt[i+1] += inCnt[i]
 		outCnt[i+1] += outCnt[i]
 	}
-	g.inOff = inCnt
+	g.inOff, g.outOff = inCnt, outCnt
 	g.inSrc = make([]EventID, m)
 	g.inDelay = make([]float64, m)
 	g.inMark = make([]int32, m)
@@ -195,12 +159,6 @@ func (g *Graph) buildCSR() {
 		q := outNext[a.From]
 		outNext[a.From]++
 		g.outPacked[q] = i
-	}
-	g.in = make([][]int, n)
-	g.out = make([][]int, n)
-	for e := 0; e < n; e++ {
-		g.in[e] = g.inPacked[inCnt[e]:inCnt[e+1]:inCnt[e+1]]
-		g.out[e] = g.outPacked[outCnt[e]:outCnt[e+1]:outCnt[e+1]]
 	}
 }
 
@@ -269,7 +227,7 @@ func (g *Graph) computePeriodOrder() ([]EventID, error) {
 	for len(heap) > 0 {
 		e := pop()
 		order = append(order, e)
-		for _, ai := range g.out[e] {
+		for _, ai := range g.OutArcs(e) {
 			a := &g.arcs[ai]
 			if a.Marked {
 				continue
@@ -292,17 +250,13 @@ func (g *Graph) computePeriodOrder() ([]EventID, error) {
 // restricting the border set to repetitive events keeps it a cut set.
 func (g *Graph) computeBorder() []EventID {
 	var border []EventID
-	for i := range g.events {
-		if !g.events[i].Repetitive {
-			continue
-		}
-		for _, ai := range g.in[i] {
+	for _, r := range g.repetitive {
+		for _, ai := range g.InArcs(r) {
 			if g.arcs[ai].Marked {
-				border = append(border, EventID(i))
+				border = append(border, r)
 				break
 			}
 		}
 	}
-	sort.Slice(border, func(i, j int) bool { return border[i] < border[j] })
 	return border
 }

@@ -20,50 +20,8 @@ func (g *Graph) IsCutSet(set []EventID) bool {
 	for _, e := range set {
 		removed[e] = true
 	}
-	return g.coreAcyclicWithout(removed)
-}
-
-// coreAcyclicWithout reports whether the repetitive subgraph minus the
-// removed events is acyclic (all arcs counted, marked or not).
-func (g *Graph) coreAcyclicWithout(removed []bool) bool {
-	// Kahn's algorithm over the surviving repetitive subgraph.
-	indeg := make([]int, len(g.events))
-	nodes := 0
-	for _, r := range g.repetitive {
-		if removed[r] {
-			continue
-		}
-		nodes++
-		for _, ai := range g.in[r] {
-			from := g.arcs[ai].From
-			if g.events[from].Repetitive && !removed[from] {
-				indeg[r]++
-			}
-		}
-	}
-	queue := make([]EventID, 0, nodes)
-	for _, r := range g.repetitive {
-		if !removed[r] && indeg[r] == 0 {
-			queue = append(queue, r)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		seen++
-		for _, ai := range g.out[v] {
-			to := g.arcs[ai].To
-			if !g.events[to].Repetitive || removed[to] {
-				continue
-			}
-			indeg[to]--
-			if indeg[to] == 0 {
-				queue = append(queue, to)
-			}
-		}
-	}
-	return seen == nodes
+	inCore := func(e EventID) bool { return g.events[e].Repetitive && !removed[e] }
+	return g.findCycle(func(a *Arc) bool { return inCore(a.From) && inCore(a.To) }) == nil
 }
 
 // findCoreCycle returns a minimum-length (by arc count) cycle of the
@@ -94,7 +52,7 @@ func (g *Graph) findCoreCycle(removed []bool) []EventID {
 			if best != nil && dist[v]+1 >= len(best) {
 				continue // cannot beat the best cycle found so far
 			}
-			for _, ai := range g.out[v] {
+			for _, ai := range g.OutArcs(v) {
 				to := g.arcs[ai].To
 				if !g.events[to].Repetitive || removed[to] {
 					continue

@@ -5,40 +5,41 @@ import (
 	"math"
 )
 
-// DenseBuilder is the streamed construction path for huge graphs. The
-// chaining Builder is convenient for hand-written fixtures but pays for
-// a name map insert per event, an options closure per call and a full
-// copy of both element slices at assemble time — at 10⁶ events those
-// transients roughly double the peak footprint of construction. The
-// DenseBuilder instead works in IDs: callers declare exact element
-// counts up front, events and arcs stream into exactly-sized slices,
-// and Build transfers ownership of those slices into the Graph without
-// copying. Validation is unchanged: Build runs the same Validate as
-// the chaining Builder.
+// DenseBuilder is the streamed construction path for huge graphs and
+// for the .tsg reader. Callers declare upper bounds on the element
+// counts up front, events and arcs stream into slices of exactly that
+// capacity, and Build hands those slices and the name index to the
+// Graph without copying them, as the chaining Builder must (at 10⁶
+// events a copy roughly doubles the peak footprint of construction).
+// Build runs the same Validate as the chaining Builder.
 //
 // A DenseBuilder must not be reused after Build.
 type DenseBuilder struct {
-	name   string
-	events []Event
-	arcs   []Arc
-	err    error
-	built  bool
+	name               string
+	events             []Event
+	arcs               []Arc
+	byName             map[string]EventID
+	maxEvents, maxArcs int
+	err                error
+	built              bool
 }
 
-// NewDenseBuilder returns a builder for a graph with exactly the given
+// NewDenseBuilder returns a builder for a graph with at most the given
 // element counts. Exceeding either count is an error (reported by
 // Build); staying under is fine.
 func NewDenseBuilder(name string, numEvents, numArcs int) *DenseBuilder {
 	return &DenseBuilder{
-		name:   name,
-		events: make([]Event, 0, numEvents),
-		arcs:   make([]Arc, 0, numArcs),
+		name:      name,
+		events:    make([]Event, 0, numEvents),
+		arcs:      make([]Arc, 0, numArcs),
+		byName:    make(map[string]EventID, numEvents),
+		maxEvents: numEvents,
+		maxArcs:   numArcs,
 	}
 }
 
 // AddEvent appends a repetitive event and returns its ID. Names must be
-// unique; uniqueness is checked once in Build (against the name index
-// the Graph needs anyway), not per call.
+// unique; a duplicate is an error.
 func (b *DenseBuilder) AddEvent(name string) EventID {
 	return b.addEvent(name, true)
 }
@@ -56,18 +57,35 @@ func (b *DenseBuilder) addEvent(name string, repetitive bool) EventID {
 		b.err = fmt.Errorf("sg: empty event name in graph %q", b.name)
 		return None
 	}
-	if len(b.events) == cap(b.events) {
-		b.err = fmt.Errorf("sg: graph %q exceeds its declared event count %d", b.name, cap(b.events))
+	if len(b.events) == b.maxEvents {
+		b.err = fmt.Errorf("sg: graph %q exceeds its declared event count %d", b.name, b.maxEvents)
+		return None
+	}
+	// One hash per event: a duplicate leaves the index size unchanged.
+	// Overwriting its ID is harmless, as the recorded error ends the build.
+	id := EventID(len(b.events))
+	n := len(b.byName)
+	b.byName[name] = id
+	if len(b.byName) == n {
+		b.err = fmt.Errorf("sg: duplicate event %q in graph %q", name, b.name)
 		return None
 	}
 	sig, dir := splitName(name)
-	id := EventID(len(b.events))
 	b.events = append(b.events, Event{Name: name, Signal: sig, Dir: dir, Repetitive: repetitive})
 	return id
 }
 
 // AddArc appends an arc between two already-added events.
 func (b *DenseBuilder) AddArc(from, to EventID, delay float64, marked bool) {
+	b.addArc(from, to, delay, marked, false)
+}
+
+// AddOnceArc appends a disengageable (unmarked) arc.
+func (b *DenseBuilder) AddOnceArc(from, to EventID, delay float64) {
+	b.addArc(from, to, delay, false, true)
+}
+
+func (b *DenseBuilder) addArc(from, to EventID, delay float64, marked, once bool) {
 	if b.err != nil {
 		return
 	}
@@ -79,22 +97,47 @@ func (b *DenseBuilder) AddArc(from, to EventID, delay float64, marked bool) {
 		b.err = fmt.Errorf("sg: delay %g on arc %d -> %d in graph %q: want a non-negative delay", delay, from, to, b.name)
 		return
 	}
-	if len(b.arcs) == cap(b.arcs) {
-		b.err = fmt.Errorf("sg: graph %q exceeds its declared arc count %d", b.name, cap(b.arcs))
-		return
-	}
-	b.arcs = append(b.arcs, Arc{From: from, To: to, Delay: delay, Marked: marked})
+	b.appendArc(Arc{From: from, To: to, Delay: delay, Marked: marked, Once: once})
 }
 
-// AddOnceArc appends a disengageable (unmarked) arc.
-func (b *DenseBuilder) AddOnceArc(from, to EventID, delay float64) {
+// AddArcNamed appends an arc between two already-added events given by
+// name, with Builder.Arc's checks and error messages. The names are
+// looked up as bytes, so a reader can pass slices of its input without
+// converting them to strings.
+func (b *DenseBuilder) AddArcNamed(from, to []byte, delay float64, marked, once bool) {
+	addArcNamed(b, from, to, delay, marked, once)
+}
+
+// addArcNamed resolves the endpoint names and appends the arc. It
+// reports whether the arc was added.
+func addArcNamed[S string | []byte](b *DenseBuilder, from, to S, delay float64, marked, once bool) bool {
 	if b.err != nil {
-		return
+		return false
 	}
-	b.AddArc(from, to, delay, false)
-	if b.err == nil {
-		b.arcs[len(b.arcs)-1].Once = true
+	src, ok := b.byName[string(from)]
+	if !ok {
+		b.err = fmt.Errorf("sg: arc references unknown event %q in graph %q", from, b.name)
+		return false
 	}
+	dst, ok := b.byName[string(to)]
+	if !ok {
+		b.err = fmt.Errorf("sg: arc references unknown event %q in graph %q", to, b.name)
+		return false
+	}
+	if delay < 0 || math.IsNaN(delay) {
+		b.err = fmt.Errorf("sg: delay %g on arc %s -> %s in graph %q: want a non-negative delay", delay, from, to, b.name)
+		return false
+	}
+	return b.appendArc(Arc{From: src, To: dst, Delay: delay, Marked: marked, Once: once})
+}
+
+func (b *DenseBuilder) appendArc(a Arc) bool {
+	if len(b.arcs) == b.maxArcs {
+		b.err = fmt.Errorf("sg: graph %q exceeds its declared arc count %d", b.name, b.maxArcs)
+		return false
+	}
+	b.arcs = append(b.arcs, a)
+	return true
 }
 
 // Err returns the first error recorded so far, if any.
@@ -102,22 +145,11 @@ func (b *DenseBuilder) Err() error { return b.err }
 
 // Build validates the accumulated structure and returns the immutable
 // Graph, taking ownership of the builder's slices (no copies).
-func (b *DenseBuilder) Build() (*Graph, error) {
-	g, err := b.assembleDense()
-	if err != nil {
-		return nil, err
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
+func (b *DenseBuilder) Build() (*Graph, error) { return validated(b.assembleDense()) }
 
 // BuildUnchecked assembles the Graph without semantic validation, like
 // Builder.BuildUnchecked.
-func (b *DenseBuilder) BuildUnchecked() (*Graph, error) {
-	return b.assembleDense()
-}
+func (b *DenseBuilder) BuildUnchecked() (*Graph, error) { return b.assembleDense() }
 
 func (b *DenseBuilder) assembleDense() (*Graph, error) {
 	if b.err != nil {
@@ -127,39 +159,7 @@ func (b *DenseBuilder) assembleDense() (*Graph, error) {
 		return nil, fmt.Errorf("sg: DenseBuilder for graph %q used after Build", b.name)
 	}
 	b.built = true
-	g := &Graph{
-		name:   b.name,
-		events: b.events,
-		arcs:   b.arcs,
-		byName: make(map[string]EventID, len(b.events)),
-	}
-	b.events, b.arcs = nil, nil
-	for i := range g.events {
-		name := g.events[i].Name
-		if _, dup := g.byName[name]; dup {
-			return nil, fmt.Errorf("sg: duplicate event %q in graph %q", name, g.name)
-		}
-		g.byName[name] = EventID(i)
-	}
-	g.buildCSR()
-	for i := range g.events {
-		if !g.events[i].Repetitive && len(g.in[i]) == 0 {
-			g.events[i].Initial = true
-		}
-	}
-	nRep := 0
-	for i := range g.events {
-		if g.events[i].Repetitive {
-			nRep++
-		}
-	}
-	g.repetitive = make([]EventID, 0, nRep)
-	for i := range g.events {
-		if g.events[i].Repetitive {
-			g.repetitive = append(g.repetitive, EventID(i))
-		}
-	}
-	g.border = g.computeBorder()
-	g.topo, g.topoErr = g.computePeriodOrder()
+	g := assemble(b.name, b.events, b.arcs, b.byName)
+	b.events, b.arcs, b.byName = nil, nil, nil
 	return g, nil
 }

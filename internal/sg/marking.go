@@ -50,7 +50,7 @@ func (m *Marking) Enabled(e EventID) bool {
 	if !m.g.events[e].Repetitive && m.fired[e] > 0 {
 		return false
 	}
-	for _, ai := range m.g.in[e] {
+	for _, ai := range m.g.InArcs(e) {
 		a := m.g.arcs[ai]
 		if a.Once && m.spent[ai] {
 			continue
@@ -70,7 +70,7 @@ func (m *Marking) Fire(e EventID) error {
 	if !m.Enabled(e) {
 		return fmt.Errorf("sg: event %q is not enabled", m.g.events[e].Name)
 	}
-	for _, ai := range m.g.in[e] {
+	for _, ai := range m.g.InArcs(e) {
 		a := m.g.arcs[ai]
 		if a.Once && m.spent[ai] {
 			continue
@@ -80,7 +80,7 @@ func (m *Marking) Fire(e EventID) error {
 			m.spent[ai] = true
 		}
 	}
-	for _, ai := range m.g.out[e] {
+	for _, ai := range m.g.OutArcs(e) {
 		m.tokens[ai]++
 	}
 	m.fired[e]++

@@ -15,12 +15,12 @@ import "fmt"
 // effective length — are preserved, while the chain contributes exactly
 // `tokens` to the occurrence period of any cycle through it.
 func (b *Builder) MultiArc(from, to string, delay float64, tokens int, opts ...ArcOption) *Builder {
-	if b.err != nil {
+	if b.d.err != nil {
 		return b
 	}
 	if tokens < 0 {
-		b.err = fmt.Errorf("sg: negative token count %d on arc %s -> %s in graph %q",
-			tokens, from, to, b.name)
+		b.d.err = fmt.Errorf("sg: negative token count %d on arc %s -> %s in graph %q",
+			tokens, from, to, b.d.name)
 		return b
 	}
 	switch tokens {

@@ -74,17 +74,16 @@ type Graph struct {
 	name   string
 	events []Event
 	arcs   []Arc
-	out    [][]int // arc indices leaving each event (views into outPacked)
-	in     [][]int // arc indices entering each event (views into inPacked)
 	byName map[string]EventID
 
 	repetitive []EventID // cached A_r in ID order
 	border     []EventID // cached border set (§VI.A) in ID order
 
-	// CSR adjacency, built once at assemble time. The per-event slices
-	// above are subslices of the packed arrays, so iteration through
-	// either view walks the same contiguous memory.
+	// CSR adjacency, built once at assemble time: the arcs leaving e
+	// are outPacked[outOff[e]:outOff[e+1]], those entering it
+	// inPacked[inOff[e]:inOff[e+1]] (OutArcs and InArcs).
 	outPacked []int
+	outOff    []int32
 	inPacked  []int
 	// In-arc records in struct-of-arrays form, grouped by target event
 	// (inOff[e]..inOff[e+1]) and ordered by arc index within each group —
@@ -170,11 +169,15 @@ func (g *Graph) MustEvent(name string) EventID {
 
 // OutArcs returns the indices of arcs leaving e. The slice is shared;
 // callers must not modify it.
-func (g *Graph) OutArcs(e EventID) []int { return g.out[e] }
+func (g *Graph) OutArcs(e EventID) []int {
+	return g.outPacked[g.outOff[e]:g.outOff[e+1]:g.outOff[e+1]]
+}
 
 // InArcs returns the indices of arcs entering e. The slice is shared;
 // callers must not modify it.
-func (g *Graph) InArcs(e EventID) []int { return g.in[e] }
+func (g *Graph) InArcs(e EventID) []int {
+	return g.inPacked[g.inOff[e]:g.inOff[e+1]:g.inOff[e+1]]
+}
 
 // RepetitiveEvents returns the IDs of all repetitive events in ID order.
 // The slice is shared; callers must not modify it.

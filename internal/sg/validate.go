@@ -2,6 +2,7 @@ package sg
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -105,28 +106,33 @@ func (g *Graph) Validate() error {
 		return &ValidationError{Graph: g.name, Kind: ErrEmpty}
 	}
 	for i, ev := range g.events {
-		if ev.Repetitive && len(g.in[i]) == 0 {
+		if ev.Repetitive && len(g.InArcs(EventID(i))) == 0 {
 			return &ValidationError{Graph: g.name, Kind: ErrRepetitiveSource,
 				Events: []string{ev.Name}}
 		}
 	}
 	for _, a := range g.arcs {
-		from, to := g.events[a.From], g.events[a.To]
-		ends := []string{from.Name, to.Name}
+		from, to := &g.events[a.From], &g.events[a.To]
+		var kind ValidationKind
 		switch {
 		case a.Once && from.Repetitive:
-			return &ValidationError{Graph: g.name, Kind: ErrOnceFromRepetitive, Events: ends}
+			kind = ErrOnceFromRepetitive
 		case !a.Once && !from.Repetitive && to.Repetitive:
-			return &ValidationError{Graph: g.name, Kind: ErrNotOnceFromNonRepetitive, Events: ends}
+			kind = ErrNotOnceFromNonRepetitive
 		case from.Repetitive && !to.Repetitive:
-			return &ValidationError{Graph: g.name, Kind: ErrRepToNonRep, Events: ends}
+			kind = ErrRepToNonRep
 		case a.Marked && a.Once:
-			return &ValidationError{Graph: g.name, Kind: ErrMarkedOnce, Events: ends}
+			kind = ErrMarkedOnce
+		default:
+			continue
 		}
+		return &ValidationError{Graph: g.name, Kind: kind, Events: []string{from.Name, to.Name}}
 	}
-	if cyc := g.findUnmarkedCycle(); cyc != nil {
+	// The period order (Kahn's sort at assemble time) exists exactly
+	// when the unmarked subgraph is acyclic; the DFS only names a cycle.
+	if g.topoErr != nil {
 		return &ValidationError{Graph: g.name, Kind: ErrUnmarkedCycle,
-			Events: g.EventNames(cyc)}
+			Events: g.EventNames(g.findCycle(func(a *Arc) bool { return !a.Marked }))}
 	}
 	if len(g.repetitive) > 0 {
 		comps := g.coreSCCs()
@@ -139,66 +145,55 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// findUnmarkedCycle returns the events of some cycle consisting solely of
-// unmarked arcs, or nil if the unmarked subgraph is acyclic. The returned
-// slice lists the cycle in arc order.
-func (g *Graph) findUnmarkedCycle() []EventID {
+// findCycle returns the events of some cycle made of arcs keep accepts,
+// in arc order, or nil if there is none. The depth-first search takes
+// start events and out-arcs in ID order, so the cycle it names is
+// deterministic.
+func (g *Graph) findCycle(keep func(a *Arc) bool) []EventID {
 	const (
-		white = 0
-		gray  = 1
-		black = 2
+		white = iota
+		gray
+		black
 	)
 	color := make([]int8, len(g.events))
 	parent := make([]EventID, len(g.events))
-	for i := range parent {
-		parent[i] = None
-	}
-	// Iterative DFS over unmarked arcs.
 	type frame struct {
 		node EventID
-		next int // index into out-arc list
+		next int // index into the out-arc list
 	}
+	var stack []frame
 	for start := range g.events {
 		if color[start] != white {
 			continue
 		}
-		stack := []frame{{EventID(start), 0}}
 		color[start] = gray
+		stack = append(stack[:0], frame{EventID(start), 0})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			advanced := false
-			for f.next < len(g.out[f.node]) {
-				ai := g.out[f.node][f.next]
-				f.next++
-				a := g.arcs[ai]
-				if a.Marked {
-					continue
-				}
-				switch color[a.To] {
-				case white:
-					color[a.To] = gray
-					parent[a.To] = f.node
-					stack = append(stack, frame{a.To, 0})
-					advanced = true
-				case gray:
-					// Found a cycle: walk parents from f.node back to a.To.
-					cyc := []EventID{a.To}
-					for v := f.node; v != a.To && v != None; v = parent[v] {
-						cyc = append(cyc, v)
-					}
-					// Reverse into arc order.
-					for l, r := 0, len(cyc)-1; l < r; l, r = l+1, r-1 {
-						cyc[l], cyc[r] = cyc[r], cyc[l]
-					}
-					return cyc
-				}
-				if advanced {
-					break
-				}
-			}
-			if !advanced && f.next >= len(g.out[f.node]) {
+			out := g.OutArcs(f.node)
+			if f.next == len(out) {
 				color[f.node] = black
 				stack = stack[:len(stack)-1]
+				continue
+			}
+			a := &g.arcs[out[f.next]]
+			f.next++
+			if !keep(a) {
+				continue
+			}
+			switch color[a.To] {
+			case white:
+				color[a.To] = gray
+				parent[a.To] = f.node
+				stack = append(stack, frame{a.To, 0})
+			case gray:
+				// a.To is on the stack: walk the tree back to it.
+				cyc := []EventID{a.To}
+				for v := f.node; v != a.To; v = parent[v] {
+					cyc = append(cyc, v)
+				}
+				slices.Reverse(cyc)
+				return cyc
 			}
 		}
 	}
@@ -206,8 +201,8 @@ func (g *Graph) findUnmarkedCycle() []EventID {
 }
 
 // coreSCCs returns the strongly connected components of the repetitive
-// subgraph (repetitive events and the arcs between them), largest first.
-// Components are computed with Tarjan's algorithm, iteratively.
+// subgraph (repetitive events and the arcs between them) in the order
+// Tarjan's algorithm, run iteratively, completes them.
 func (g *Graph) coreSCCs() [][]EventID {
 	n := len(g.events)
 	index := make([]int, n)
@@ -225,62 +220,51 @@ func (g *Graph) coreSCCs() [][]EventID {
 		node EventID
 		next int
 	}
+	var stack []frame
+	visit := func(v EventID) {
+		index[v], low[v] = counter, counter
+		counter++
+		sccStk = append(sccStk, v)
+		onStack[v] = true
+		stack = append(stack, frame{v, 0})
+	}
 	for _, r := range g.repetitive {
 		if index[r] != -1 {
 			continue
 		}
-		stack := []frame{{r, 0}}
-		index[r], low[r] = counter, counter
-		counter++
-		sccStk = append(sccStk, r)
-		onStack[r] = true
+		visit(r)
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			recursed := false
-			for f.next < len(g.out[f.node]) {
-				ai := g.out[f.node][f.next]
+			if out := g.OutArcs(f.node); f.next < len(out) {
+				to := g.arcs[out[f.next]].To
 				f.next++
-				to := g.arcs[ai].To
-				if !g.events[to].Repetitive {
-					continue
+				switch {
+				case !g.events[to].Repetitive:
+				case index[to] == -1:
+					visit(to)
+				case onStack[to]:
+					low[f.node] = min(low[f.node], index[to])
 				}
-				if index[to] == -1 {
-					index[to], low[to] = counter, counter
-					counter++
-					sccStk = append(sccStk, to)
-					onStack[to] = true
-					stack = append(stack, frame{to, 0})
-					recursed = true
-					break
-				} else if onStack[to] && index[to] < low[f.node] {
-					low[f.node] = index[to]
-				}
-			}
-			if recursed {
 				continue
 			}
-			if f.next >= len(g.out[f.node]) {
-				v := f.node
-				stack = stack[:len(stack)-1]
-				if len(stack) > 0 {
-					p := stack[len(stack)-1].node
-					if low[v] < low[p] {
-						low[p] = low[v]
-					}
+			v := f.node
+			stack = stack[:len(stack)-1]
+			if len(stack) > 0 {
+				p := stack[len(stack)-1].node
+				low[p] = min(low[p], low[v])
+			}
+			if low[v] == index[v] {
+				i := len(sccStk) - 1
+				for sccStk[i] != v {
+					i--
 				}
-				if low[v] == index[v] {
-					var comp []EventID
-					for {
-						w := sccStk[len(sccStk)-1]
-						sccStk = sccStk[:len(sccStk)-1]
-						onStack[w] = false
-						comp = append(comp, w)
-						if w == v {
-							break
-						}
-					}
-					comps = append(comps, comp)
+				comp := slices.Clone(sccStk[i:])
+				slices.Reverse(comp) // popping order
+				for _, w := range comp {
+					onStack[w] = false
 				}
+				sccStk = sccStk[:i]
+				comps = append(comps, comp)
 			}
 		}
 	}
