@@ -102,21 +102,15 @@ func runABLATE(w io.Writer) error {
 	// Serial vs parallel on the b ≈ n worst case.
 	tabP := textio.New("\nserial vs parallel simulations (stack-31, b = 63)",
 		"mode", "time", "λ")
-	tSer, err := timeIt(func() error {
-		_, err := cycletime.AnalyzeOpts(stack, cycletime.Options{Serial: true})
-		return err
-	})
+	ts, err := timeRuns(
+		func() error { _, err := cycletime.AnalyzeOpts(stack, cycletime.Options{Serial: true}); return err },
+		func() error { _, err := cycletime.AnalyzeOpts(stack, cycletime.Options{Parallel: true}); return err },
+	)
 	if err != nil {
 		return err
 	}
+	tSer, tPar := ts[0], ts[1]
 	resSer, err := cycletime.AnalyzeOpts(stack, cycletime.Options{Serial: true})
-	if err != nil {
-		return err
-	}
-	tPar, err := timeIt(func() error {
-		_, err := cycletime.AnalyzeOpts(stack, cycletime.Options{Parallel: true})
-		return err
-	})
 	if err != nil {
 		return err
 	}

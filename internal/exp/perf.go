@@ -65,40 +65,36 @@ func runPERF8B(w io.Writer) error {
 	return nil
 }
 
-// timeIt measures f in seconds: the median of five runs.
-func timeIt(f func() error) (float64, error) {
-	ds := make([]time.Duration, 5)
-	for i := range ds {
-		start := time.Now()
-		if err := f(); err != nil {
-			return 0, err
-		}
-		ds[i] = time.Since(start)
-	}
-	return median(ds).Seconds(), nil
-}
-
-// timeSweep times Analyze on each graph as the median of five runs. The
-// runs go in five rounds, each running every graph once, so a burst of
-// host noise lands on one run of several points rather than on all five
-// runs of one point.
-func timeSweep(gs []*sg.Graph) ([]float64, error) {
-	runs := make([][]time.Duration, len(gs))
+// timeRuns measures each f in seconds as the median of five runs. The
+// runs go in five rounds, each running every f once after a GC, so a
+// burst of host noise lands on one run of several points rather than on
+// all five runs of one point.
+func timeRuns(fs ...func() error) ([]float64, error) {
+	runs := make([][]time.Duration, len(fs))
 	for round := 0; round < 5; round++ {
-		for i, g := range gs {
+		for i, f := range fs {
 			runtime.GC() // start every run from the same heap state
 			start := time.Now()
-			if _, err := cycletime.Analyze(g); err != nil {
+			if err := f(); err != nil {
 				return nil, err
 			}
 			runs[i] = append(runs[i], time.Since(start))
 		}
 	}
-	secs := make([]float64, len(gs))
+	secs := make([]float64, len(fs))
 	for i, r := range runs {
 		secs[i] = median(r).Seconds()
 	}
 	return secs, nil
+}
+
+// analyzeRuns returns one Analyze run per graph, for timeRuns.
+func analyzeRuns(gs []*sg.Graph) []func() error {
+	fs := make([]func() error, len(gs))
+	for i, g := range gs {
+		fs[i] = func() error { _, err := cycletime.Analyze(g); return err }
+	}
+	return fs
 }
 
 func runCOMPLX(w io.Writer) error {
@@ -114,7 +110,7 @@ func runCOMPLX(w io.Writer) error {
 		}
 		gm = append(gm, g)
 	}
-	ts, err := timeSweep(gm)
+	ts, err := timeRuns(analyzeRuns(gm)...)
 	if err != nil {
 		return err
 	}
@@ -144,7 +140,7 @@ func runCOMPLX(w io.Writer) error {
 		}
 		gb = append(gb, g)
 	}
-	tb, err := timeSweep(gb)
+	tb, err := timeRuns(analyzeRuns(gb)...)
 	if err != nil {
 		return err
 	}
@@ -178,15 +174,17 @@ func runBASE(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		tNK, err := timeIt(func() error { _, err := cycletime.Analyze(g); return err })
+		ts, err := timeRuns(
+			func() error { _, err := cycletime.Analyze(g); return err },
+			func() error { _, err := mcr.Karp(g); return err },
+			func() error { _, err := mcr.Howard(g); return err },
+			func() error { _, err := mcr.Lawler(g, 1e-9); return err },
+		)
 		if err != nil {
 			return err
 		}
+		tNK, tK, tH, tL := ts[0], ts[1], ts[2], ts[3]
 		resNK, err := cycletime.Analyze(g)
-		if err != nil {
-			return err
-		}
-		tK, err := timeIt(func() error { _, err := mcr.Karp(g); return err })
 		if err != nil {
 			return err
 		}
@@ -194,15 +192,7 @@ func runBASE(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		tH, err := timeIt(func() error { _, err := mcr.Howard(g); return err })
-		if err != nil {
-			return err
-		}
 		rH, err := mcr.Howard(g)
-		if err != nil {
-			return err
-		}
-		tL, err := timeIt(func() error { _, err := mcr.Lawler(g, 1e-9); return err })
 		if err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -253,6 +254,33 @@ func TestLongLineIsParseError(t *testing.T) {
 		if err := read("# c\n" + strings.Repeat("y", maxLine)); !errors.As(err, &pe) || pe.Line != 2 {
 			t.Fatalf("%s: got %v, want a ParseError at line 2", name, err)
 		}
+	}
+}
+
+// TestReaderMemoryFollowsGraph: the builder's size hints come from
+// directive lines only, so directive words in comments and names cost
+// no memory. A two-arc graph followed by 4 MiB of comments made of
+// "arc" and "event" must allocate about the input's own size (the read
+// buffer), not an element per word.
+func TestReaderMemoryFollowsGraph(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("tsg words\nevent arc\nevent event\narc arc event 1\narc event arc 2 marked\n")
+	for src.Len() < 4<<20 {
+		src.WriteString("#" + strings.Repeat("arcevent", 128) + "\n# event arc event arc\n")
+	}
+	in := src.String()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := ReadTSG(strings.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEvents() != 2 || g.NumArcs() != 2 {
+		t.Fatalf("read %d events and %d arcs, want 2 and 2", g.NumEvents(), g.NumArcs())
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(in)+64<<10); got > limit {
+		t.Fatalf("reading a 2-arc graph in %d bytes of text allocated %d bytes, want at most %d", len(in), got, limit)
 	}
 }
 

@@ -129,8 +129,7 @@ type arcAnn struct {
 
 // readTSG parses the input in one pass: the lexer splits each line
 // into fields in place, and events and arcs stream into a DenseBuilder
-// sized by counting the directive words in the input (an upper bound:
-// names may contain them too).
+// sized by directiveLines.
 func readTSG(r io.Reader) (*sg.DenseBuilder, []arcAnn, error) {
 	lx := newLexer(r)
 	var b *sg.DenseBuilder
@@ -149,8 +148,8 @@ func readTSG(r io.Reader) (*sg.DenseBuilder, []arcAnn, error) {
 			if len(fields) != 2 {
 				return nil, nil, errf(line, "usage: tsg <name>")
 			}
-			b = sg.NewDenseBuilder(string(fields[1]),
-				bytes.Count(lx.rest, []byte("event")), bytes.Count(lx.rest, []byte("arc")))
+			events, arcs := directiveLines(lx.rest)
+			b = sg.NewDenseBuilder(string(fields[1]), events, arcs)
 		case "event":
 			if b == nil {
 				return nil, nil, errf(line, "event before tsg header")
@@ -225,6 +224,27 @@ func readTSG(r io.Reader) (*sg.DenseBuilder, []arcAnn, error) {
 		return nil, nil, errf(lx.line, "missing tsg header")
 	}
 	return b, anns, nil
+}
+
+// directiveLines counts the lines of text that start with "event" and
+// with "arc". In an input that parses, each such line adds one event or
+// arc, so the counts never exceed the graph's, whatever its comments
+// and names contain; an indented directive is not counted, and the
+// builder grows past the counts for it.
+func directiveLines(text []byte) (events, arcs int) {
+	for len(text) > 0 {
+		if bytes.HasPrefix(text, []byte("event")) {
+			events++
+		} else if bytes.HasPrefix(text, []byte("arc")) {
+			arcs++
+		}
+		i := bytes.IndexByte(text, '\n')
+		if i < 0 {
+			break
+		}
+		text = text[i+1:]
+	}
+	return events, arcs
 }
 
 // WriteTSG serialises a graph in the format ReadTSG parses; the output

@@ -3,7 +3,6 @@ package sg
 import (
 	"fmt"
 	"maps"
-	"math"
 	"slices"
 )
 
@@ -26,14 +25,13 @@ func Once() ArcOption { return func(a *Arc) { a.Once = true } }
 
 // Builder accumulates events and arcs and produces a validated Graph.
 // Methods chain; the first recorded error is reported by Build. It is
-// a DenseBuilder addressed by names, with no declared counts; Build
-// may be called again, and each Build copies.
+// a DenseBuilder addressed by names, with no size hints; Build may be
+// called again, and each Build copies.
 type Builder struct{ d DenseBuilder }
 
 // NewBuilder returns an empty Builder for a graph with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{DenseBuilder{name: name, byName: make(map[string]EventID),
-		maxEvents: math.MaxInt, maxArcs: math.MaxInt}}
+	return &Builder{DenseBuilder{name: name, byName: make(map[string]EventID)}}
 }
 
 // Event adds an event. Names ending in '+'/'-' are parsed as rising or

@@ -3,38 +3,37 @@ package sg
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // DenseBuilder is the streamed construction path for huge graphs and
-// for the .tsg reader. Callers declare upper bounds on the element
-// counts up front, events and arcs stream into slices of exactly that
-// capacity, and Build hands those slices and the name index to the
-// Graph without copying them, as the chaining Builder must (at 10⁶
-// events a copy roughly doubles the peak footprint of construction).
-// Build runs the same Validate as the chaining Builder.
+// for the .tsg reader. Callers give the expected element counts up
+// front; events and arcs stream into slices of that capacity (growing
+// past it if need be), and Build hands those slices and the name index
+// to the Graph without copying them, as the chaining Builder must (at
+// 10⁶ events a copy roughly doubles the peak footprint of
+// construction). Build runs the same Validate as the chaining Builder.
 //
 // A DenseBuilder must not be reused after Build.
 type DenseBuilder struct {
-	name               string
-	events             []Event
-	arcs               []Arc
-	byName             map[string]EventID
-	maxEvents, maxArcs int
-	err                error
-	built              bool
+	name   string
+	events []Event
+	arcs   []Arc
+	byName map[string]EventID
+	err    error
+	built  bool
 }
 
-// NewDenseBuilder returns a builder for a graph with at most the given
-// element counts. Exceeding either count is an error (reported by
-// Build); staying under is fine.
+// NewDenseBuilder returns a builder sized for the given element counts.
+// The counts are capacity hints: going over them grows the slices, and
+// Build trims capacity the graph does not use, so an over-estimate is
+// not kept.
 func NewDenseBuilder(name string, numEvents, numArcs int) *DenseBuilder {
 	return &DenseBuilder{
-		name:      name,
-		events:    make([]Event, 0, numEvents),
-		arcs:      make([]Arc, 0, numArcs),
-		byName:    make(map[string]EventID, numEvents),
-		maxEvents: numEvents,
-		maxArcs:   numArcs,
+		name:   name,
+		events: make([]Event, 0, numEvents),
+		arcs:   make([]Arc, 0, numArcs),
+		byName: make(map[string]EventID, numEvents),
 	}
 }
 
@@ -55,10 +54,6 @@ func (b *DenseBuilder) addEvent(name string, repetitive bool) EventID {
 	}
 	if name == "" {
 		b.err = fmt.Errorf("sg: empty event name in graph %q", b.name)
-		return None
-	}
-	if len(b.events) == b.maxEvents {
-		b.err = fmt.Errorf("sg: graph %q exceeds its declared event count %d", b.name, b.maxEvents)
 		return None
 	}
 	// One hash per event: a duplicate leaves the index size unchanged.
@@ -97,7 +92,7 @@ func (b *DenseBuilder) addArc(from, to EventID, delay float64, marked, once bool
 		b.err = fmt.Errorf("sg: delay %g on arc %d -> %d in graph %q: want a non-negative delay", delay, from, to, b.name)
 		return
 	}
-	b.appendArc(Arc{From: from, To: to, Delay: delay, Marked: marked, Once: once})
+	b.arcs = append(b.arcs, Arc{From: from, To: to, Delay: delay, Marked: marked, Once: once})
 }
 
 // AddArcNamed appends an arc between two already-added events given by
@@ -128,15 +123,7 @@ func addArcNamed[S string | []byte](b *DenseBuilder, from, to S, delay float64, 
 		b.err = fmt.Errorf("sg: delay %g on arc %s -> %s in graph %q: want a non-negative delay", delay, from, to, b.name)
 		return false
 	}
-	return b.appendArc(Arc{From: src, To: dst, Delay: delay, Marked: marked, Once: once})
-}
-
-func (b *DenseBuilder) appendArc(a Arc) bool {
-	if len(b.arcs) == b.maxArcs {
-		b.err = fmt.Errorf("sg: graph %q exceeds its declared arc count %d", b.name, b.maxArcs)
-		return false
-	}
-	b.arcs = append(b.arcs, a)
+	b.arcs = append(b.arcs, Arc{From: src, To: dst, Delay: delay, Marked: marked, Once: once})
 	return true
 }
 
@@ -144,7 +131,8 @@ func (b *DenseBuilder) appendArc(a Arc) bool {
 func (b *DenseBuilder) Err() error { return b.err }
 
 // Build validates the accumulated structure and returns the immutable
-// Graph, taking ownership of the builder's slices (no copies).
+// Graph, taking ownership of the builder's slices (no copies unless
+// they have capacity to trim).
 func (b *DenseBuilder) Build() (*Graph, error) { return validated(b.assembleDense()) }
 
 // BuildUnchecked assembles the Graph without semantic validation, like
@@ -159,7 +147,24 @@ func (b *DenseBuilder) assembleDense() (*Graph, error) {
 		return nil, fmt.Errorf("sg: DenseBuilder for graph %q used after Build", b.name)
 	}
 	b.built = true
+	// An element slice with more than an eighth of its length spare is
+	// copied to exact size. The name index was presized with the event
+	// hint, so when that was too large it is rebuilt at exact size too.
+	if spare(b.events) {
+		b.events = slices.Clone(b.events)
+		b.byName = make(map[string]EventID, len(b.events))
+		for i := range b.events {
+			b.byName[b.events[i].Name] = EventID(i)
+		}
+	}
+	if spare(b.arcs) {
+		b.arcs = slices.Clone(b.arcs)
+	}
 	g := assemble(b.name, b.events, b.arcs, b.byName)
 	b.events, b.arcs, b.byName = nil, nil, nil
 	return g, nil
 }
+
+// spare reports whether s has more than an eighth of its length in
+// unused capacity.
+func spare[T any](s []T) bool { return cap(s)-len(s) > len(s)/8 }

@@ -58,15 +58,35 @@ func TestDenseBuilderMatchesBuilder(t *testing.T) {
 	}
 }
 
-func TestDenseBuilderErrors(t *testing.T) {
-	d := NewDenseBuilder("over", 1, 1)
-	d.AddEvent("a+")
-	d.AddEvent("b+") // exceeds declared count
-	if _, err := d.Build(); err == nil {
-		t.Fatal("expected event-overflow error")
+// TestDenseBuilderHints: the counts given to NewDenseBuilder are hints.
+// Going over them grows the slices; a hint far above the graph leaves
+// no spare capacity in the built Graph, and its name index still
+// resolves every event.
+func TestDenseBuilderHints(t *testing.T) {
+	for _, c := range []struct{ events, arcs int }{{1, 1}, {0, 0}, {1 << 16, 1 << 16}} {
+		d := NewDenseBuilder("hint", c.events, c.arcs)
+		a, b, x := d.AddEvent("a+"), d.AddEvent("a-"), d.AddNonRepetitiveEvent("x")
+		d.AddArc(a, b, 1, false)
+		d.AddArc(b, a, 1, true)
+		d.AddOnceArc(x, a, 2)
+		g, err := d.Build()
+		if err != nil {
+			t.Fatalf("hints %v: %v", c, err)
+		}
+		if cap(g.events) > len(g.events)+len(g.events)/8 || cap(g.arcs) > len(g.arcs)+len(g.arcs)/8 {
+			t.Fatalf("hints %v: built graph keeps capacity %d/%d events, %d/%d arcs",
+				c, cap(g.events), len(g.events), cap(g.arcs), len(g.arcs))
+		}
+		for i, name := range []string{"a+", "a-", "x"} {
+			if id, ok := g.EventByName(name); !ok || id != EventID(i) {
+				t.Fatalf("hints %v: EventByName(%q) = %d, %v", c, name, id, ok)
+			}
+		}
 	}
+}
 
-	d = NewDenseBuilder("dup", 2, 1)
+func TestDenseBuilderErrors(t *testing.T) {
+	d := NewDenseBuilder("dup", 2, 1)
 	a := d.AddEvent("x")
 	d.AddEvent("x")
 	d.AddArc(a, a, 1, true)
