@@ -92,9 +92,9 @@ func runSCALE(w io.Writer) error {
 		"workload", "n/m/b", "build", "compress ev", "hier λ", "flat λ", "hier ns/ev", "heap peak", "λ bit-eq")
 	for _, row := range scaleRows() {
 		// Collect the previous row's graph before sampling so each row's
-		// peak is attributable to that row alone. Twice: pooled slabs of
-		// the dead schedule sit in sync.Pool victim caches for one extra
-		// GC cycle.
+		// peak is attributable to that row alone. Twice: the dead
+		// schedule's patch scratch and the hierarchy's sweep scratch sit
+		// in sync.Pool victim caches for one extra GC cycle.
 		runtime.GC()
 		runtime.GC()
 		start := time.Now()

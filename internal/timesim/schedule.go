@@ -58,8 +58,8 @@ type Schedule struct {
 	// during evaluation).
 	rowInit []float64
 
-	pool    sync.Pool // *slab
-	winPool sync.Pool // *window (the two-row memory-bounded kernel)
+	pool    memPool[slab]
+	winPool memPool[window] // the two-row memory-bounded kernel
 }
 
 // class is the in-arc record table of one period class: CSR over the
@@ -291,7 +291,7 @@ func (s *Schedule) RunFrom(origin sg.EventID, opts Options) (*Trace, error) {
 // cell, so the slab is not cleared.
 func (s *Schedule) acquire(periods int) *slab {
 	need := periods * s.n
-	sl, _ := s.pool.Get().(*slab)
+	sl := s.pool.get()
 	if sl == nil {
 		sl = &slab{}
 	}

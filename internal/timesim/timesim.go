@@ -235,7 +235,7 @@ func (tr *Trace) Release() {
 	sl := tr.slab
 	tr.slab = nil
 	tr.times = nil
-	tr.sched.pool.Put(sl)
+	tr.sched.pool.put(sl)
 }
 
 // Graph returns the simulated graph.

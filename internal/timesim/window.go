@@ -33,7 +33,7 @@ type window struct {
 
 // acquireWindow draws a two-row window from the schedule's pool.
 func (s *Schedule) acquireWindow() *window {
-	w, _ := s.winPool.Get().(*window)
+	w := s.winPool.get()
 	if w == nil || len(w.times) != 2*s.n {
 		w = &window{times: make([]float64, 2*s.n)}
 	}
@@ -94,6 +94,6 @@ func (s *Schedule) RunFromWindow(origin sg.EventID, periods int, out []float64) 
 			out[p-1] = math.NaN()
 		}
 	}
-	s.winPool.Put(w)
+	s.winPool.put(w)
 	return nil
 }
