@@ -66,14 +66,18 @@ func runPERF8B(w io.Writer) error {
 }
 
 // timeRuns measures each f in seconds as the median of five runs. The
-// runs go in five rounds, each running every f once after a GC, so a
-// burst of host noise lands on one run of several points rather than on
-// all five runs of one point.
+// runs go in five rounds, each timing every f once, so a burst of host
+// noise lands on one run of several points rather than on all five runs
+// of one point. Each timed run follows a GC and an untimed warm-up run
+// of the same f, so it starts with warm caches and no earlier garbage.
 func timeRuns(fs ...func() error) ([]float64, error) {
 	runs := make([][]time.Duration, len(fs))
 	for round := 0; round < 5; round++ {
 		for i, f := range fs {
-			runtime.GC() // start every run from the same heap state
+			runtime.GC()
+			if err := f(); err != nil {
+				return nil, err
+			}
 			start := time.Now()
 			if err := f(); err != nil {
 				return nil, err

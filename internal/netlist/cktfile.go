@@ -39,6 +39,12 @@ func ReadCKT(r io.Reader) (*Netlist, error) {
 			continue
 		}
 		switch fields[0] {
+		case "input", "gate", "init", "at":
+			if b == nil {
+				return nil, errf(line, "%s before circuit header", fields[0])
+			}
+		}
+		switch fields[0] {
 		case "circuit":
 			if b != nil {
 				return nil, errf(line, "duplicate circuit header")
@@ -48,18 +54,12 @@ func ReadCKT(r io.Reader) (*Netlist, error) {
 			}
 			b = circuit.NewBuilder(fields[1])
 		case "input":
-			if b == nil {
-				return nil, errf(line, "input before circuit header")
-			}
 			sig, lvl, err := parseAssign(fields[1:], line)
 			if err != nil {
 				return nil, err
 			}
 			b.Input(sig, lvl)
 		case "gate":
-			if b == nil {
-				return nil, errf(line, "gate before circuit header")
-			}
 			if len(fields) < 4 {
 				return nil, errf(line, "usage: gate <out> <TYPE> <in...> [: <delay...>]")
 			}
@@ -95,18 +95,12 @@ func ReadCKT(r io.Reader) (*Netlist, error) {
 			}
 			b.Gate(typ, out, ins, delays...)
 		case "init":
-			if b == nil {
-				return nil, errf(line, "init before circuit header")
-			}
 			sig, lvl, err := parseAssign(fields[1:], line)
 			if err != nil {
 				return nil, err
 			}
 			b.Init(sig, lvl)
 		case "at":
-			if b == nil {
-				return nil, errf(line, "at before circuit header")
-			}
 			if len(fields) != 5 || fields[3] != "=" {
 				return nil, errf(line, "usage: at <time> <signal> = <0|1>")
 			}

@@ -75,10 +75,6 @@ func ReadG(r io.Reader) (*sg.Graph, error) {
 			tokens = strings.TrimPrefix(tokens, "{")
 			tokens = strings.TrimSuffix(tokens, "}")
 			for _, tok := range strings.Fields(tokens) {
-				tok = strings.TrimSpace(tok)
-				if tok == "" {
-					continue
-				}
 				if !strings.HasPrefix(tok, "<") || !strings.HasSuffix(tok, ">") {
 					return nil, errf(line, "marking token %q: want <from,to>", tok)
 				}

@@ -140,6 +140,9 @@ func readTSG(r io.Reader) (*sg.DenseBuilder, []arcAnn, error) {
 		if len(fields) == 0 {
 			continue
 		}
+		if d := string(fields[0]); b == nil && (d == "event" || d == "arc") {
+			return nil, nil, errf(line, "%s before tsg header", d)
+		}
 		switch string(fields[0]) {
 		case "tsg":
 			if b != nil {
@@ -151,9 +154,6 @@ func readTSG(r io.Reader) (*sg.DenseBuilder, []arcAnn, error) {
 			events, arcs := directiveLines(lx.rest)
 			b = sg.NewDenseBuilder(string(fields[1]), events, arcs)
 		case "event":
-			if b == nil {
-				return nil, nil, errf(line, "event before tsg header")
-			}
 			if len(fields) < 2 || len(fields) > 3 {
 				return nil, nil, errf(line, "usage: event <name> [nonrepetitive]")
 			}
@@ -166,9 +166,6 @@ func readTSG(r io.Reader) (*sg.DenseBuilder, []arcAnn, error) {
 				b.AddEvent(string(fields[1]))
 			}
 		case "arc":
-			if b == nil {
-				return nil, nil, errf(line, "arc before tsg header")
-			}
 			if len(fields) < 4 {
 				return nil, nil, errf(line, "usage: arc <from> <to> <delay> [marked] [once] [~dist] [@group]")
 			}

@@ -125,26 +125,3 @@ var builderWant = map[string]string{
 	"oscillator":                   "initial [e-] repetitive [a+ a- b+ b- c+ c-] border [a+ b+] order [e- f- a+ b+ c+ a- b- c-] <nil>\n",
 	"two rings and a chain":        "initial [s] repetitive [x+ x- y+ y- z] border [x+ y-] order [s t x+ x- y+ y- z] <nil>\n",
 }
-
-// TestDenseBuilderErrorsPinned pins the DenseBuilder's error strings
-// the same way.
-func TestDenseBuilderErrorsPinned(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		add  func(d *sg.DenseBuilder)
-		want string
-	}{
-		{"duplicate", func(d *sg.DenseBuilder) { d.AddEvent("x"); d.AddEvent("y"); d.AddEvent("x") }, "sg: duplicate event \"x\" in graph \"d\""},
-		{"empty name", func(d *sg.DenseBuilder) { d.AddEvent("") }, "sg: empty event name in graph \"d\""},
-		{"range", func(d *sg.DenseBuilder) { a := d.AddEvent("x"); d.AddArc(a, 3, 1, false) }, "sg: arc references unknown event ID in graph \"d\""},
-		{"negative", func(d *sg.DenseBuilder) { a := d.AddEvent("x"); d.AddArc(a, a, -2, true) }, "sg: delay -2 on arc 0 -> 0 in graph \"d\": want a non-negative delay"},
-		{"NaN", func(d *sg.DenseBuilder) { a := d.AddEvent("x"); d.AddOnceArc(a, a, math.NaN()) }, "sg: delay NaN on arc 0 -> 0 in graph \"d\": want a non-negative delay"},
-	} {
-		d := sg.NewDenseBuilder("d", 4, 4)
-		c.add(d)
-		_, err := d.Build()
-		if got := fmt.Sprint(err); got != c.want {
-			t.Errorf("%s: got %q, want %q", c.name, got, c.want)
-		}
-	}
-}

@@ -26,8 +26,9 @@ type DenseBuilder struct {
 
 // NewDenseBuilder returns a builder sized for the given element counts.
 // The counts are capacity hints: going over them grows the slices, and
-// Build trims capacity the graph does not use, so an over-estimate is
-// not kept.
+// Build copies a slice with more than an eighth of its length spare.
+// The name index is sized by the event count and never trimmed, so
+// that count should not exceed the events added.
 func NewDenseBuilder(name string, numEvents, numArcs int) *DenseBuilder {
 	return &DenseBuilder{
 		name:   name,
@@ -80,19 +81,22 @@ func (b *DenseBuilder) AddOnceArc(from, to EventID, delay float64) {
 	b.addArc(from, to, delay, false, true)
 }
 
-func (b *DenseBuilder) addArc(from, to EventID, delay float64, marked, once bool) {
+// addArc appends the arc and reports whether it was added.
+func (b *DenseBuilder) addArc(from, to EventID, delay float64, marked, once bool) bool {
 	if b.err != nil {
-		return
+		return false
 	}
 	if from < 0 || int(from) >= len(b.events) || to < 0 || int(to) >= len(b.events) {
 		b.err = fmt.Errorf("sg: arc references unknown event ID in graph %q", b.name)
-		return
+		return false
 	}
 	if delay < 0 || math.IsNaN(delay) {
-		b.err = fmt.Errorf("sg: delay %g on arc %d -> %d in graph %q: want a non-negative delay", delay, from, to, b.name)
-		return
+		b.err = fmt.Errorf("sg: delay %g on arc %s -> %s in graph %q: want a non-negative delay",
+			delay, b.events[from].Name, b.events[to].Name, b.name)
+		return false
 	}
 	b.arcs = append(b.arcs, Arc{From: from, To: to, Delay: delay, Marked: marked, Once: once})
+	return true
 }
 
 // AddArcNamed appends an arc between two already-added events given by
@@ -119,12 +123,7 @@ func addArcNamed[S string | []byte](b *DenseBuilder, from, to S, delay float64, 
 		b.err = fmt.Errorf("sg: arc references unknown event %q in graph %q", to, b.name)
 		return false
 	}
-	if delay < 0 || math.IsNaN(delay) {
-		b.err = fmt.Errorf("sg: delay %g on arc %s -> %s in graph %q: want a non-negative delay", delay, from, to, b.name)
-		return false
-	}
-	b.arcs = append(b.arcs, Arc{From: src, To: dst, Delay: delay, Marked: marked, Once: once})
-	return true
+	return b.addArc(src, dst, delay, marked, once)
 }
 
 // Err returns the first error recorded so far, if any.
@@ -147,15 +146,8 @@ func (b *DenseBuilder) assembleDense() (*Graph, error) {
 		return nil, fmt.Errorf("sg: DenseBuilder for graph %q used after Build", b.name)
 	}
 	b.built = true
-	// An element slice with more than an eighth of its length spare is
-	// copied to exact size. The name index was presized with the event
-	// hint, so when that was too large it is rebuilt at exact size too.
 	if spare(b.events) {
 		b.events = slices.Clone(b.events)
-		b.byName = make(map[string]EventID, len(b.events))
-		for i := range b.events {
-			b.byName[b.events[i].Name] = EventID(i)
-		}
 	}
 	if spare(b.arcs) {
 		b.arcs = slices.Clone(b.arcs)

@@ -1,6 +1,8 @@
 package sg
 
 import (
+	"fmt"
+	"math"
 	"strconv"
 	"testing"
 )
@@ -59,9 +61,8 @@ func TestDenseBuilderMatchesBuilder(t *testing.T) {
 }
 
 // TestDenseBuilderHints: the counts given to NewDenseBuilder are hints.
-// Going over them grows the slices; a hint far above the graph leaves
-// no spare capacity in the built Graph, and its name index still
-// resolves every event.
+// Going over them grows the slices, and a hint far above the graph
+// leaves no spare slice capacity in the built Graph.
 func TestDenseBuilderHints(t *testing.T) {
 	for _, c := range []struct{ events, arcs int }{{1, 1}, {0, 0}, {1 << 16, 1 << 16}} {
 		d := NewDenseBuilder("hint", c.events, c.arcs)
@@ -86,31 +87,31 @@ func TestDenseBuilderHints(t *testing.T) {
 }
 
 func TestDenseBuilderErrors(t *testing.T) {
-	d := NewDenseBuilder("dup", 2, 1)
+	for _, c := range []struct {
+		name string
+		add  func(d *DenseBuilder)
+		want string
+	}{
+		{"duplicate", func(d *DenseBuilder) { d.AddEvent("x"); d.AddEvent("y"); d.AddEvent("x") },
+			`sg: duplicate event "x" in graph "d"`},
+		{"empty name", func(d *DenseBuilder) { d.AddEvent("") },
+			`sg: empty event name in graph "d"`},
+		{"range", func(d *DenseBuilder) { a := d.AddEvent("x"); d.AddArc(a, 7, 1, false) },
+			`sg: arc references unknown event ID in graph "d"`},
+		{"negative", func(d *DenseBuilder) { a := d.AddEvent("x"); d.AddArc(a, a, -2, true) },
+			`sg: delay -2 on arc x -> x in graph "d": want a non-negative delay`},
+		{"NaN", func(d *DenseBuilder) { a := d.AddEvent("x"); d.AddOnceArc(a, a, math.NaN()) },
+			`sg: delay NaN on arc x -> x in graph "d": want a non-negative delay`},
+	} {
+		d := NewDenseBuilder("d", 4, 4)
+		c.add(d)
+		if _, err := d.Build(); fmt.Sprint(err) != c.want {
+			t.Errorf("%s: got %v, want %q", c.name, err, c.want)
+		}
+	}
+
+	d := NewDenseBuilder("reuse", 1, 1)
 	a := d.AddEvent("x")
-	d.AddEvent("x")
-	d.AddArc(a, a, 1, true)
-	if _, err := d.Build(); err == nil {
-		t.Fatal("expected duplicate-name error")
-	}
-
-	d = NewDenseBuilder("neg", 2, 1)
-	a = d.AddEvent("x")
-	b := d.AddEvent("y")
-	d.AddArc(a, b, -1, false)
-	if _, err := d.Build(); err == nil {
-		t.Fatal("expected negative-delay error")
-	}
-
-	d = NewDenseBuilder("range", 1, 1)
-	a = d.AddEvent("x")
-	d.AddArc(a, EventID(7), 1, false)
-	if _, err := d.Build(); err == nil {
-		t.Fatal("expected out-of-range error")
-	}
-
-	d = NewDenseBuilder("reuse", 1, 1)
-	a = d.AddEvent("x")
 	d.AddArc(a, a, 1, true)
 	if _, err := d.Build(); err != nil {
 		t.Fatal(err)
