@@ -65,29 +65,24 @@ func runPERF8B(w io.Writer) error {
 	return nil
 }
 
-// timeRuns measures each f in seconds as the median of five runs. The
-// runs go in five rounds, each timing every f once, so a burst of host
-// noise lands on one run of several points rather than on all five runs
-// of one point. Each timed run follows a GC and an untimed warm-up run
-// of the same f, so it starts with warm caches and no earlier garbage.
+// timeRuns measures each f in seconds: after a GC, so no earlier
+// garbage is collected during the runs, the fastest of three
+// consecutive runs. The fits need each point's undisturbed cost, and on
+// a shared 2-vCPU host the fastest run estimates it best: a median of
+// five failed COMPLX's R² bounds in about a third of uncached
+// `go test ./...` runs, with other packages' tests on the second core.
 func timeRuns(fs ...func() error) ([]float64, error) {
-	runs := make([][]time.Duration, len(fs))
-	for round := 0; round < 5; round++ {
-		for i, f := range fs {
-			runtime.GC()
-			if err := f(); err != nil {
-				return nil, err
-			}
+	secs := make([]float64, len(fs))
+	for i, f := range fs {
+		runtime.GC()
+		secs[i] = math.Inf(1)
+		for r := 0; r < 3; r++ {
 			start := time.Now()
 			if err := f(); err != nil {
 				return nil, err
 			}
-			runs[i] = append(runs[i], time.Since(start))
+			secs[i] = min(secs[i], time.Since(start).Seconds())
 		}
-	}
-	secs := make([]float64, len(fs))
-	for i, r := range runs {
-		secs[i] = median(r).Seconds()
 	}
 	return secs, nil
 }
