@@ -282,7 +282,7 @@ func BenchmarkExtractRing(b *testing.B) {
 	}
 }
 
-// --- ablations (DESIGN.md §2) --------------------------------------------
+// --- ablations (EXPERIMENTS.md, ABLATE) ----------------------------------
 
 // BenchmarkAblationCutSet compares the border-set analysis (b
 // simulations) against the minimum-cut-set analysis (k simulations,

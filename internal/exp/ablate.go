@@ -15,8 +15,8 @@ func init() {
 	register(Experiment{ID: "ABLATE", Title: "ablations: border set vs minimum cut set; serial vs parallel simulations", Run: runABLATE})
 }
 
-// runABLATE quantifies the two implementation choices DESIGN.md calls
-// out. First, §VI.B: the paper skips the (NP-hard) minimum-cut-set
+// runABLATE quantifies the two implementation choices the ABLATE
+// section of EXPERIMENTS.md describes. First, §VI.B: the paper skips the (NP-hard) minimum-cut-set
 // search and uses the border set; for the oscillator it notes that the
 // minimum cut set {c+} would need one period instead of two. We compare
 // simulated work (cut-set size × periods) and check both give the same

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"sync"
 	"time"
 
 	"tsg/client"
@@ -211,11 +210,11 @@ func chaosDurability(w io.Writer) error {
 	// injected torn write — the WAL frame of the next edit is half
 	// written when the process "loses power". Every acknowledged edit
 	// is already fsync'd; the torn frame was never acknowledged.
-	st, _, err := store.Open(dir, store.Options{NoAutoCompact: true})
+	noCompact := store.Options{NoAutoCompact: true}
+	st, s1, _, err := bootDurable(dir, noCompact, serve.Config{})
 	if err != nil {
 		return err
 	}
-	s1 := serve.New(serve.Config{Store: st})
 	srv1 := httptest.NewServer(s1)
 	if _, err := driveChaosTraffic(srv1.URL, scripts); err != nil {
 		srv1.Close()
@@ -238,17 +237,13 @@ func chaosDurability(w io.Writer) error {
 	// Boot 2: reopen the same directory. Recovery must truncate the
 	// torn tail, replay every acknowledged record, and restore a state
 	// bit-identical to the oracle — including the dedupe table.
-	st2, rec, err := store.Open(dir, store.Options{NoAutoCompact: true})
+	st2, s2, rec, err := bootDurable(dir, noCompact, serve.Config{})
 	if err != nil {
 		return fmt.Errorf("exp: reopen after crash: %w", err)
 	}
 	defer st2.Close()
 	if rec.TruncatedBytes == 0 {
 		return fmt.Errorf("exp: recovery found no torn tail; the injected crash did not tear a frame")
-	}
-	s2 := serve.New(serve.Config{Store: st2})
-	if err := s2.Recover(rec); err != nil {
-		return fmt.Errorf("exp: recover: %w", err)
 	}
 	srv2 := httptest.NewServer(s2)
 	defer srv2.Close()
@@ -259,14 +254,14 @@ func chaosDurability(w io.Writer) error {
 
 	tab := textio.New("CHAOS phase 1: kill -9 mid-write -> restart on the same data-dir",
 		"graph", "oracle λ", "recovered λ", "criticals", "verdict")
-	cl2 := client.New(srv2.URL, client.WithRetries(0))
-	checkAll := func(label string) error {
+	checkAll := func(label, base string) error {
+		cl := client.New(base, client.WithRetries(0))
 		for _, sc := range scripts {
-			up, err := cl2.UploadText(context.Background(), sc.text)
+			up, err := cl.UploadText(context.Background(), sc.text)
 			if err != nil {
 				return err
 			}
-			got, err := chaosAnalyze(cl2, up.Fingerprint)
+			got, err := chaosAnalyze(cl, up.Fingerprint)
 			if err != nil {
 				return err
 			}
@@ -280,13 +275,13 @@ func chaosDurability(w io.Writer) error {
 			}
 			// The dedupe table survived: the last applied (chaos, seq)
 			// stamp still acks without re-applying.
-			dup, status, err := postEdit(srv2.URL, serve.EditRequest{
+			dup, status, err := postEdit(base, serve.EditRequest{
 				GraphRef: serve.GraphRef{Fingerprint: up.Fingerprint},
 				Edits:    []serve.DelayEdit{sc.edits[len(sc.edits)-1]},
 				Client:   "chaos", Seq: uint64(len(sc.edits)),
 			})
 			if err != nil || status != http.StatusOK {
-				return fmt.Errorf("exp: cross-restart retry on %s: status %d, err %v", sc.name, status, err)
+				return fmt.Errorf("exp: cross-restart retry on %s after %s: status %d, err %v", sc.name, label, status, err)
 			}
 			if !dup.Deduped {
 				return fmt.Errorf("exp: cross-restart retry on %s re-applied; the dedupe table did not survive %s", sc.name, label)
@@ -294,7 +289,7 @@ func chaosDurability(w io.Writer) error {
 		}
 		return nil
 	}
-	if err := checkAll("recovery"); err != nil {
+	if err := checkAll("recovery", srv2.URL); err != nil {
 		return err
 	}
 	if err := tab.Render(w); err != nil {
@@ -311,45 +306,14 @@ func chaosDurability(w io.Writer) error {
 	}
 	srv2.Close()
 	st2.Close()
-	st3, rec3, err := store.Open(dir, store.Options{NoAutoCompact: true})
+	st3, s3, _, err := bootDurable(dir, noCompact, serve.Config{})
 	if err != nil {
 		return fmt.Errorf("exp: reopen after compaction: %w", err)
 	}
 	defer st3.Close()
-	s3 := serve.New(serve.Config{Store: st3})
-	if err := s3.Recover(rec3); err != nil {
-		return fmt.Errorf("exp: recover from compacted log: %w", err)
-	}
 	srv3 := httptest.NewServer(s3)
 	defer srv3.Close()
-	cl2 = client.New(srv3.URL, client.WithRetries(0))
-	// Re-point the closure's server at boot 3.
-	checkAll3 := func() error {
-		for _, sc := range scripts {
-			up, err := cl2.UploadText(context.Background(), sc.text)
-			if err != nil {
-				return err
-			}
-			got, err := chaosAnalyze(cl2, up.Fingerprint)
-			if err != nil {
-				return err
-			}
-			want := oracle[sc.name]
-			if got.lambda != want.lambda || got.critical != want.critical {
-				return fmt.Errorf("exp: %s state after compaction: λ %s, oracle %s", sc.name, got.lambda.Text, want.lambda.Text)
-			}
-			dup, status, err := postEdit(srv3.URL, serve.EditRequest{
-				GraphRef: serve.GraphRef{Fingerprint: up.Fingerprint},
-				Edits:    []serve.DelayEdit{sc.edits[len(sc.edits)-1]},
-				Client:   "chaos", Seq: uint64(len(sc.edits)),
-			})
-			if err != nil || status != http.StatusOK || !dup.Deduped {
-				return fmt.Errorf("exp: dedupe table lost by compaction on %s (status %d, err %v)", sc.name, status, err)
-			}
-		}
-		return nil
-	}
-	if err := checkAll3(); err != nil {
+	if err := checkAll("compaction", srv3.URL); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "compaction: log %d -> %d bytes; third boot recovers the identical state from the compacted form\n",
@@ -391,61 +355,56 @@ func chaosOverload(w io.Writer) error {
 	if Quick {
 		burst, iters, samples = 6, 2, 10_000_000
 	}
-	type tally struct {
+	// Each client alternates an expensive Monte-Carlo run far beyond
+	// the deadline (even ops) with an analyze (odd ops). Every MC either
+	// queues briefly, runs until the deadline cancels it, or is shed
+	// outright — all three end inside deadline+grace. Admission is
+	// per-endpoint, so MC saturation must not starve analyze.
+	opts := []client.Option{client.WithHTTPClient(srv.Client()), client.WithRetries(0)}
+	errs := make([][]error, burst) // errs[c][i]: op i of client c, written by that client only
+	for c := range errs {
+		errs[c] = make([]error, 2*iters)
+	}
+	res := load{url: srv.URL, opts: opts, workers: burst, per: 2 * iters, op: func(cl *client.Client, c, i int) error {
+		var err error
+		if i%2 == 0 {
+			_, err = cl.MC(ctx, ref, client.MCRequest{Samples: samples, Workers: 1, Jitter: 0.2, Seed: 7})
+		} else {
+			_, err = cl.Analyze(ctx, ref)
+		}
+		errs[c][i] = err
+		return err
+	}}.run()
+	type score struct {
 		ok, shed, other int
 		noRetryAfter    int
 		slow            int // responses later than deadline+grace
 		maxLatency      time.Duration
 	}
-	var mu sync.Mutex
-	var mc, an tally
-	var wg sync.WaitGroup
-	record := func(t *tally, latency time.Duration, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if latency > t.maxLatency {
-			t.maxLatency = latency
+	var mc, an score
+	for k, latency := range res.lat {
+		c, i := k/(2*iters), k%(2*iters)
+		t := &mc
+		if i%2 == 1 {
+			t = &an
 		}
+		t.maxLatency = max(t.maxLatency, latency)
 		if latency > deadline+grace {
 			t.slow++
 		}
-		if err == nil {
-			t.ok++
-			return
-		}
 		var api *client.APIError
-		if errors.As(err, &api) && api.Status == http.StatusServiceUnavailable {
+		switch err := errs[c][i]; {
+		case err == nil:
+			t.ok++
+		case errors.As(err, &api) && api.Status == http.StatusServiceUnavailable:
 			t.shed++
 			if api.RetryAfter <= 0 {
 				t.noRetryAfter++
 			}
-			return
+		default:
+			t.other++
 		}
-		t.other++
 	}
-	for c := 0; c < burst; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl := client.New(srv.URL, client.WithHTTPClient(srv.Client()), client.WithRetries(0))
-			for i := 0; i < iters; i++ {
-				// Expensive: a Monte-Carlo run far beyond the deadline.
-				// Every one of these either queues briefly, runs until the
-				// deadline cancels it, or is shed outright — all three end
-				// inside deadline+grace.
-				start := time.Now()
-				_, err := cl.MC(ctx, ref, client.MCRequest{Samples: samples, Workers: 1, Jitter: 0.2, Seed: 7})
-				record(&mc, time.Since(start), err)
-				// Fast: analyze on its own endpoint keeps flowing —
-				// admission is per-endpoint, so MC saturation must not
-				// starve it.
-				start = time.Now()
-				_, err = cl.Analyze(ctx, ref)
-				record(&an, time.Since(start), err)
-			}
-		}()
-	}
-	wg.Wait()
 
 	tab := textio.New(fmt.Sprintf("CHAOS phase 2: %d clients x %d rounds against capacity 1 (+2 queued), %s deadline",
 		burst, iters, deadline),

@@ -1,21 +1,14 @@
 package exp
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
-	"sort"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"time"
 
 	"tsg/client"
 	"tsg/internal/cluster"
 	"tsg/internal/fault"
-	"tsg/internal/serve"
 )
 
 func init() {
@@ -88,250 +81,14 @@ func runCHAOS2(w io.Writer) error {
 	return nil
 }
 
-// --- topology + accounting helpers ----------------------------------------
-
-// chaosBackends boots n plain in-memory backends.
-func chaosBackends(n int) (urls []string, cleanup func()) {
-	backends := make([]*httptest.Server, n)
-	urls = make([]string, n)
-	for i := range backends {
-		backends[i] = httptest.NewServer(serve.New(serve.Config{DisableObs: true}))
-		urls[i] = backends[i].URL
-	}
-	return urls, func() {
-		for _, b := range backends {
-			b.Close()
-		}
-	}
-}
-
-// chaosRouter stands up a started router over urls whose backend
-// clients all go through a fault.Transport armed with plan. The plan
-// must be fully built first: the transport reads its rule table
-// locklessly, so rules cannot be added once probes are flowing.
-func chaosRouter(urls []string, plan *fault.Plan, mut func(*cluster.Config)) (*cluster.Router, *httptest.Server, func(), error) {
-	cfg := cluster.Config{
-		Nodes:            urls,
-		Replicas:         2,
-		ProbeInterval:    25 * time.Millisecond,
-		FailThreshold:    3,
-		ReadmitThreshold: 2,
-		HopTimeout:       2 * time.Second,
-		DisableObs:       true,
-		HTTPClient:       &http.Client{Transport: fault.NewTransport(nil, plan)},
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	router, err := cluster.New(cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	router.Start()
-	front := httptest.NewServer(router)
-	return router, front, func() {
-		front.Close()
-		router.Stop()
-	}, nil
-}
-
-// routerStatus reads the router's full /debug/cluster document.
-func routerStatus(r *cluster.Router) cluster.ClusterStatus {
-	rec := httptest.NewRecorder()
-	req, _ := http.NewRequest(http.MethodGet, "/debug/cluster", nil)
-	r.ServeHTTP(rec, req)
-	var st cluster.ClusterStatus
-	_ = json.NewDecoder(rec.Body).Decode(&st)
-	return st
-}
-
-func nodeStatus(r *cluster.Router, url string) (cluster.ClusterNodeStatus, bool) {
-	for _, ns := range routerStatus(r).Nodes {
-		if ns.URL == url {
-			return ns, true
-		}
-	}
-	return cluster.ClusterNodeStatus{}, false
-}
-
-// uploadGraphs pushes the working set through the router.
-func uploadGraphs(cl *client.Client, graphs []clusterGraph) error {
-	ctx := context.Background()
-	for _, g := range graphs {
-		if _, err := cl.UploadText(ctx, g.text); err != nil {
-			return fmt.Errorf("upload %s: %w", g.name, err)
-		}
-	}
-	return nil
-}
-
-// tally is the zero-failed-requests scoreboard shared by a scenario's
-// traffic goroutines.
-type tally struct {
-	requests atomic.Int64
-	failures atomic.Int64
-	mu       sync.Mutex
-	first    error
-}
-
-func (t *tally) note(err error) {
-	t.requests.Add(1)
-	if err != nil {
-		t.failures.Add(1)
-		t.mu.Lock()
-		if t.first == nil {
-			t.first = err
-		}
-		t.mu.Unlock()
-	}
-}
-
-func (t *tally) check(what string) error {
-	if f := t.failures.Load(); f > 0 {
-		t.mu.Lock()
-		first := t.first
-		t.mu.Unlock()
-		return fmt.Errorf("%d of %d client requests failed %s (first: %v)", f, t.requests.Load(), what, first)
-	}
-	return nil
-}
-
-// driveReadsTimed hammers analyze-by-fingerprint from workers
-// concurrent clients — pause apart per worker, so the pick-time
-// in-flight signal stays realistic instead of saturating — and returns
-// every request's latency. Any failed request fails the scenario.
-func driveReadsTimed(front string, graphs []clusterGraph, workers, total int, pause time.Duration) ([]time.Duration, error) {
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	var tl tally
-	per := total / workers
-	lat := make([][]time.Duration, workers)
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			cl := client.New(front)
-			lat[wkr] = make([]time.Duration, 0, per)
-			for i := 0; i < per; i++ {
-				g := graphs[(wkr+i)%len(graphs)]
-				t0 := time.Now()
-				_, err := cl.Analyze(ctx, client.ByFingerprint(g.fp))
-				tl.note(err)
-				if err != nil {
-					return
-				}
-				lat[wkr] = append(lat[wkr], time.Since(t0))
-				if pause > 0 {
-					time.Sleep(pause)
-				}
-			}
-		}(wkr)
-	}
-	wg.Wait()
-	if err := tl.check("in the timed read drive"); err != nil {
-		return nil, err
-	}
-	var all []time.Duration
-	for _, l := range lat {
-		all = append(all, l...)
-	}
-	return all, nil
-}
-
-func p99(lat []time.Duration) time.Duration {
-	if len(lat) == 0 {
-		return 0
-	}
-	s := make([]time.Duration, len(lat))
-	copy(s, lat)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[(len(s)*99)/100]
-}
-
-// mixedLoad starts edit walkers (one serial walker per graph, so
-// stamps stay ordered per client) and read workers against the front,
-// all scored on tl; the returned stop function ends the traffic and
-// waits it out.
-func mixedLoad(front string, graphs []clusterGraph, readWorkers int, tl *tally) (stopAll func()) {
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	var stop atomic.Bool
-	for gi := range graphs {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			ecl := client.New(front)
-			ref := client.ByFingerprint(graphs[gi].fp)
-			for e := 0; !stop.Load(); e++ {
-				_, err := ecl.Edit(ctx, ref, []client.DelayEdit{{Arc: (gi + e) % graphs[gi].arcs, Delay: 1.0 + float64(e%7)}})
-				tl.note(err)
-				time.Sleep(8 * time.Millisecond)
-			}
-		}(gi)
-	}
-	for wkr := 0; wkr < readWorkers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			rcl := client.New(front)
-			for i := 0; !stop.Load(); i++ {
-				g := graphs[(wkr+i)%len(graphs)]
-				_, err := rcl.Analyze(ctx, client.ByFingerprint(g.fp))
-				tl.note(err)
-				time.Sleep(4 * time.Millisecond)
-			}
-		}(wkr)
-	}
-	return func() {
-		stop.Store(true)
-		wg.Wait()
-	}
-}
-
-// convergedReplicas polls until every replica of every graph answers a
-// λ bit-identical to the routed answer (routed reads drive the resync
-// of laggards), failing at the deadline.
-func convergedReplicas(r *cluster.Router, front string, graphs []clusterGraph, within time.Duration) error {
-	ctx := context.Background()
-	cl := client.New(front)
-	urls := r.Nodes()
-	deadline := time.Now().Add(within)
-	for _, g := range graphs {
-		ref := client.ByFingerprint(g.fp)
-		placed := cluster.Placement(g.fp, urls, 2)
-		for {
-			want, err := cl.Analyze(ctx, ref)
-			if err != nil {
-				return fmt.Errorf("routed analyze of %s: %w", g.name, err)
-			}
-			ok := true
-			var mismatch error
-			for _, u := range placed {
-				got, err := directClient(u).Analyze(ctx, ref)
-				if err != nil || got.Lambda.Text != want.Lambda.Text || got.Lambda.Num != want.Lambda.Num || got.Lambda.Den != want.Lambda.Den {
-					ok = false
-					mismatch = fmt.Errorf("replica %s of %s: err=%v, λ mismatch", u, g.name, err)
-					break
-				}
-			}
-			if ok {
-				break
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("replicas never converged: %w", mismatch)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-	return nil
-}
-
 // --- scenario 1: straggler node vs hedged reads ---------------------------
 
 func chaosStragglerHedge(w io.Writer) error {
 	const (
 		straggle = 120 * time.Millisecond
-		pause    = 2 * time.Millisecond
+		// Each worker pauses between reads so the router's pick-time
+		// in-flight signal stays realistic instead of saturating.
+		pause = 2 * time.Millisecond
 	)
 	graphCount, workers, warmReads, measuredReads := 5, 6, 600, 2400
 	if Quick {
@@ -343,42 +100,37 @@ func chaosStragglerHedge(w io.Writer) error {
 	}
 
 	measure := func(disableHedge bool) (base, slow, slowMax time.Duration, st cluster.ClusterStatus, err error) {
-		urls, closeBackends := chaosBackends(3)
-		defer closeBackends()
+		rg, err := newRig(3, memNodes)
+		if err != nil {
+			return 0, 0, 0, st, err
+		}
+		defer rg.close()
 		// The straggler: graph 0's primary — hot on both read and write
 		// paths — answers 8% of its /v1 responses 120ms late. Every hop
 		// still SUCCEEDS: probes stay green, the breaker stays closed,
 		// only the latency distribution degrades.
-		victim := cluster.Placement(graphs[0].fp, urls, 2)[0]
+		victim := cluster.Placement(graphs[0].fp, rg.urls(), 2)[0]
 		plan := fault.NewPlan(1071).Phases("baseline", "slow").Add(fault.Rule{
 			Name: "straggle", Node: victim, Route: "/v1/*",
 			Phase: "slow", Prob: 0.08, Kind: fault.KindLatency, Latency: straggle,
 		})
-		router, front, closeRouter, err := chaosRouter(urls, plan, func(c *cluster.Config) {
-			c.DisableHedge = disableHedge
-		})
-		if err != nil {
+		if err := rg.startRouter(plan, func(c *cluster.Config) { c.DisableHedge = disableHedge }); err != nil {
 			return 0, 0, 0, st, err
 		}
-		defer closeRouter()
-		if err := uploadGraphs(client.New(front.URL), graphs); err != nil {
+		if err := uploadGraphs(client.New(rg.front.URL), graphs); err != nil {
 			return 0, 0, 0, st, err
 		}
 
-		baseLat, err := driveReadsTimed(front.URL, graphs, workers, warmReads, pause)
-		if err != nil {
-			return 0, 0, 0, st, fmt.Errorf("baseline: %w", err)
+		baseRes := readLoad(rg.front.URL, graphs, workers, warmReads/workers, pause).run()
+		if err := baseRes.check("in the baseline read drive"); err != nil {
+			return 0, 0, 0, st, err
 		}
 		plan.AdvancePhase()
-		slowLat, err := driveReadsTimed(front.URL, graphs, workers, measuredReads, pause)
-		if err != nil {
-			return 0, 0, 0, st, fmt.Errorf("slow phase: %w", err)
+		slowRes := readLoad(rg.front.URL, graphs, workers, measuredReads/workers, pause).run()
+		if err := slowRes.check("in the slow-phase read drive"); err != nil {
+			return 0, 0, 0, st, err
 		}
-		var worst time.Duration
-		for _, d := range slowLat {
-			worst = max(worst, d)
-		}
-		return p99(baseLat), p99(slowLat), worst, routerStatus(router), nil
+		return quantile(baseRes.lat, 99), quantile(slowRes.lat, 99), slices.Max(slowRes.lat), routerStatus(rg.router), nil
 	}
 
 	base, hedged, _, st, err := measure(false)
@@ -431,9 +183,12 @@ func chaosFlakyBreaker(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	urls, closeBackends := chaosBackends(3)
-	defer closeBackends()
-	victim := cluster.Placement(graphs[0].fp, urls, 2)[0]
+	rg, err := newRig(3, memNodes)
+	if err != nil {
+		return err
+	}
+	defer rg.close()
+	victim := cluster.Placement(graphs[0].fp, rg.urls(), 2)[0]
 	// The drill is declared through the DSL — the same text a shell
 	// chaos script would hand tsgrouter -fault-plan.
 	plan, err := fault.ParsePlan(fmt.Sprintf(
@@ -441,41 +196,38 @@ func chaosFlakyBreaker(w io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("parsing DSL plan: %w", err)
 	}
-	router, front, closeRouter, err := chaosRouter(urls, plan, nil)
-	if err != nil {
+	if err := rg.startRouter(plan, nil); err != nil {
 		return err
 	}
-	defer closeRouter()
-	if err := uploadGraphs(client.New(front.URL), graphs); err != nil {
+	if err := uploadGraphs(client.New(rg.front.URL), graphs); err != nil {
 		return err
 	}
 	if err := plan.SetPhase("storm"); err != nil {
 		return err
 	}
 
-	var tl tally
-	stopAll := mixedLoad(front.URL, graphs, 3, &tl)
+	stopAll := mixedLoad(rg.front.URL, graphs, 3, 8*time.Millisecond)
 	time.Sleep(stormFor)
-	ns, ok := nodeStatus(router, victim)
+	ns, ok := nodeStatus(rg.router, victim)
 	if err := plan.SetPhase("healed"); err != nil {
 		stopAll()
 		return err
 	}
 	time.Sleep(stormFor / 4) // cover the heal transition under load too
-	stopAll()
+	res := stopAll()
 
 	if !ok {
 		return fmt.Errorf("victim %s missing from /debug/cluster", victim)
 	}
-	fmt.Fprintf(w, "CHAOS2 scenario 2: flaky node (45%% connection resets, DSL plan) under %d requests of mixed load\n", tl.requests.Load())
-	fmt.Fprintf(w, "  breaker trips on %s: %d (state at peak: %s); failed client requests: %d\n", victim, ns.Trips, ns.Breaker, tl.failures.Load())
-	if err := tl.check("in the storm"); err != nil {
+	fmt.Fprintf(w, "CHAOS2 scenario 2: flaky node (45%% connection resets, DSL plan) under %d requests of mixed load\n", res.ops)
+	fmt.Fprintf(w, "  breaker trips on %s: %d (state at peak: %s); failed client requests: %d\n", victim, ns.Trips, ns.Breaker, res.failed)
+	if err := res.check("in the storm"); err != nil {
 		return err
 	}
 	if ns.Trips == 0 {
 		return fmt.Errorf("breaker never tripped on the flaky node")
 	}
-	if err := convergedReplicas(router, front.URL, graphs, 10*time.Second); err != nil {
+	if err := convergedReplicas(rg.router, rg.front.URL, graphs, 10*time.Second); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "  replicas bit-identical after heal: PASS\n")
@@ -493,38 +245,38 @@ func chaosAsymmetricPartition(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	urls, closeBackends := chaosBackends(3)
-	defer closeBackends()
+	rg, err := newRig(3, memNodes)
+	if err != nil {
+		return err
+	}
+	defer rg.close()
 	// The partition: every /v1 response FROM the victim is dropped on
 	// the router side (the backend processed the request — writes
 	// commit there) while its /healthz probe path stays untouched.
 	// Pure probe counting would never eject this node.
-	victim := cluster.Placement(graphs[0].fp, urls, 2)[0]
+	victim := cluster.Placement(graphs[0].fp, rg.urls(), 2)[0]
 	plan := fault.NewPlan(2203).Phases("calm", "cut", "healed").Add(fault.Rule{
 		Name: "partition", Node: victim, Route: "/v1/*",
 		Phase: "cut", Prob: 1, Kind: fault.KindDropResponse,
 	})
-	router, front, closeRouter, err := chaosRouter(urls, plan, nil)
-	if err != nil {
+	if err := rg.startRouter(plan, nil); err != nil {
 		return err
 	}
-	defer closeRouter()
-	if err := uploadGraphs(client.New(front.URL), graphs); err != nil {
+	if err := uploadGraphs(client.New(rg.front.URL), graphs); err != nil {
 		return err
 	}
 	if err := plan.SetPhase("cut"); err != nil {
 		return err
 	}
 
-	var tl tally
-	stopAll := mixedLoad(front.URL, graphs, 3, &tl)
+	stopAll := mixedLoad(rg.front.URL, graphs, 3, 8*time.Millisecond)
 	// Watch the victim through the cut: the breaker must OPEN (request
 	// failures) even though the probe path never fails.
 	sawOpen := false
 	var trips uint64
 	cutEnd := time.Now().Add(cutFor)
 	for time.Now().Before(cutEnd) {
-		if ns, ok := nodeStatus(router, victim); ok {
+		if ns, ok := nodeStatus(rg.router, victim); ok {
 			trips = ns.Trips
 			if ns.Breaker == "open" {
 				sawOpen = true
@@ -537,19 +289,19 @@ func chaosAsymmetricPartition(w io.Writer) error {
 		return err
 	}
 	time.Sleep(cutFor / 4)
-	stopAll()
+	res := stopAll()
 
-	st := routerStatus(router)
+	st := routerStatus(rg.router)
 	fmt.Fprintf(w, "CHAOS2 scenario 3: asymmetric partition (every /v1 response from %s dropped, probes untouched) for %v\n", victim, cutFor)
 	fmt.Fprintf(w, "  %d requests, %d failed; breaker trips %d, open observed during cut: %v; router dedupe hits %d\n",
-		tl.requests.Load(), tl.failures.Load(), trips, sawOpen, st.Dedupes)
-	if err := tl.check("across the partition"); err != nil {
+		res.ops, res.failed, trips, sawOpen, st.Dedupes)
+	if err := res.check("across the partition"); err != nil {
 		return err
 	}
 	if trips == 0 || !sawOpen {
 		return fmt.Errorf("breaker never ejected the partitioned node (trips=%d, sawOpen=%v) — probe counting cannot, the request streak must", trips, sawOpen)
 	}
-	if err := convergedReplicas(router, front.URL, graphs, 10*time.Second); err != nil {
+	if err := convergedReplicas(rg.router, rg.front.URL, graphs, 10*time.Second); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "  replicas bit-identical after heal: PASS\n")
@@ -567,22 +319,26 @@ func chaosMembershipChurn(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	urls, closeBackends := chaosBackends(3)
-	defer closeBackends()
-	plan := fault.NewPlan(0) // no faults: the churn itself is the disturbance
-	router, front, closeRouter, err := chaosRouter(urls, plan, nil)
+	// No fault plan: the churn itself is the disturbance.
+	rg, err := newRig(3, memNodes)
 	if err != nil {
 		return err
 	}
-	defer closeRouter()
-	joiner := httptest.NewServer(serve.New(serve.Config{DisableObs: true}))
-	defer joiner.Close()
-	if err := uploadGraphs(client.New(front.URL), graphs); err != nil {
+	defer rg.close()
+	if err := rg.startRouter(nil, nil); err != nil {
+		return err
+	}
+	urls := rg.urls()
+	joiner := &expNode{}
+	if err := joiner.boot(); err != nil {
+		return err
+	}
+	defer joiner.kill()
+	if err := uploadGraphs(client.New(rg.front.URL), graphs); err != nil {
 		return err
 	}
 
-	var tl tally
-	stopAll := mixedLoad(front.URL, graphs, 3, &tl)
+	stopAll := mixedLoad(rg.front.URL, graphs, 3, 8*time.Millisecond)
 	fail := func(err error) error {
 		stopAll()
 		return err
@@ -590,36 +346,29 @@ func chaosMembershipChurn(w io.Writer) error {
 	time.Sleep(150 * time.Millisecond)
 	// Join: the new node must earn admission (probe → half-open →
 	// warm-sync) before it serves.
-	if err := router.ReloadNodes(append(append([]string{}, urls...), joiner.URL)); err != nil {
+	if err := rg.router.ReloadNodes(append(urls, joiner.url())); err != nil {
 		return fail(fmt.Errorf("adding joiner: %w", err))
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if ns, ok := nodeStatus(router, joiner.URL); ok && ns.Healthy {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fail(fmt.Errorf("joiner never admitted"))
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := awaitHealthy(rg.router, joiner.url(), 10*time.Second); err != nil {
+		return fail(fmt.Errorf("joiner never admitted: %w", err))
 	}
 	time.Sleep(150 * time.Millisecond)
 	// Leave: drop an original member; its shard re-hashes to survivors.
-	if err := router.ReloadNodes([]string{urls[1], urls[2], joiner.URL}); err != nil {
+	if err := rg.router.ReloadNodes([]string{urls[1], urls[2], joiner.url()}); err != nil {
 		return fail(fmt.Errorf("removing %s: %w", urls[0], err))
 	}
 	time.Sleep(300 * time.Millisecond)
-	stopAll()
+	res := stopAll()
 
-	if err := tl.check("across the churn"); err != nil {
+	if err := res.check("across the churn"); err != nil {
 		return err
 	}
-	if err := convergedReplicas(router, front.URL, graphs, 10*time.Second); err != nil {
+	if err := convergedReplicas(rg.router, rg.front.URL, graphs, 10*time.Second); err != nil {
 		return err
 	}
-	st := routerStatus(router)
+	st := routerStatus(rg.router)
 	fmt.Fprintf(w, "CHAOS2 scenario 4: membership churn (join %s, then remove %s) under %d requests of sustained load\n",
-		joiner.URL, urls[0], tl.requests.Load())
+		joiner.url(), urls[0], res.ops)
 	fmt.Fprintf(w, "  0 failed; membership reloads %d, warm syncs %d; current replica sets bit-identical: PASS\n",
 		st.MembershipReloads, st.WarmSyncs)
 	if st.MembershipReloads != 2 {

@@ -3,26 +3,16 @@ package exp
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"tsg/client"
 	"tsg/internal/cluster"
 	"tsg/internal/gen"
 	"tsg/internal/netlist"
-	"tsg/internal/serve"
 	"tsg/internal/sg"
-	"tsg/internal/store"
 )
 
 func init() {
@@ -72,65 +62,7 @@ func runCLUSTER(w io.Writer) error {
 	return clusterKillRestart(w)
 }
 
-// --- topology helpers -----------------------------------------------------
-
-// expNode is one in-process backend: a durable tsgserved equivalent on
-// a stable TCP address, killable and restartable like a real process.
-type expNode struct {
-	dir  string
-	addr string // pinned after first boot so a restart reuses the URL
-	ln   net.Listener
-	hs   *http.Server
-	st   *store.Store
-	s    *serve.Server
-}
-
-func (n *expNode) url() string { return "http://" + n.addr }
-
-// boot opens (or re-opens) the node's store, recovers its WAL, and
-// starts serving on its pinned address.
-func (n *expNode) boot() error {
-	st, rec, err := store.Open(n.dir, store.Options{})
-	if err != nil {
-		return fmt.Errorf("opening node store %s: %w", n.dir, err)
-	}
-	s := serve.New(serve.Config{Store: st, DisableObs: true})
-	if rec != nil {
-		if err := s.Recover(rec); err != nil {
-			st.Close()
-			return fmt.Errorf("recovering node %s: %w", n.dir, err)
-		}
-	}
-	addr := n.addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		st.Close()
-		return fmt.Errorf("node listen %s: %w", addr, err)
-	}
-	n.addr = ln.Addr().String()
-	n.ln = ln
-	n.st = st
-	n.s = s
-	n.hs = &http.Server{Handler: s}
-	go n.hs.Serve(ln)
-	return nil
-}
-
-// kill tears the node down abruptly: no drain, in-flight connections
-// die mid-request. The data directory survives — that is the WAL's
-// whole point.
-func (n *expNode) kill() {
-	if n.hs != nil {
-		n.hs.Close()
-	}
-	if n.st != nil {
-		n.st.Close()
-	}
-	n.hs, n.st, n.s, n.ln = nil, nil, nil, nil
-}
+// --- working set ---------------------------------------------------------
 
 // clusterGraph is one member of the working set.
 type clusterGraph struct {
@@ -170,61 +102,8 @@ func clusterWorkingSet(count int) ([]clusterGraph, error) {
 	return out, nil
 }
 
-// bootCluster stands up nodes durable backends plus a started router
-// and returns a cleanup that tears everything down.
-func bootCluster(nodes int, replicas int) ([]*expNode, *cluster.Router, *httptest.Server, func(), error) {
-	backends := make([]*expNode, nodes)
-	cleanup := func() {}
-	fail := func(err error) ([]*expNode, *cluster.Router, *httptest.Server, func(), error) {
-		cleanup()
-		return nil, nil, nil, nil, err
-	}
-	dirs := make([]string, nodes)
-	for i := range backends {
-		dir, err := os.MkdirTemp("", "tsg-cluster-*")
-		if err != nil {
-			return fail(err)
-		}
-		dirs[i] = dir
-		backends[i] = &expNode{dir: dir}
-		if err := backends[i].boot(); err != nil {
-			return fail(err)
-		}
-	}
-	urls := make([]string, nodes)
-	for i, b := range backends {
-		urls[i] = b.url()
-	}
-	router, err := cluster.New(cluster.Config{
-		Nodes:            urls,
-		Replicas:         replicas,
-		ProbeInterval:    25 * time.Millisecond,
-		FailThreshold:    3,
-		ReadmitThreshold: 2,
-		HopTimeout:       10 * time.Second,
-		DisableObs:       true,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	router.Start()
-	front := httptest.NewServer(router)
-	cleanup = func() {
-		front.Close()
-		router.Stop()
-		for _, b := range backends {
-			b.kill()
-		}
-		for _, d := range dirs {
-			os.RemoveAll(d)
-		}
-	}
-	return backends, router, front, cleanup, nil
-}
-
-func directClient(url string) *client.Client {
-	return client.New(url, client.WithRetryPolicy(client.RetryPolicy{}))
-}
+// longHops gives the durable rigs' router a 10s hop timeout.
+func longHops(c *cluster.Config) { c.HopTimeout = 10 * time.Second }
 
 // --- phase 1: sharding + bit-identical replicas ---------------------------
 
@@ -237,17 +116,17 @@ func clusterShardingAndConvergence(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	backends, _, front, cleanup, err := bootCluster(3, 2)
+	rg, err := newRig(3, durableNodes)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
-	urls := make([]string, len(backends))
-	for i, b := range backends {
-		urls[i] = b.url()
+	defer rg.close()
+	if err := rg.startRouter(nil, longHops); err != nil {
+		return err
 	}
+	urls := rg.urls()
 	ctx := context.Background()
-	cl := client.New(front.URL)
+	cl := client.New(rg.front.URL)
 
 	fmt.Fprintf(w, "CLUSTER phase 1: sharding + replica convergence (3 nodes, 2 replicas, %d graphs)\n", graphCount)
 	for _, g := range graphs {
@@ -317,92 +196,7 @@ func clusterShardingAndConvergence(w io.Writer) error {
 
 // --- phase 2: throughput scaling under a per-node capacity model ----------
 
-// pacer charges a fixed serial service time per /v1 request — the
-// single-core-node capacity model that lets a 1-core host measure
-// multi-node scaling: throughput becomes wait-bound, so it scales with
-// the number of (paced) nodes, exactly as CPU-bound traffic scales
-// with real nodes.
-type pacer struct {
-	mu      sync.Mutex
-	service time.Duration
-	h       http.Handler
-}
-
-func (p *pacer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if strings.HasPrefix(r.URL.Path, "/v1/") {
-		p.mu.Lock()
-		time.Sleep(p.service)
-		p.mu.Unlock()
-	}
-	p.h.ServeHTTP(w, r)
-}
-
-// pacedPool boots n in-memory backends behind pacers plus a router.
-func pacedPool(n int, service time.Duration, replicas int) ([]*httptest.Server, *cluster.Router, *httptest.Server, func(), error) {
-	backends := make([]*httptest.Server, n)
-	urls := make([]string, n)
-	for i := range backends {
-		backends[i] = httptest.NewServer(&pacer{service: service, h: serve.New(serve.Config{DisableObs: true})})
-		urls[i] = backends[i].URL
-	}
-	router, err := cluster.New(cluster.Config{
-		Nodes:         urls,
-		Replicas:      replicas,
-		ProbeInterval: 50 * time.Millisecond,
-		DisableObs:    true,
-	})
-	if err != nil {
-		for _, b := range backends {
-			b.Close()
-		}
-		return nil, nil, nil, nil, err
-	}
-	router.Start()
-	front := httptest.NewServer(router)
-	cleanup := func() {
-		front.Close()
-		router.Stop()
-		for _, b := range backends {
-			b.Close()
-		}
-	}
-	return backends, router, front, cleanup, nil
-}
-
-// driveWarmReads pushes `total` analyze-by-fingerprint requests from
-// `workers` concurrent clients round-robining the working set, and
-// returns the aggregate request rate.
-func driveWarmReads(front string, graphs []clusterGraph, workers, total int) (reqPerSec float64, failed int, err error) {
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	var fails atomic.Int64
-	var firstErr atomic.Value
-	per := total / workers
-	t0 := time.Now()
-	for wkr := 0; wkr < workers; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			cl := client.New(front)
-			for i := 0; i < per; i++ {
-				g := graphs[(wkr+i)%len(graphs)]
-				if _, err := cl.Analyze(ctx, client.ByFingerprint(g.fp)); err != nil {
-					fails.Add(1)
-					firstErr.CompareAndSwap(nil, err)
-				}
-			}
-		}(wkr)
-	}
-	wg.Wait()
-	elapsed := time.Since(t0)
-	if e := firstErr.Load(); e != nil {
-		return 0, int(fails.Load()), e.(error)
-	}
-	return float64(per*workers) / elapsed.Seconds(), 0, nil
-}
-
 func clusterThroughput(w io.Writer) error {
-	const service = 4 * time.Millisecond
 	graphCount, workers, totalSingle, totalCluster := 9, 12, 360, 1080
 	if Quick {
 		graphCount, workers, totalSingle, totalCluster = 3, 6, 60, 120
@@ -411,42 +205,43 @@ func clusterThroughput(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
 
-	measure := func(nodes, replicas, total int) (float64, error) {
-		_, _, front, cleanup, err := pacedPool(nodes, service, replicas)
+	measure := func(nodes, total int) (float64, error) {
+		rg, err := newRig(nodes, pacedNodes)
 		if err != nil {
 			return 0, err
 		}
-		defer cleanup()
-		cl := client.New(front.URL)
-		for _, g := range graphs {
-			if _, err := cl.UploadText(ctx, g.text); err != nil {
-				return 0, fmt.Errorf("upload: %w", err)
-			}
+		defer rg.close()
+		if err := rg.startRouter(nil, nil); err != nil {
+			return 0, err
 		}
-		// One warm lap outside the timed window (compiles are real work
-		// the pacer does not model; the gate is about WARM serving).
-		for _, g := range graphs {
-			if _, err := cl.Analyze(ctx, client.ByFingerprint(g.fp)); err != nil {
-				return 0, fmt.Errorf("warm lap: %w", err)
-			}
+		if err := uploadGraphs(client.New(rg.front.URL), graphs); err != nil {
+			return 0, err
 		}
-		rate, _, err := driveWarmReads(front.URL, graphs, workers, total)
-		return rate, err
+		// One warm lap, one read per graph, outside the timed window
+		// (compiles are real work the pacer does not model; the gate is
+		// about WARM serving).
+		if err := readLoad(rg.front.URL, graphs, 1, len(graphs), 0).run().check("in the warm lap"); err != nil {
+			return 0, err
+		}
+		res := readLoad(rg.front.URL, graphs, workers, total/workers, 0).run()
+		if err := res.check("in the timed drive"); err != nil {
+			return 0, err
+		}
+		return float64(res.ops) / res.elapsed.Seconds(), nil
 	}
 
-	single, err := measure(1, 1, totalSingle)
+	single, err := measure(1, totalSingle)
 	if err != nil {
 		return fmt.Errorf("single-node throughput: %w", err)
 	}
-	triple, err := measure(3, 2, totalCluster)
+	triple, err := measure(3, totalCluster)
 	if err != nil {
 		return fmt.Errorf("3-node throughput: %w", err)
 	}
 	ratio := triple / single
 	fmt.Fprintf(w, "CLUSTER phase 2: warm read throughput, per-node capacity model (%.0fms service time, %d workers, %d graphs)\n",
-		service.Seconds()*1e3, workers, graphCount)
+		pacedService.Seconds()*1e3, workers, graphCount)
 	fmt.Fprintf(w, "  1 node:  %7.1f req/s\n", single)
 	fmt.Fprintf(w, "  3 nodes: %7.1f req/s  (%.2fx aggregate; acceptance in BENCH_pr9.json: >= 2.5x)\n", triple, ratio)
 	if !Quick && ratio < 2.5 {
@@ -468,166 +263,60 @@ func clusterKillRestart(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	backends, router, front, cleanup, err := bootCluster(3, 2)
+	rg, err := newRig(3, durableNodes)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
-	urls := make([]string, len(backends))
-	for i, b := range backends {
-		urls[i] = b.url()
+	defer rg.close()
+	if err := rg.startRouter(nil, longHops); err != nil {
+		return err
 	}
-	ctx := context.Background()
-	cl := client.New(front.URL)
-	for _, g := range graphs {
-		if _, err := cl.UploadText(ctx, g.text); err != nil {
-			return fmt.Errorf("upload %s: %w", g.name, err)
-		}
+	urls := rg.urls()
+	if err := uploadGraphs(client.New(rg.front.URL), graphs); err != nil {
+		return err
 	}
 
 	// The victim is graph 0's primary, so the kill hits a write path,
 	// not just a read replica.
 	victimURL := cluster.Placement(graphs[0].fp, urls, 2)[0]
 	var victim *expNode
-	for _, b := range backends {
-		if b.url() == victimURL {
-			victim = b
+	for _, n := range rg.nodes {
+		if n.url() == victimURL {
+			victim = n
 		}
 	}
 
-	// Mixed traffic: one serial edit walker per graph (stamps stay
-	// ordered per client) plus read workers, all through the router
-	// with the client's default retry policy — the contract under test
-	// is "zero failed requests across the kill/restart cycle".
-	var (
-		wg       sync.WaitGroup
-		stop     atomic.Bool
-		requests atomic.Int64
-		failures atomic.Int64
-		firstErr atomic.Value
-	)
-	note := func(err error) {
-		requests.Add(1)
-		if err != nil {
-			failures.Add(1)
-			firstErr.CompareAndSwap(nil, err)
-		}
-	}
-	for gi := range graphs {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			ecl := client.New(front.URL)
-			ref := client.ByFingerprint(graphs[gi].fp)
-			for e := 0; !stop.Load(); e++ {
-				_, err := ecl.Edit(ctx, ref, []client.DelayEdit{{Arc: (gi + e) % graphs[gi].arcs, Delay: 1.0 + float64(e%9)}})
-				note(err)
-				time.Sleep(10 * time.Millisecond)
-			}
-		}(gi)
-	}
-	for wkr := 0; wkr < 4; wkr++ {
-		wg.Add(1)
-		go func(wkr int) {
-			defer wg.Done()
-			rcl := client.New(front.URL)
-			for i := 0; !stop.Load(); i++ {
-				g := graphs[(wkr+i)%len(graphs)]
-				_, err := rcl.Analyze(ctx, client.ByFingerprint(g.fp))
-				note(err)
-				time.Sleep(5 * time.Millisecond)
-			}
-		}(wkr)
-	}
-
+	// Mixed traffic through the router with the client's default retry
+	// policy — the contract under test is "zero failed requests across
+	// the kill/restart cycle".
+	stopAll := mixedLoad(rg.front.URL, graphs, 4, 10*time.Millisecond)
 	time.Sleep(trafficFor / 4)
 	victim.kill() // mid-flight, no drain
 	killAt := time.Now()
 	time.Sleep(trafficFor / 2)
 	if err := victim.boot(); err != nil {
-		stop.Store(true)
-		wg.Wait()
+		stopAll()
 		return fmt.Errorf("restarting victim: %w", err)
 	}
 	// Wait for re-admission before ending traffic, so the window covers
 	// the node's return too.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		healthy := false
-		for _, ns := range routerNodeHealth(router) {
-			if ns.URL == victimURL && ns.Healthy {
-				healthy = true
-			}
-		}
-		if healthy {
-			break
-		}
-		if time.Now().After(deadline) {
-			stop.Store(true)
-			wg.Wait()
-			return fmt.Errorf("victim never re-admitted after restart")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := awaitHealthy(rg.router, victimURL, 10*time.Second); err != nil {
+		stopAll()
+		return fmt.Errorf("victim never re-admitted after restart: %w", err)
 	}
 	time.Sleep(trafficFor / 4)
-	stop.Store(true)
-	wg.Wait()
-
-	if failures.Load() > 0 {
-		return fmt.Errorf("%d of %d requests failed across the kill/restart cycle (first: %v)",
-			failures.Load(), requests.Load(), firstErr.Load())
+	res := stopAll()
+	if err := res.check("across the kill/restart cycle"); err != nil {
+		return err
 	}
 	// The restarted node must converge back to the current baseline:
-	// every graph placed on it answers bit-identically to a surviving
-	// replica. The router's warm pass runs in the background; poll.
-	vcl := directClient(victimURL)
-	verified := 0
-	for _, g := range graphs {
-		placed := cluster.Placement(g.fp, urls, 2)
-		onVictim := false
-		var other string
-		for _, u := range placed {
-			if u == victimURL {
-				onVictim = true
-			} else {
-				other = u
-			}
-		}
-		if !onVictim {
-			continue
-		}
-		want, err := directClient(other).Analyze(ctx, client.ByFingerprint(g.fp))
-		if err != nil {
-			return fmt.Errorf("surviving replica %s of %s: %w", other, g.name, err)
-		}
-		convergeBy := time.Now().Add(10 * time.Second)
-		for {
-			got, err := vcl.Analyze(ctx, client.ByFingerprint(g.fp))
-			if err == nil && got.Lambda.Text == want.Lambda.Text && got.Lambda.Num == want.Lambda.Num && got.Lambda.Den == want.Lambda.Den {
-				verified++
-				break
-			}
-			if time.Now().After(convergeBy) {
-				return fmt.Errorf("restarted node never converged on %s (err=%v)", g.name, err)
-			}
-			// Nudge the lazy path: a routed read syncs laggards.
-			_, _ = cl.Analyze(ctx, client.ByFingerprint(g.fp))
-			time.Sleep(20 * time.Millisecond)
-		}
+	// every replica, the victim included, answers bit-identically to
+	// the routed answer. The router's warm pass runs in the background.
+	if err := convergedReplicas(rg.router, rg.front.URL, graphs, 10*time.Second); err != nil {
+		return fmt.Errorf("restarted node: %w", err)
 	}
 	fmt.Fprintf(w, "CLUSTER phase 3: kill -9 %s %.1fs into traffic, restart on same dir/port\n", victimURL, time.Since(killAt).Seconds())
-	fmt.Fprintf(w, "  %d requests through the router, 0 failed; restarted node re-admitted and bit-identical on %d placed graphs: PASS\n",
-		requests.Load(), verified)
+	fmt.Fprintf(w, "  %d requests through the router, 0 failed; restarted node re-admitted, every replica of the %d graphs bit-identical: PASS\n",
+		res.ops, len(graphs))
 	return nil
-}
-
-// routerNodeHealth reads the router's node table via its public debug
-// surface (keeps the experiment on supported API).
-func routerNodeHealth(r *cluster.Router) []cluster.ClusterNodeStatus {
-	rec := httptest.NewRecorder()
-	req, _ := http.NewRequest(http.MethodGet, "/debug/cluster", nil)
-	r.ServeHTTP(rec, req)
-	var st cluster.ClusterStatus
-	_ = json.NewDecoder(rec.Body).Decode(&st)
-	return st.Nodes
 }

@@ -1,5 +1,5 @@
 // Package exp implements the reproduction of every table and figure of
-// the paper's evaluation (see DESIGN.md §3 for the index). Each
+// the paper's evaluation (EXPERIMENTS.md is the index). Each
 // experiment prints the paper's expected numbers next to the measured
 // ones and returns an error when a hard expectation fails, so the
 // harness doubles as an acceptance test. cmd/tsgbench runs experiments

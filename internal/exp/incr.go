@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
 	"time"
 
 	"tsg/internal/cycletime"
@@ -169,12 +168,5 @@ func runIncrWalk(wl incrWorkload) (medIncr, medFull time.Duration, err error) {
 	if st.IncrementalAnalyses == 0 {
 		return 0, 0, fmt.Errorf("the incremental engine never used the patch path (stats %+v)", st)
 	}
-	return median(dIncr), median(dFull), nil
-}
-
-// median returns the median of the samples (upper middle for even n).
-func median(ds []time.Duration) time.Duration {
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
+	return quantile(dIncr, 50), quantile(dFull, 50), nil
 }

@@ -7,13 +7,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"sort"
 	"strings"
-	"sync/atomic"
-	"time"
 
 	"tsg/client"
 	"tsg/internal/cycletime"
@@ -79,18 +76,18 @@ func runOBS(w io.Writer) error {
 	// server per drive perturbs heap and GC state differently every
 	// time, and that boot noise dwarfed the <3% effect being gated.
 	// With two warm rigs, paired bursts differ only in instrumentation.
-	onRig, err := newOBSRig(text, wantLam, stack, false, clients)
+	onRig, err := newServeRig(serve.Config{}, stack, text, wantLam, true, clients)
 	if err != nil {
 		return fmt.Errorf("exp: OBS instrumented rig: %w", err)
 	}
 	defer onRig.close()
-	offRig, err := newOBSRig(text, wantLam, stack, true, clients)
+	offRig, err := newServeRig(serve.Config{DisableObs: true}, stack, text, wantLam, true, clients)
 	if err != nil {
 		return fmt.Errorf("exp: OBS stripped rig: %w", err)
 	}
 	defer offRig.close()
-	for _, r := range []*obsRig{onRig, offRig} { // untimed warm-up
-		if _, err := r.burst(max(iters/4, 1)); err != nil {
+	for _, r := range []*serveRig{onRig, offRig} { // untimed warm-up
+		if _, err := obsBurst(r, max(iters/4, 1)); err != nil {
 			return fmt.Errorf("exp: OBS warm-up: %w", err)
 		}
 	}
@@ -105,8 +102,8 @@ func runOBS(w io.Writer) error {
 	var bestOn, bestOff float64
 	for b := 0; b < blocks; b++ {
 		var got [4]float64
-		for d, rig := range [4]*obsRig{onRig, offRig, offRig, onRig} {
-			v, err := rig.burst(iters)
+		for d, r := range [4]*serveRig{onRig, offRig, offRig, onRig} {
+			v, err := obsBurst(r, iters)
 			if err != nil {
 				return fmt.Errorf("exp: OBS burst %d.%d: %w", b, d, err)
 			}
@@ -254,114 +251,19 @@ func obsFidelity(w io.Writer, g *sg.Graph, text string) error {
 	return nil
 }
 
-// obsRig is one warm server — instrumented or stripped — plus its
-// primed graph and client fleet, kept alive across every timed burst so
-// paired measurements differ only in instrumentation, never in server
-// age, heap history or connection state.
-type obsRig struct {
-	srv     *httptest.Server
-	ref     client.GraphRef
-	cls     []*client.Client
-	g       *sg.Graph
-	order   []int
-	ws      int
-	wantLam string
-	seq     int // what-if batch cursor; advances across bursts
-}
-
-// newOBSRig boots the server, uploads and fully primes the benchmark
-// graph (analyze + the full what-if working set), and pre-builds one
-// client per driver goroutine.
-func newOBSRig(text, wantLam string, g *sg.Graph, disable bool, clients int) (*obsRig, error) {
-	s := serve.New(serve.Config{DisableObs: disable})
-	srv := httptest.NewServer(s)
-	ctx := context.Background()
-
-	r := &obsRig{
-		srv:     srv,
-		g:       g,
-		order:   sg.CanonicalArcOrder(g),
-		ws:      workingSet(g),
-		wantLam: wantLam,
-	}
-	cl := client.New(srv.URL, client.WithHTTPClient(srv.Client()))
-	up, err := cl.UploadText(ctx, text)
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	r.ref = client.ByFingerprint(up.Fingerprint)
-	if _, err := cl.Analyze(ctx, r.ref); err != nil {
-		srv.Close()
-		return nil, err
-	}
-	prime := make([]client.WhatIfQuery, r.ws)
-	for k := range prime {
-		prime[k] = client.WhatIfQuery{Arc: k, Delay: g.Arc(r.order[k]).Delay * 1.5}
-	}
-	if _, err := cl.WhatIf(ctx, r.ref, prime); err != nil {
-		srv.Close()
-		return nil, err
-	}
-	// The driver fleet gets a transport with an idle-connection slot per
-	// client: the default MaxIdleConnsPerHost (2) would force half the
-	// requests of a 4-way drive through a fresh TCP dial + close, and
-	// that syscall churn is both slow and far noisier than the
-	// instrumentation effect under test.
-	hc := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        2 * clients,
-		MaxIdleConnsPerHost: 2 * clients,
-	}}
-	r.cls = make([]*client.Client, clients)
-	for c := range r.cls {
-		r.cls[c] = client.New(srv.URL, client.WithHTTPClient(hc))
-	}
-	return r, nil
-}
-
-func (r *obsRig) close() { r.srv.Close() }
-
-// burst runs iters analyze + what-if loops on every client concurrently
+// obsBurst drives iters analyze + what-if rounds on every client of r
 // and reports throughput as requests per CPU second. CPU time, not wall
 // time: instrumentation cost is CPU work, and CPU seconds are immune to
 // the steal/descheduling noise of shared runners (falls back to wall
 // time where rusage is unavailable).
-func (r *obsRig) burst(iters int) (float64, error) {
+func obsBurst(r *serveRig, iters int) (float64, error) {
 	// Normalise heap state before timing so GC debt accrued by earlier
 	// bursts is not charged to this one.
 	runtime.GC()
-	ctx := context.Background()
-	var reqs atomic.Int64
-	errs := make(chan error, len(r.cls))
-	base := r.seq
-	r.seq += iters * len(r.cls)
 	cpu0 := cpuSeconds()
-	start := time.Now()
-	for c, cc := range r.cls {
-		go func(c int, cc *client.Client) {
-			for i := 0; i < iters; i++ {
-				res, err := cc.Analyze(ctx, r.ref)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if res.Lambda.Text != r.wantLam {
-					errs <- fmt.Errorf("served λ %s, want %s", res.Lambda.Text, r.wantLam)
-					return
-				}
-				if _, err := cc.WhatIf(ctx, r.ref, whatIfBatch(r.g, r.order, r.ws, base+c*iters+i)); err != nil {
-					errs <- err
-					return
-				}
-				reqs.Add(2)
-			}
-			errs <- nil
-		}(c, cc)
-	}
-	for range r.cls {
-		if cerr := <-errs; cerr != nil {
-			return 0, cerr
-		}
+	res := r.drive(iters)
+	if err := res.check("in the burst"); err != nil {
+		return 0, err
 	}
 	// Collect inside the timed window: each burst ends at a clean heap
 	// and is charged the GC cost of exactly the garbage it produced.
@@ -371,9 +273,9 @@ func (r *obsRig) burst(iters int) (float64, error) {
 	runtime.GC()
 	elapsed := cpuSeconds() - cpu0
 	if elapsed <= 0 {
-		elapsed = time.Since(start).Seconds()
+		elapsed = res.elapsed.Seconds()
 	}
-	return float64(reqs.Load()) / elapsed, nil
+	return float64(2*res.ops) / elapsed, nil
 }
 
 // getJSONBody fetches a debug endpoint off the test server and decodes

@@ -52,7 +52,7 @@ func runPERF8B(w io.Writer) error {
 	per := time.Since(start) / runs
 	tab := textio.New("§VIII.B: stack analysis", "metric", "this implementation", "paper (DEC 5000, 1994)")
 	tab.AddRow("events", g.NumEvents(), 66)
-	tab.AddRow("arcs", g.NumArcs(), "112 (model differs; see DESIGN.md)")
+	tab.AddRow("arcs", g.NumArcs(), "112 (synthetic model; see gen.Stack)")
 	tab.AddRow("border events", len(g.BorderEvents()), "n/a")
 	tab.AddRow("cycle time", res.CycleTime.Float(), "n/a (constant response)")
 	tab.AddRow("analysis time", per.String(), "74 ms")

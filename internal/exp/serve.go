@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"time"
 
 	"tsg/client"
@@ -75,21 +75,23 @@ func runSERVE(w io.Writer) error {
 		}
 		wantLam := res.CycleTime.Normalize().String()
 
-		coldRPS, reqs, coldElapsed, err := driveServe(text, wantLam, wl, false)
+		cold, err := driveServe(text, wantLam, wl, false)
 		if err != nil {
 			return fmt.Errorf("exp: %s cold: %w", wl.name, err)
 		}
-		warmRPS, _, warmElapsed, err := driveServe(text, wantLam, wl, true)
+		warm, err := driveServe(text, wantLam, wl, true)
 		if err != nil {
 			return fmt.Errorf("exp: %s warm: %w", wl.name, err)
 		}
+		reqs := 2 * cold.ops // an analyze and a what-if per op
+		coldRPS, warmRPS := float64(reqs)/cold.elapsed.Seconds(), float64(2*warm.ops)/warm.elapsed.Seconds()
 		ratio := warmRPS / coldRPS
 		if wl.name == "random-2000" {
 			ratioRandom2000 = ratio
 		}
 		nmb := fmt.Sprintf("%d/%d/%d", wl.g.NumEvents(), wl.g.NumArcs(), len(wl.g.BorderEvents()))
-		tab.AddRow(wl.name, nmb, "cold (rebuild/request)", reqs, coldElapsed.Round(time.Millisecond), fmt.Sprintf("%.0f", coldRPS))
-		tab.AddRow(wl.name, nmb, "warm (engine cache)", reqs, warmElapsed.Round(time.Millisecond), fmt.Sprintf("%.0f", warmRPS))
+		tab.AddRow(wl.name, nmb, "cold (rebuild/request)", reqs, cold.elapsed.Round(time.Millisecond), fmt.Sprintf("%.0f", coldRPS))
+		tab.AddRow(wl.name, nmb, "warm (engine cache)", reqs, warm.elapsed.Round(time.Millisecond), fmt.Sprintf("%.0f", warmRPS))
 		tab.AddRow(wl.name, nmb, "warm/cold", "", "", fmt.Sprintf("%.1fx", ratio))
 	}
 	if err := tab.Render(w); err != nil {
@@ -106,18 +108,13 @@ func runSERVE(w io.Writer) error {
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	const firstClients = 8
-	errs := make(chan error, firstClients)
-	for c := 0; c < firstClients; c++ {
-		go func() {
-			cl := client.New(srv.URL, client.WithHTTPClient(srv.Client()))
+	first := load{url: srv.URL, opts: []client.Option{client.WithHTTPClient(srv.Client())}, workers: firstClients, per: 1,
+		op: func(cl *client.Client, _, _ int) error {
 			_, err := cl.Analyze(context.Background(), client.GraphRef{Graph: buf.String()})
-			errs <- err
-		}()
-	}
-	for c := 0; c < firstClients; c++ {
-		if err := <-errs; err != nil {
-			return fmt.Errorf("exp: singleflight client: %w", err)
-		}
+			return err
+		}}.run()
+	if err := first.check("among the singleflight clients"); err != nil {
+		return fmt.Errorf("exp: %w", err)
 	}
 	st := s.Cache().Stats()
 	fmt.Fprintf(w, "singleflight: %d concurrent first requests -> %d compile(s), %d joined the in-flight compile\n",
@@ -137,86 +134,112 @@ func runSERVE(w io.Writer) error {
 	return nil
 }
 
-// driveServe boots a server (cold: engine cache disabled; warm: the
-// graph uploaded once, referenced by fingerprint) and runs the
-// workload's concurrent clients, each issuing one analyze plus one
-// 8-query batched what-if per iteration. Returns requests/second.
-func driveServe(text, wantLam string, wl serveWorkload, warm bool) (rps float64, requests int64, elapsed time.Duration, err error) {
+// driveServe runs the workload's clients against a fresh server: cold
+// has the engine cache disabled, warm has the graph uploaded and primed.
+func driveServe(text, wantLam string, wl serveWorkload, warm bool) (loadResult, error) {
 	cfg := serve.Config{}
 	if !warm {
 		cfg.CacheBytes = -1 // pass-through: every request rebuilds
 	}
-	s := serve.New(cfg)
-	srv := httptest.NewServer(s)
-	defer srv.Close()
+	r, err := newServeRig(cfg, wl.g, text, wantLam, warm, wl.clients)
+	if err != nil {
+		return loadResult{}, err
+	}
+	defer r.close()
+	res := r.drive(wl.iters)
+	return res, res.check("in the drive")
+}
+
+// serveRig is one server plus the graph its analyze + what-if traffic
+// targets, kept alive across drives so repeated drives differ only in
+// what the caller changes, never in server age, heap history or
+// connection state. A warm rig references the graph by fingerprint; a
+// cold one sends its text with every request.
+type serveRig struct {
+	srv     *httptest.Server
+	hc      *http.Client
+	clients int
+	ref     client.GraphRef
+	g       *sg.Graph
+	order   []int
+	ws      int
+	wantLam string
+	seq     int // what-if batch cursor; advances across drives
+}
+
+// newServeRig boots the server and, when warm, uploads and fully
+// primes the graph: the first analyze and one sweep over the whole
+// what-if working set build the cached result, certificate and what-if
+// rows before any drive starts.
+func newServeRig(cfg serve.Config, g *sg.Graph, text, wantLam string, warm bool, clients int) (*serveRig, error) {
+	srv := httptest.NewServer(serve.New(cfg))
+	r := &serveRig{
+		srv: srv,
+		// One idle-connection slot per client: the default
+		// MaxIdleConnsPerHost (2) would force part of a multi-client
+		// drive through a fresh TCP dial + close, and that syscall
+		// churn is both slow and noisier than the effects under test.
+		hc: &http.Client{Transport: &http.Transport{
+			MaxIdleConns:        2 * clients,
+			MaxIdleConnsPerHost: 2 * clients,
+		}},
+		clients: clients,
+		ref:     client.GraphRef{Graph: text},
+		g:       g,
+		order:   sg.CanonicalArcOrder(g), // computed once, outside every timed drive
+		ws:      workingSet(g),
+		wantLam: wantLam,
+	}
+	if !warm {
+		return r, nil
+	}
 	ctx := context.Background()
-
-	// The canonical arc order is computed once, outside the timed
-	// region — the load loop only reads it.
-	ws := workingSet(wl.g)
-	order := sg.CanonicalArcOrder(wl.g)
-
-	ref := client.GraphRef{Graph: text}
-	if warm {
-		cl := client.New(srv.URL, client.WithHTTPClient(srv.Client()))
-		up, uerr := cl.UploadText(ctx, text)
-		if uerr != nil {
-			return 0, 0, 0, uerr
-		}
-		ref = client.ByFingerprint(up.Fingerprint)
-		// Steady state: the first analyze and one sweep over the whole
-		// arc working set build the cached result, certificate and
-		// what-if rows before the clock starts.
-		if _, err := cl.Analyze(ctx, ref); err != nil {
-			return 0, 0, 0, err
-		}
-		prime := make([]client.WhatIfQuery, ws)
+	cl := client.New(srv.URL, client.WithHTTPClient(srv.Client()))
+	up, err := cl.UploadText(ctx, text)
+	if err == nil {
+		r.ref = client.ByFingerprint(up.Fingerprint)
+		_, err = cl.Analyze(ctx, r.ref)
+	}
+	if err == nil {
+		prime := make([]client.WhatIfQuery, r.ws)
 		for k := range prime {
-			prime[k] = client.WhatIfQuery{Arc: k, Delay: wl.g.Arc(order[k]).Delay * 1.5}
+			prime[k] = client.WhatIfQuery{Arc: k, Delay: g.Arc(r.order[k]).Delay * 1.5}
 		}
-		if _, err := cl.WhatIf(ctx, ref, prime); err != nil {
-			return 0, 0, 0, err
-		}
+		_, err = cl.WhatIf(ctx, r.ref, prime)
 	}
+	if err != nil {
+		srv.Close()
+		return nil, err
+	}
+	return r, nil
+}
 
-	var reqs atomic.Int64
-	errs := make(chan error, wl.clients)
-	start := time.Now()
-	for c := 0; c < wl.clients; c++ {
-		go func(c int) {
-			cl := client.New(srv.URL, client.WithHTTPClient(srv.Client()))
-			for i := 0; i < wl.iters; i++ {
-				res, err := cl.Analyze(ctx, ref)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if res.Lambda.Text != wantLam {
-					errs <- fmt.Errorf("served λ %s, want %s", res.Lambda.Text, wantLam)
-					return
-				}
-				wi, err := cl.WhatIf(ctx, ref, whatIfBatch(wl.g, order, ws, c*wl.iters+i))
-				if err != nil {
-					errs <- err
-					return
-				}
-				if len(wi.Lambdas) != 8 {
-					errs <- fmt.Errorf("%d what-if answers, want 8", len(wi.Lambdas))
-					return
-				}
-				reqs.Add(2)
+func (r *serveRig) close() { r.srv.Close() }
+
+// drive runs iters rounds of one analyze plus one 8-query batched
+// what-if on every client, checking each served λ.
+func (r *serveRig) drive(iters int) loadResult {
+	ctx := context.Background()
+	base := r.seq
+	r.seq += iters * r.clients
+	return load{url: r.srv.URL, opts: []client.Option{client.WithHTTPClient(r.hc)}, workers: r.clients, per: iters,
+		op: func(cl *client.Client, c, i int) error {
+			res, err := cl.Analyze(ctx, r.ref)
+			if err != nil {
+				return err
 			}
-			errs <- nil
-		}(c)
-	}
-	for c := 0; c < wl.clients; c++ {
-		if cerr := <-errs; cerr != nil {
-			return 0, 0, 0, cerr
-		}
-	}
-	elapsed = time.Since(start)
-	requests = reqs.Load()
-	return float64(requests) / elapsed.Seconds(), requests, elapsed, nil
+			if res.Lambda.Text != r.wantLam {
+				return fmt.Errorf("served λ %s, want %s", res.Lambda.Text, r.wantLam)
+			}
+			wi, err := cl.WhatIf(ctx, r.ref, whatIfBatch(r.g, r.order, r.ws, base+c*iters+i))
+			if err != nil {
+				return err
+			}
+			if len(wi.Lambdas) != 8 {
+				return fmt.Errorf("%d what-if answers, want 8", len(wi.Lambdas))
+			}
+			return nil
+		}}.run()
 }
 
 // workingSet is the number of arcs the what-if traffic rotates over:

@@ -3,10 +3,13 @@
 // paper by the TRASPEC tool of the FORCAGE CAD system [9]. TRASPEC is not
 // publicly available; this package substitutes a trace-based extractor
 // (this file and fold.go) plus an exhaustive semi-modularity verifier for
-// small circuits (verify.go). See DESIGN.md for the substitution
-// argument; the tests validate the extractor by reproducing the paper's
-// oscillator and Muller-ring graphs exactly and by cross-checking the
-// extracted graph's timing simulation against timed circuit simulation.
+// small circuits (verify.go). The substitution holds for the
+// distributive circuits the paper analyses: each transition then has a
+// unique AND-cause that does not depend on the interleaving, so one
+// canonical trace yields the graph every execution would. The tests
+// validate the extractor by reproducing the paper's oscillator and
+// Muller-ring graphs exactly and by cross-checking the extracted
+// graph's timing simulation against timed circuit simulation.
 package extract
 
 import (

@@ -562,7 +562,7 @@ func parseRule(action string, kvs []string) (*Rule, error) {
 			r.Count, err = strconv.Atoi(v)
 		case "prob":
 			r.Prob, err = strconv.ParseFloat(v, 64)
-			if err == nil && (r.Prob < 0 || r.Prob > 1) {
+			if err == nil && !(r.Prob >= 0 && r.Prob <= 1) { // NaN too
 				err = fmt.Errorf("prob %v out of [0,1]", r.Prob)
 			}
 		case "latency":

@@ -372,6 +372,7 @@ func TestParsePlanErrors(t *testing.T) {
 		"fault reset frequency=always",           // unknown key
 		"fault error status=200",                 // status outside 4xx/5xx
 		"fault reset prob=1.5",                   // prob out of range
+		"fault reset prob=NaN",                   // NaN passes both range comparisons
 		"fault latency latency=1ms..2ms",         // ramp without count
 		"fault reset phase=storm",                // undeclared phase
 		"seed forty-two",                         // non-integer seed
@@ -384,6 +385,37 @@ func TestParsePlanErrors(t *testing.T) {
 			t.Errorf("ParsePlan(%q) accepted invalid plan", bad)
 		}
 	}
+}
+
+// FuzzPlanRoundTrip checks that String is a normal form of the DSL:
+// any text ParsePlan accepts renders to a plan that parses again,
+// renders to the same text the second time, and flips the same coin
+// for every rule on the first 64 match ordinals.
+func FuzzPlanRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		p, err := ParsePlan(text)
+		if err != nil {
+			return
+		}
+		out := p.String()
+		p2, err := ParsePlan(out)
+		if err != nil {
+			t.Fatalf("String() did not re-parse: %v\n%s", err, out)
+		}
+		if out2 := p2.String(); out2 != out {
+			t.Fatalf("round-trip not stable:\n%s\nvs\n%s", out, out2)
+		}
+		if len(p2.rules) != len(p.rules) {
+			t.Fatalf("round trip has %d rules, want %d", len(p2.rules), len(p.rules))
+		}
+		for i, r := range p.rules {
+			for ord := 0; ord < 64; ord++ {
+				if a, b := p.decide(i, ord, r.Prob), p2.decide(i, ord, p2.rules[i].Prob); a != b {
+					t.Fatalf("rule %d ordinal %d: decide %v before the round trip, %v after\n%s", i, ord, a, b, out)
+				}
+			}
+		}
+	})
 }
 
 func TestNilPlanPassthrough(t *testing.T) {

@@ -23,7 +23,8 @@ type StackOptions struct {
 // constant response time (the structure analysed in §VIII.B; the original
 // gate-level design from Kishinevsky et al. [9] is not publicly
 // available, so this is a synthetic control graph with the same defining
-// property — see DESIGN.md).
+// property, a constant response time: the cycle time does not grow
+// with the number of cells).
 //
 // The top interface runs a four-phase handshake r+ → a+ → r- → a-; each
 // push ripples a shift down the cells concurrently with the
