@@ -312,27 +312,19 @@ func BenchmarkAblationCutSet(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationParallel compares serial and parallel simulation
-// scheduling on the b ≈ n worst case (gains require multiple CPUs).
+// BenchmarkAblationParallel times the b ≈ n worst case. The engine
+// sizes its worker pool from GOMAXPROCS, so compare serial and pooled
+// scheduling with -cpu 1,4 (gains require multiple CPUs).
 func BenchmarkAblationParallel(b *testing.B) {
 	g, err := gen.Stack(31)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cycletime.AnalyzeOpts(g, cycletime.Options{Serial: true}); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if _, err := cycletime.Analyze(g); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cycletime.AnalyzeOpts(g, cycletime.Options{Parallel: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // --- PR 2: engine sessions (compile once, answer many) -------------------

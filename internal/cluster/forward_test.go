@@ -336,7 +336,8 @@ func (m mcBudget) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // FuzzRouterRead throws arbitrary bodies at the four read endpoints of
 // a router over two real backends. Every answer must be a 2xx or a
 // 4xx: the router may pass on a backend's 5xx, but adds none of its
-// own, and nothing panics.
+// own, and nothing panics. No node's breaker may trip unless a backend
+// answered 5xx: a 4xx is the client's fault, not the node's.
 func FuzzRouterRead(f *testing.F) {
 	// The committed seed corpus (testdata/fuzz/FuzzRouterRead) reads
 	// this graph by its fingerprint.
@@ -370,12 +371,16 @@ func FuzzRouterRead(f *testing.F) {
 		path := readPaths[int(ep)%len(readPaths)]
 		rec := httptest.NewRecorder()
 		r.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		if rec.Code/100 == 2 || rec.Code/100 == 4 {
-			return
-		}
 		if backs[0].fails.Load()+backs[1].fails.Load() > 0 {
-			return // a backend failed first; relaying that is allowed
+			return // a backend failed first; relaying that, or tripping on it, is allowed
 		}
-		t.Fatalf("%s %q: router answered HTTP %d: %s", path, body, rec.Code, rec.Body.Bytes())
+		if rec.Code/100 != 2 && rec.Code/100 != 4 {
+			t.Fatalf("%s %q: router answered HTTP %d: %s", path, body, rec.Code, rec.Body.Bytes())
+		}
+		for _, u := range urls {
+			if trips := r.nodeByURL(u).trips.Load(); trips > 0 {
+				t.Fatalf("%s %q: node %s tripped %d times, but no backend answered 5xx", path, body, u, trips)
+			}
+		}
 	})
 }

@@ -64,8 +64,8 @@ type graphState struct {
 	// proceed under mu.
 	syncGates map[int]*sync.Mutex
 
-	// dropped marks an instance evicted from r.graphs (a pristine
-	// fingerprint-only reference the backends rejected). Writers that
+	// dropped marks an instance evicted from r.graphs (state no backend
+	// confirmed, after the backends rejected a request for it). Writers that
 	// held a stale pointer must re-resolve instead of journaling into
 	// an orphan.
 	dropped bool
@@ -112,7 +112,7 @@ func (r *Router) lookupGraph(fp string) *graphState {
 }
 
 // lockGraph returns the fingerprint's state with gs.mu held,
-// re-resolving when a concurrent dropIfPristine evicted the instance
+// re-resolving when a concurrent dropUnconfirmed evicted the instance
 // between lookup and lock (journaling into a dropped orphan would
 // silently lose the record for future replication).
 func (r *Router) lockGraph(fp string) *graphState {
@@ -126,18 +126,21 @@ func (r *Router) lockGraph(fp string) *graphState {
 	}
 }
 
-// dropIfPristine evicts the graph's state if it never accumulated text
-// or journal — the trail of a fingerprint-only write the backends
-// rejected. Lock order is r.mu then gs.mu (the only place both are
-// held); callers must hold neither.
-func (r *Router) dropIfPristine(fp string, gs *graphState) {
+// dropUnconfirmed evicts the graph's state if no backend ever confirmed
+// it: no journaled write and no sync mark. That is the trail of a
+// request the backends rejected — a fingerprint-only write, or inline
+// text that parses but does not compile — and keeping it would let
+// distinct rejected texts grow r.graphs without bound. Lock order is
+// r.mu then gs.mu (the only place both are held); callers must hold
+// neither.
+func (r *Router) dropUnconfirmed(fp string, gs *graphState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.graphs[fp] != gs {
 		return
 	}
 	gs.mu.Lock()
-	if gs.text == "" && gs.version == 0 {
+	if gs.version == 0 && len(gs.marks) == 0 {
 		gs.dropped = true
 		delete(r.graphs, fp)
 	}

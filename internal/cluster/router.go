@@ -698,6 +698,9 @@ func (r *Router) attemptRead(ctx context.Context, gs *graphState, n *node, failo
 		syncErr := r.sync(syncCtx, n, gs)
 		cancel()
 		if syncErr != nil {
+			if clientError(syncErr) {
+				return nil, syncErr, true // the backend refuses the graph itself
+			}
 			if ctx.Err() == nil {
 				r.noteFailure(n)
 			}
@@ -975,18 +978,25 @@ func (r *Router) handleUpload(ctx context.Context, w http.ResponseWriter, req *h
 	okCount := 0
 	var lastErr error
 	for _, n := range replicas {
-		if err := r.sync(ctx, n, gs); err != nil {
-			lastErr = err
-			r.noteFailure(n)
+		err := r.sync(ctx, n, gs)
+		if err == nil {
+			r.noteSuccess(n)
+			okCount++
 			continue
 		}
-		r.noteSuccess(n)
-		okCount++
+		lastErr = err
+		if clientError(err) {
+			break // every replica would refuse the same text
+		}
+		r.noteFailure(n)
 	}
 	sp.End()
 	if okCount == 0 {
 		if lastErr == nil {
 			lastErr = errNoReplicas
+		}
+		if clientError(lastErr) {
+			r.dropUnconfirmed(fp, gs)
 		}
 		r.writeBackendErrorUnavailable(w, lastErr)
 		return
@@ -999,12 +1009,19 @@ func (r *Router) handleUpload(ctx context.Context, w http.ResponseWriter, req *h
 // cluster-level "all replicas down, try again shortly" answer) rather
 // than 502.
 func (r *Router) writeBackendErrorUnavailable(w http.ResponseWriter, err error) {
-	var api *client.APIError
-	if errors.As(err, &api) && api.Status/100 == 4 {
+	if clientError(err) {
 		r.writeBackendError(w, err)
 		return
 	}
 	r.writeErrorStatus(w, http.StatusServiceUnavailable, "no replica could serve the request: "+err.Error())
+}
+
+// clientError reports a backend's 4xx verdict on the request itself
+// (including a graph the backend refuses to compile): a genuine answer
+// for the client, never a fault of the node that gave it.
+func clientError(err error) bool {
+	var api *client.APIError
+	return errors.As(err, &api) && api.Status/100 == 4
 }
 
 // handleFingerprint answers the placement primitive locally: the
@@ -1056,6 +1073,9 @@ func (r *Router) handleRead(ctx context.Context, w http.ResponseWriter, req *htt
 	}
 	res, err := r.forwardRead(ctx, gs, replicas, readReq{path: req.URL.Path, body: body})
 	if err != nil {
+		if gs != nil && clientError(err) {
+			r.dropUnconfirmed(fp, gs)
+		}
 		r.writeBackendErrorUnavailable(w, err)
 		return
 	}
@@ -1148,28 +1168,26 @@ func (r *Router) handleEdit(ctx context.Context, w http.ResponseWriter, req *htt
 		// epoch is void by construction, rather than wrongly certifying a
 		// possibly state-lost node under its post-trip epoch.
 		ep := n.epoch.Load()
+		var err error
 		if gs.text != "" {
-			if err := r.syncLocked(ctx, n, gs); err != nil {
-				commitErr = err
-				r.noteFailure(n)
-				continue
-			}
+			err = r.syncLocked(ctx, n, gs)
 		}
-		err := r.hop(ctx, n, attempt > 0, func(ctx context.Context) (err error) {
-			resp, err = n.cl.EditStamped(ctx, body)
-			return err
-		})
+		if err == nil {
+			err = r.hop(ctx, n, attempt > 0, func(ctx context.Context) (err error) {
+				resp, err = n.cl.EditStamped(ctx, body)
+				return err
+			})
+		}
 		if err == nil {
 			committed = n
 			committedEpoch = ep
 			break
 		}
 		commitErr = err
-		var api *client.APIError
-		if errors.As(err, &api) && api.Status/100 == 4 {
+		if clientError(err) {
 			gs.mu.Unlock()
-			r.dropIfPristine(fp, gs)
-			r.writeBackendError(w, err) // genuine answer: the edit is invalid
+			r.dropUnconfirmed(fp, gs)
+			r.writeBackendError(w, err) // genuine answer: the edit or its graph is invalid
 			return
 		}
 		if ctx.Err() == nil {
@@ -1178,7 +1196,7 @@ func (r *Router) handleEdit(ctx context.Context, w http.ResponseWriter, req *htt
 	}
 	if resp == nil {
 		gs.mu.Unlock()
-		r.dropIfPristine(fp, gs)
+		r.dropUnconfirmed(fp, gs)
 		r.writeBackendErrorUnavailable(w, commitErr)
 		return
 	}

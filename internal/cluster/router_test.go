@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -370,6 +371,61 @@ func TestRouterUnknownFingerprintsDontGrowState(t *testing.T) {
 	tc.router.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("router retains %d graph states after bogus-fingerprint traffic, want 0", n)
+	}
+}
+
+// TestRouterRejectedGraphKeepsNodesHealthy: a graph that parses but
+// that the backends refuse to compile (no border events) is the
+// client's error. Through every entry point that uploads text — inline
+// analyze, /v1/graphs and inline edit — the backend's 400 must reach
+// the client, no node's breaker may trip, and the router must keep no
+// state for the rejected texts.
+func TestRouterRejectedGraphKeepsNodesHealthy(t *testing.T) {
+	tc := newTestCluster(t)
+	post := func(path, ctype string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(tc.front.URL+path, ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	rejected := func(k int) string {
+		// Distinct delays give distinct fingerprints.
+		return fmt.Sprintf("tsg x\nevent a nonrepetitive\nevent b nonrepetitive\narc a b %d\n", k)
+	}
+	for i := 0; i < 3; i++ {
+		analyze, _ := json.Marshal(serve.AnalyzeRequest{GraphRef: serve.GraphRef{Graph: rejected(3*i + 1)}})
+		if code := post("/v1/analyze", "application/json", analyze); code != http.StatusBadRequest {
+			t.Fatalf("rejected inline analyze: status %d, want 400", code)
+		}
+		if code := post("/v1/graphs", "text/plain", []byte(rejected(3*i+2))); code != http.StatusBadRequest {
+			t.Fatalf("rejected upload: status %d, want 400", code)
+		}
+		edit, _ := json.Marshal(serve.EditRequest{
+			GraphRef: serve.GraphRef{Graph: rejected(3*i + 3)},
+			Edits:    []serve.DelayEdit{{Arc: 0, Delay: 1}},
+		})
+		if code := post("/v1/edit", "application/json", edit); code != http.StatusBadRequest {
+			t.Fatalf("rejected inline edit: status %d, want 400", code)
+		}
+	}
+	for _, url := range tc.urls {
+		if n := tc.router.nodeByURL(url); n.trips.Load() != 0 || n.state.Load() != breakerClosed {
+			t.Errorf("node %s: %d breaker trips, state %s after client errors only",
+				url, n.trips.Load(), breakerName(n.state.Load()))
+		}
+	}
+	tc.router.mu.Lock()
+	n := len(tc.router.graphs)
+	tc.router.mu.Unlock()
+	if n != 0 {
+		t.Errorf("router retains %d graph states for rejected texts, want 0", n)
+	}
+	valid, _ := json.Marshal(serve.AnalyzeRequest{GraphRef: serve.GraphRef{Graph: pipelineText(t, 3)}})
+	if code := post("/v1/analyze", "application/json", valid); code != http.StatusOK {
+		t.Fatalf("valid analyze after rejected graphs: status %d, want 200", code)
 	}
 }
 

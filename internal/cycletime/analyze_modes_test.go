@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tsg/internal/cycletime"
@@ -78,29 +79,45 @@ func diffResults(t *testing.T, got, want *cycletime.Result) {
 	}
 }
 
-// TestAnalyzeSchedulingDeterminism verifies that forced-serial,
-// forced-parallel and automatic scheduling produce identical results —
-// the simulations are independent and the per-index reductions exact, so
-// any divergence is a bug in the worker pool or the slab reuse.
+// TestAnalyzeSchedulingDeterminism verifies that serial and pooled
+// scheduling produce identical results — the simulations are
+// independent and the per-index reductions exact, so any divergence is
+// a bug in the worker pool or the slab reuse.
 func TestAnalyzeSchedulingDeterminism(t *testing.T) {
-	for name, g := range modeFixtures(t) {
+	fx := modeFixtures(t)
+	stack, err := gen.Stack(16)
+	if err != nil {
+		t.Fatalf("Stack: %v", err)
+	}
+	fx["stack16"] = stack
+	for name, g := range fx {
 		t.Run(name, func(t *testing.T) {
-			serial, err := cycletime.AnalyzeOpts(g, cycletime.Options{Serial: true})
-			if err != nil {
-				t.Fatalf("serial Analyze: %v", err)
-			}
-			parallel, err := cycletime.AnalyzeOpts(g, cycletime.Options{Parallel: true})
-			if err != nil {
-				t.Fatalf("parallel Analyze: %v", err)
-			}
-			diffResults(t, parallel, serial)
-			auto, err := cycletime.AnalyzeOpts(g, cycletime.Options{})
-			if err != nil {
-				t.Fatalf("auto Analyze: %v", err)
-			}
-			diffResults(t, auto, serial)
+			serial := analyzeWithProcs(t, g, 1)
+			diffResults(t, analyzeWithProcs(t, g, 4), serial)
 		})
 	}
+}
+
+// withProcs runs f under runtime.GOMAXPROCS(procs) and then restores
+// the previous setting: the engine sizes its worker pool from
+// GOMAXPROCS, so procs > 1 runs the pool even on a one-CPU machine and
+// procs = 1 keeps every simulation on one goroutine.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// analyzeWithProcs is Analyze under withProcs.
+func analyzeWithProcs(t *testing.T, g *sg.Graph, procs int) *cycletime.Result {
+	t.Helper()
+	var res *cycletime.Result
+	withProcs(procs, func() {
+		var err error
+		if res, err = cycletime.Analyze(g); err != nil {
+			t.Fatalf("Analyze under GOMAXPROCS(%d): %v", procs, err)
+		}
+	})
+	return res
 }
 
 // TestAnalyzeSchedulingDeterminismRandom repeats the cross-check on
@@ -116,16 +133,9 @@ func TestAnalyzeSchedulingDeterminismRandom(t *testing.T) {
 			t.Fatalf("RandomLive(b=%d): %v", border, err)
 		}
 		t.Run(fmt.Sprintf("b=%d", border), func(t *testing.T) {
-			serial, err := cycletime.AnalyzeOpts(g, cycletime.Options{Serial: true})
-			if err != nil {
-				t.Fatalf("serial Analyze: %v", err)
-			}
+			serial := analyzeWithProcs(t, g, 1)
 			for rep := 0; rep < 3; rep++ {
-				parallel, err := cycletime.AnalyzeOpts(g, cycletime.Options{Parallel: true})
-				if err != nil {
-					t.Fatalf("parallel Analyze: %v", err)
-				}
-				diffResults(t, parallel, serial)
+				diffResults(t, analyzeWithProcs(t, g, 4), serial)
 			}
 		})
 	}

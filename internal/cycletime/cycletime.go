@@ -61,26 +61,6 @@ type Options struct {
 	// experiments; the paper's algorithm always uses the border set,
 	// which is available without any search (§VI.B).
 	CutSet []sg.EventID
-	// Parallel forces the b event-initiated simulations onto a bounded
-	// worker pool (at most GOMAXPROCS workers) even for small b. By
-	// default the pool is engaged automatically once b reaches
-	// AutoParallelThreshold. The simulations are independent and the
-	// per-index results exact rationals, so serial and parallel runs
-	// produce identical Results.
-	Parallel bool
-	// Serial forces the simulations onto a single goroutine, disabling
-	// the automatic pool. Takes precedence over Parallel; used by the
-	// scheduling ablation benchmarks.
-	Serial bool
-	// LambdaOnly stops AnalyzeOpts after pass 1: λ and the border series
-	// are complete, the critical-cycle extraction (pass 2) is skipped.
-	// Pass 1 runs the two-row windowed kernel (timesim.RunFromWindow),
-	// while pass 2 re-simulates each λ winner with a full trace slab,
-	// so on huge graphs a λ-only query runs in O(n) working memory
-	// while a full analysis transiently needs one winner slab per
-	// worker. Result.Critical is empty and the series' OnCritical
-	// flags are left unset (both are pass-2 products).
-	LambdaOnly bool
 	// NoIncremental disables the incremental commit path of an Engine:
 	// the session never retains its simulation traces, and every
 	// analysis after a SetDelay/ResetDelays commit re-simulates from
@@ -91,9 +71,13 @@ type Options struct {
 	NoIncremental bool
 }
 
-// AutoParallelThreshold is the border-set size at which AnalyzeOpts
-// switches to the bounded worker pool on its own. Below it the pool's
-// goroutine overhead outweighs the win on the O(b·m) simulations.
+// AutoParallelThreshold is the number of simulations at which a batch
+// of independent jobs moves onto the bounded worker pool (at most
+// GOMAXPROCS workers): for an analysis, the border-set size b. Below it
+// the pool's goroutine overhead outweighs the win on the O(b·m)
+// simulations. The simulations are independent and the per-index
+// results exact rationals, so serial and pooled runs produce identical
+// Results.
 const AutoParallelThreshold = 8
 
 // BorderSeries records the distances collected from one cut-set event.
@@ -185,23 +169,18 @@ func AnalyzeOpts(g *sg.Graph, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !opts.LambdaOnly {
-		if err := e.ensureCriticals(context.Background(), c); err != nil {
-			return nil, err
-		}
+	if err := e.ensureCriticals(context.Background(), c); err != nil {
+		return nil, err
 	}
 	return c.result, nil
 }
 
 // runWorkers invokes fn(worker, 0..n-1), distributing the indices over
-// at most `workers` goroutines pulling from a shared atomic counter;
-// the worker id lets callers hand each goroutine private state (the
-// sweep's per-worker engine clones). With one worker (or one index) it
-// runs inline with no goroutine overhead.
+// `workers` goroutines (sized by Engine.poolSize) pulling from a shared
+// atomic counter; the worker id lets callers hand each goroutine
+// private state (the sweep's per-worker engine clones). With one worker
+// it runs inline with no goroutine overhead.
 func runWorkers(n, workers int, fn func(worker, i int)) {
-	if workers > n {
-		workers = n
-	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(0, i)
@@ -364,7 +343,7 @@ func backtrack(g *sg.Graph, tr *timesim.Trace, origin sg.EventID, k int, lambda 
 // rotation, so that the same cycle discovered from different cut-set
 // events deduplicates. Comparison is allocation-free: each arc sequence
 // is anchored at its lexicographically least rotation (precomputed once
-// per cycle with Booth's algorithm) and compared element-wise.
+// per cycle) and compared element-wise.
 func sameCycle(a *CriticalCycle, aStart int, b *CriticalCycle, bStart int) bool {
 	n := len(a.Arcs)
 	if n != len(b.Arcs) || a.Period != b.Period {
@@ -386,37 +365,14 @@ func sameCycle(a *CriticalCycle, aStart int, b *CriticalCycle, bStart int) bool 
 }
 
 // leastRotation returns the start index of the lexicographically least
-// rotation of s (Booth's algorithm, O(len s), no allocation). Arc
-// indices around a simple cycle are distinct, so the least rotation is
-// unique and anchoring both operands at it makes rotation-equality a
-// plain element-wise scan.
+// rotation of s. Arc indices around a simple cycle are distinct, so that
+// rotation is the one starting at the smallest arc.
 func leastRotation(s []int) int {
-	n := len(s)
-	if n < 2 {
-		return 0
-	}
-	i, j, k := 0, 1, 0
-	for i < n && j < n && k < n {
-		a, b := s[(i+k)%n], s[(j+k)%n]
-		switch {
-		case a == b:
-			k++
-		case a > b:
-			i += k + 1
-			if i <= j {
-				i = j + 1
-			}
-			k = 0
-		default:
-			j += k + 1
-			if j <= i {
-				j = i + 1
-			}
-			k = 0
+	best := 0
+	for i := range s {
+		if s[i] < s[best] {
+			best = i
 		}
 	}
-	if i < j {
-		return i
-	}
-	return j
+	return best
 }

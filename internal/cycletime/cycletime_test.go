@@ -1,6 +1,7 @@
 package cycletime_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -388,5 +389,30 @@ func TestPeriodsDefaultIsSound(t *testing.T) {
 	}
 	if res1.CycleTime.Float() != 2 {
 		t.Errorf("1-period analysis λ = %v; expected the documented wrong answer 2", res1.CycleTime)
+	}
+}
+
+// TestDedupeCycles: rotations of one simple cycle collapse onto the
+// first seen; a different arc order or occurrence period does not.
+func TestDedupeCycles(t *testing.T) {
+	cyc := func(period int, arcs ...int) *cycletime.CriticalCycle {
+		return &cycletime.CriticalCycle{Arcs: arcs, Period: period}
+	}
+	got := cycletime.DedupeCycles([]*cycletime.CriticalCycle{
+		cyc(2, 7, 3, 9, 5),
+		cyc(2, 9, 5, 7, 3), // rotation of the first
+		cyc(2, 3, 9, 5, 7), // rotation anchored at the smallest arc
+		cyc(2, 7, 5, 9, 3), // same arcs, other order
+		cyc(1, 5, 7, 3, 9), // rotation, other period
+		cyc(2, 3, 9),
+	})
+	want := [][]int{{7, 3, 9, 5}, {7, 5, 9, 3}, {5, 7, 3, 9}, {3, 9}}
+	if len(got) != len(want) {
+		t.Fatalf("DedupeCycles kept %d cycles, want %d: %+v", len(got), len(want), got)
+	}
+	for i, w := range want {
+		if fmt.Sprint(got[i].Arcs) != fmt.Sprint(w) {
+			t.Errorf("cycle %d arcs %v, want %v", i, got[i].Arcs, w)
+		}
 	}
 }

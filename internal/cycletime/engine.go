@@ -81,6 +81,9 @@ type Engine struct {
 	cut     []sg.EventID
 	periods int
 	opts    Options
+	// serial marks a worker clone: the pool that owns it already
+	// saturates the CPUs, so its own simulations run on one goroutine.
+	serial bool
 
 	cert     *certificate
 	counters *engineCounters
@@ -192,7 +195,7 @@ type EngineStats struct {
 func NewEngine(g *sg.Graph) (*Engine, error) { return NewEngineOpts(g, Options{}) }
 
 // NewEngineOpts compiles an analysis session with explicit options. The
-// options (cut set, periods, scheduling) are fixed for the session's
+// options (cut set, periods, incremental mode) are fixed for the session's
 // lifetime; delays are editable through SetDelay/ResetDelays.
 func NewEngineOpts(g *sg.Graph, opts Options) (*Engine, error) {
 	return NewEngineOptsCtx(context.Background(), g, opts)
@@ -590,47 +593,16 @@ func (e *Engine) Sensitivity(arc int, newDelay float64) (stat.Ratio, error) {
 
 // SensitivityCtx is Sensitivity with an observability context: the
 // engine.answer span's tier names the answer taken — fast-path (slack
-// certificate, no simulation), cached-row (what-if row arithmetic),
-// lambda-only (one pass-1 re-analysis) or full.
+// certificate, no simulation), cached-row (what-if row arithmetic) or
+// lambda-only (one pass-1 re-analysis). It is a one-candidate sweep.
 func (e *Engine) SensitivityCtx(ctx context.Context, arc int, newDelay float64) (stat.Ratio, error) {
 	sp := obs.LeafN(ctx, spanAnswer)
 	defer sp.End()
-	if lam, done, err := e.whatIfShared(sp, arc, newDelay); done {
-		return lam, err
+	out, err := e.sweep(ctx, sp, []WhatIf{{Arc: arc, Delay: newDelay}})
+	if err != nil {
+		return stat.Ratio{}, err
 	}
-	ctx = obs.ContextWith(ctx, sp) // cold: phases nest under this span
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.whatIf(ctx, arc, newDelay)
-}
-
-// whatIfShared answers one sensitivity query under the shared (reader)
-// lock when no session mutation is needed: validation failures, slack
-// fast-path hits, and delay increases whose what-if row is already
-// built. done=false sends the caller to the exclusive path; the answer
-// is recomputed there from scratch, so the race between dropping the
-// read lock and acquiring the write lock is harmless.
-func (e *Engine) whatIfShared(sp *obs.Span, arc int, newDelay float64) (lam stat.Ratio, done bool, err error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if err := e.validateWhatIf(arc, newDelay); err != nil {
-		return stat.Ratio{}, true, fmt.Errorf("cycletime: %w", err)
-	}
-	c := e.cert
-	if c == nil || c.slackByArc == nil {
-		return stat.Ratio{}, false, nil
-	}
-	if lam, ok := fastAnswer(c, e.overlay.Delay(arc), arc, newDelay); ok {
-		e.counters.fastPathHits.Add(1)
-		sp.SetTierN(tierFastPath)
-		return lam, true, nil
-	}
-	if newDelay > e.overlay.Delay(arc) && e.rows != nil && e.rows[arc] != nil {
-		e.counters.tableHits.Add(1)
-		sp.SetTierN(tierCachedRow)
-		return e.answerFromRow(c.result.CycleTime, arc, newDelay), true, nil
-	}
-	return stat.Ratio{}, false, nil
+	return out[0], nil
 }
 
 // WhatIf is one delay assignment of a sensitivity sweep.
@@ -661,15 +633,24 @@ func (e *Engine) SensitivitySweep(cands []WhatIf) ([]stat.Ratio, error) {
 // warm certificate never block, so cancellation costs nothing on the
 // fast path. A cancelled sweep leaves the session baseline untouched
 // (sweeps never commit state), so the engine is immediately reusable.
+// The engine.sweep span's tier is the deepest any candidate took.
 func (e *Engine) SensitivitySweepCtx(ctx context.Context, cands []WhatIf) ([]stat.Ratio, error) {
 	sp := obs.LeafN(ctx, spanSweep)
 	defer sp.End()
 	sp.AnnotateN(keyCands, uint64(len(cands)))
-	if out, done, err := e.sweepShared(cands); done {
-		sp.SetTierN(tierShared)
-		return out, err
+	return e.sweep(ctx, sp, cands)
+}
+
+// sweep answers cands under the shared lock when the certificate covers
+// them all, else exclusively; sp receives the deepest tier taken.
+func (e *Engine) sweep(ctx context.Context, sp *obs.Span, cands []WhatIf) ([]stat.Ratio, error) {
+	if err := e.validateCands(cands); err != nil {
+		return nil, err
 	}
-	sp.SetTierN(tierExclusive)
+	if out, tier, ok := e.sweepShared(cands); ok {
+		sp.SetTierN(tier)
+		return out, nil
+	}
 	ctx = obs.ContextWith(ctx, sp) // cold: phases nest under this span
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -679,20 +660,15 @@ func (e *Engine) SensitivitySweepCtx(ctx context.Context, cands []WhatIf) ([]sta
 // sweepShared answers a whole sweep under the shared (reader) lock when
 // every candidate is covered by the existing certificate — fast-path
 // certified or served by an already-built what-if row. A single
-// candidate needing simulation aborts the attempt (done=false) and the
+// candidate needing simulation aborts the attempt (ok=false) and the
 // sweep reruns exclusively; counters are only flushed on full success,
 // so an aborted attempt leaves the session statistics untouched.
-func (e *Engine) sweepShared(cands []WhatIf) (out []stat.Ratio, done bool, err error) {
+func (e *Engine) sweepShared(cands []WhatIf) (out []stat.Ratio, tier obs.Name, ok bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	for i, cd := range cands {
-		if err := e.validateWhatIf(cd.Arc, cd.Delay); err != nil {
-			return nil, true, fmt.Errorf("cycletime: sweep candidate %d: %w", i, err)
-		}
-	}
 	c := e.cert
 	if c == nil || c.slackByArc == nil {
-		return nil, false, nil
+		return nil, 0, false
 	}
 	out = make([]stat.Ratio, len(cands))
 	var fast, table int64
@@ -707,11 +683,41 @@ func (e *Engine) sweepShared(cands []WhatIf) (out []stat.Ratio, done bool, err e
 			table++
 			continue
 		}
-		return nil, false, nil
+		return nil, 0, false
 	}
 	e.counters.fastPathHits.Add(fast)
 	e.counters.tableHits.Add(table)
-	return out, true, nil
+	return out, deepestTier(fast, table, 0), true
+}
+
+// deepestTier names the deepest what-if tier a sweep took, given how
+// many candidates each tier answered.
+func deepestTier(fast, table, full int64) obs.Name {
+	switch {
+	case full > 0:
+		return tierLambdaOnly
+	case table > 0:
+		return tierCachedRow
+	case fast > 0:
+		return tierFastPath
+	}
+	return 0
+}
+
+// validateCands checks every candidate against the session graph
+// before any is answered (or counted), so a rejected sweep leaves the
+// session statistics untouched. The arc count is fixed for the
+// session's lifetime, so this needs no lock.
+func (e *Engine) validateCands(cands []WhatIf) error {
+	for i, cd := range cands {
+		if cd.Arc < 0 || cd.Arc >= e.g.NumArcs() {
+			return fmt.Errorf("cycletime: sweep candidate %d: arc index %d out of range [0,%d)", i, cd.Arc, e.g.NumArcs())
+		}
+		if cd.Delay < 0 || math.IsNaN(cd.Delay) {
+			return fmt.Errorf("cycletime: sweep candidate %d: invalid delay %g on arc %d", i, cd.Delay, cd.Arc)
+		}
+	}
+	return nil
 }
 
 // sweepLocked is the exclusive-path sweep; callers hold the session
@@ -721,19 +727,13 @@ func (e *Engine) sweepLocked(ctx context.Context, cands []WhatIf) ([]stat.Ratio,
 	if err != nil {
 		return nil, err
 	}
-	// Validate every candidate before answering (or counting) any, so
-	// a sweep rejected here leaves the session statistics untouched.
-	for i, cd := range cands {
-		if err := e.validateWhatIf(cd.Arc, cd.Delay); err != nil {
-			return nil, fmt.Errorf("cycletime: sweep candidate %d: %w", i, err)
-		}
-	}
 	out := make([]stat.Ratio, len(cands))
+	var fast int64
 	var full, incr []int
 	for i, cd := range cands {
 		if lam, ok := fastAnswer(c, e.overlay.Delay(cd.Arc), cd.Arc, cd.Delay); ok {
 			out[i] = lam
-			e.counters.fastPathHits.Add(1)
+			fast++
 			continue
 		}
 		if cd.Delay > e.overlay.Delay(cd.Arc) {
@@ -742,6 +742,7 @@ func (e *Engine) sweepLocked(ctx context.Context, cands []WhatIf) ([]stat.Ratio,
 			full = append(full, i)
 		}
 	}
+	e.counters.fastPathHits.Add(fast)
 	// Increase misses are answered exactly from the what-if rows: one
 	// initiated simulation per distinct arc head — always cheaper than
 	// the |cut| simulations of even one full analysis — then O(periods)
@@ -756,55 +757,35 @@ func (e *Engine) sweepLocked(ctx context.Context, cands []WhatIf) ([]stat.Ratio,
 		}
 		for _, i := range incr {
 			out[i] = e.answerFromRow(c.result.CycleTime, cands[i].Arc, cands[i].Delay)
-			e.counters.tableHits.Add(1)
 		}
+		e.counters.tableHits.Add(int64(len(incr)))
 	}
+	obs.FromContext(ctx).SetTierN(deepestTier(fast, int64(len(incr)), int64(len(full))))
 	if len(full) == 0 {
 		return out, nil
 	}
-	workers := 1
-	if !e.opts.Serial && (e.opts.Parallel || len(full) >= 2 && len(full)*len(e.cut) >= AutoParallelThreshold) {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(full) {
-		workers = len(full)
-	}
-	if workers <= 1 {
-		for _, i := range full {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			lam, err := e.whatIfFull(ctx, cands[i].Arc, cands[i].Delay)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = lam
+	// Uncertified decreases each pay one λ-only analysis: in place when
+	// the pool rule says one worker, else on the session's worker clones.
+	workers := e.poolSize(len(full), len(e.cut))
+	engines := []*Engine{e}
+	if workers > 1 {
+		if engines, err = e.syncedClones(workers); err != nil {
+			return nil, err
 		}
-		return out, nil
-	}
-	clones, err := e.syncedClones(workers)
-	if err != nil {
-		return nil, err
 	}
 	errs := make([]error, workers)
 	runWorkers(len(full), workers, func(w, k int) {
-		if errs[w] != nil {
-			return
-		}
 		// Cooperative cancellation: each worker checks the deadline
 		// before every full analysis it claims, so a cancelled sweep
 		// stops within one candidate's work per worker.
-		if err := ctx.Err(); err != nil {
-			errs[w] = err
+		if errs[w] != nil {
+			return
+		}
+		if errs[w] = ctx.Err(); errs[w] != nil {
 			return
 		}
 		i := full[k]
-		lam, err := clones[w].whatIfFull(ctx, cands[i].Arc, cands[i].Delay)
-		if err != nil {
-			errs[w] = err
-			return
-		}
-		out[i] = lam
+		out[i], errs[w] = engines[w].whatIfFull(ctx, cands[i].Arc, cands[i].Delay)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -818,7 +799,7 @@ func (e *Engine) sweepLocked(ctx context.Context, cands []WhatIf) ([]stat.Ratio,
 // delay may vary inside [lo(a), hi(a)] of the session's current delays:
 // λ is monotone in each delay, so the two extreme assignments bracket
 // every assignment in between. The two extreme analyses are independent
-// and run concurrently — the lo extreme on a cached clone, the hi
+// and run on the worker pool — the lo extreme on a cached clone, the hi
 // extreme in place on the session schedule, which is restored after.
 func (e *Engine) AnalyzeBounds(lo, hi func(arc int, nominal float64) float64) (*Bounds, error) {
 	e.mu.Lock()
@@ -865,19 +846,18 @@ func (e *Engine) AnalyzeBounds(lo, hi func(arc int, nominal float64) float64) (*
 	var (
 		rLo, rHi *Result
 		eLo, eHi error
-		wg       sync.WaitGroup
 	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rLo, eLo = analyzeAt(loClone, dLo)
-	}()
-	rHi, eHi = analyzeAt(e, dHi)
+	runIndexed(2, e.poolSize(2, len(e.cut)), func(i int) {
+		if i == 0 {
+			rHi, eHi = analyzeAt(e, dHi)
+		} else {
+			rLo, eLo = analyzeAt(loClone, dLo)
+		}
+	})
 	// Restore the session baseline exactly; the cached certificate
 	// remains valid.
 	restoreErr := e.overlay.SetDelays(func(i int, _ float64) float64 { return cur[i] })
 	e.refreshAll()
-	wg.Wait()
 	if restoreErr != nil {
 		return nil, restoreErr
 	}
@@ -984,7 +964,7 @@ func (e *Engine) extractCriticals(ctx context.Context, res *Result) error {
 	defer sp.End()
 	cycs := make([]*CriticalCycle, len(winners))
 	cycErrs := make([]error, len(winners))
-	runIndexed(len(winners), e.workerCount(len(winners)), func(k int) {
+	runIndexed(len(winners), e.poolSize(len(winners), 1), func(k int) {
 		s := &res.Series[winners[k]]
 		cycs[k], cycErrs[k] = e.criticalCycle(s.Event, s.BestIndex, res.CycleTime)
 	})
@@ -993,21 +973,20 @@ func (e *Engine) extractCriticals(ctx context.Context, res *Result) error {
 			return err
 		}
 	}
-	res.Critical = dedupeCycles(cycs)
+	res.Critical = DedupeCycles(cycs)
 	return nil
 }
 
-// workerCount sizes the bounded worker pool for n independent
-// simulations under the session's scheduling options.
-func (e *Engine) workerCount(n int) int {
-	workers := 1
-	if !e.opts.Serial && (e.opts.Parallel || n >= AutoParallelThreshold) {
-		workers = runtime.GOMAXPROCS(0)
+// poolSize is the one worker-pool rule of the package: jobs independent
+// jobs of simsPerJob simulations each run on up to GOMAXPROCS
+// goroutines once there are at least two jobs and AutoParallelThreshold
+// simulations in all; below that the goroutine overhead outweighs the
+// win. A worker clone always runs serially.
+func (e *Engine) poolSize(jobs, simsPerJob int) int {
+	if e.serial || jobs < 2 || jobs*simsPerJob < AutoParallelThreshold {
+		return 1
 	}
-	if workers > n {
-		workers = n
-	}
-	return workers
+	return min(jobs, runtime.GOMAXPROCS(0))
 }
 
 // patchedAnalysis re-analyses after a commit without simulating: the
@@ -1029,7 +1008,7 @@ func (e *Engine) patchedAnalysis(ctx context.Context, dirty []int) (*Result, err
 		}
 		errs := make([]error, len(traces))
 		stats := make([]timesim.PatchStats, len(traces))
-		runIndexed(len(traces), e.workerCount(len(traces)), func(i int) {
+		runIndexed(len(traces), e.poolSize(len(traces), 1), func(i int) {
 			stats[i], errs[i] = e.sched.Patch(traces[i], dirty)
 		})
 		for _, err := range errs {
@@ -1336,11 +1315,7 @@ func (e *Engine) ensureRows(ctx context.Context, arcs []int) error {
 	defer sp.End()
 	simOpts := timesim.Options{Periods: e.periods + 1}
 	errs := make([]error, len(heads))
-	workers := 1
-	if !e.opts.Serial && (e.opts.Parallel || len(heads) >= AutoParallelThreshold) {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	runIndexed(len(heads), workers, func(i int) {
+	runIndexed(len(heads), e.poolSize(len(heads), 1), func(i int) {
 		v := heads[i]
 		tr, err := e.sched.RunFrom(v, simOpts)
 		if err != nil {
@@ -1388,48 +1363,6 @@ func (e *Engine) answerFromRow(lam stat.Ratio, arc int, newDelay float64) stat.R
 		}
 	}
 	return best.Normalize()
-}
-
-// validateWhatIf checks one what-if assignment against the session
-// graph — the single definition of delay validity shared by every
-// sensitivity entry point. Messages carry no package prefix; callers
-// add their own context.
-func (e *Engine) validateWhatIf(arc int, delay float64) error {
-	if arc < 0 || arc >= e.g.NumArcs() {
-		return fmt.Errorf("arc index %d out of range [0,%d)", arc, e.g.NumArcs())
-	}
-	if delay < 0 || math.IsNaN(delay) {
-		return fmt.Errorf("invalid delay %g on arc %d", delay, arc)
-	}
-	return nil
-}
-
-// whatIf answers one sensitivity query: slack fast path, else the
-// what-if row (exact for increases), else full analysis.
-func (e *Engine) whatIf(ctx context.Context, arc int, newDelay float64) (stat.Ratio, error) {
-	if err := e.validateWhatIf(arc, newDelay); err != nil {
-		return stat.Ratio{}, fmt.Errorf("cycletime: %w", err)
-	}
-	c, err := e.ensureCert(ctx)
-	if err != nil {
-		return stat.Ratio{}, err
-	}
-	sp := obs.FromContext(ctx)
-	if lam, ok := fastAnswer(c, e.overlay.Delay(arc), arc, newDelay); ok {
-		e.counters.fastPathHits.Add(1)
-		sp.SetTierN(tierFastPath)
-		return lam, nil
-	}
-	if newDelay > e.overlay.Delay(arc) {
-		if err := e.ensureRows(ctx, []int{arc}); err != nil {
-			return stat.Ratio{}, err
-		}
-		e.counters.tableHits.Add(1)
-		sp.SetTierN(tierCachedRow)
-		return e.answerFromRow(c.result.CycleTime, arc, newDelay), nil
-	}
-	sp.SetTierN(tierLambdaOnly)
-	return e.whatIfFull(ctx, arc, newDelay)
 }
 
 // whatIfFull perturbs one arc in place, re-analyses against the
@@ -1501,17 +1434,14 @@ func (e *Engine) clone(serial bool) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := e.opts
-	if serial {
-		opts.Serial, opts.Parallel = true, false
-	}
 	return &Engine{
 		overlay:  ov,
 		g:        ov.Graph(),
 		sched:    sched,
 		cut:      e.cut,
 		periods:  e.periods,
-		opts:     opts,
+		opts:     e.opts,
+		serial:   serial,
 		counters: e.counters,
 	}, nil
 }
@@ -1537,10 +1467,12 @@ func (e *Engine) runAnalysis(ctx context.Context, lambdaOnly bool) (*Result, err
 	return res, nil
 }
 
-// dedupeCycles collapses rotation-equal cycles, keeping first-seen
-// (winner) order — shared by the full and patched analysis paths so
-// both produce identical Critical lists.
-func dedupeCycles(cycs []*CriticalCycle) []CriticalCycle {
+// DedupeCycles collapses rotation-equal simple cycles, keeping
+// first-seen (winner) order — shared by the full and patched analysis
+// paths so both produce identical Critical lists, and by hierarchical
+// expansion, where distinct compressed cycles can fold onto one flat
+// cycle.
+func DedupeCycles(cycs []*CriticalCycle) []CriticalCycle {
 	var out []CriticalCycle
 	var anchors []int // least-rotation anchor of each cycle in out
 	for _, cyc := range cycs {
@@ -1572,7 +1504,7 @@ func dedupeCycles(cycs []*CriticalCycle) []CriticalCycle {
 func (e *Engine) pass1Analysis(ctx context.Context, retain bool) (*Result, error) {
 	e.counters.analyses.Add(1)
 	cut := e.cut
-	workers := e.workerCount(len(cut))
+	workers := e.poolSize(len(cut), 1)
 	simErrs := make([]error, len(cut))
 	sp := obs.LeafN(ctx, spanPass1)
 	sp.AnnotateN(keyCut, uint64(len(cut)))

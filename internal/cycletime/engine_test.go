@@ -440,15 +440,17 @@ func TestEngineEditLoop(t *testing.T) {
 
 // TestEngineRepeatedSweeps: the cached worker clones are re-synced to
 // the session baseline across sweeps, including after a committed
-// delay edit; every answer still matches the one-shot oracle.
+// delay edit; every answer still matches the one-shot oracle. The
+// sweep runs under GOMAXPROCS(4), so it takes the worker-clone pool on
+// any machine; the oracle runs serially under GOMAXPROCS(1).
 func TestEngineRepeatedSweeps(t *testing.T) {
 	g, err := gen.Stack(13)
 	if err != nil {
 		t.Fatalf("Stack: %v", err)
 	}
-	e, err := cycletime.NewEngineOpts(g, cycletime.Options{Parallel: true})
+	e, err := cycletime.NewEngine(g)
 	if err != nil {
-		t.Fatalf("NewEngineOpts: %v", err)
+		t.Fatalf("NewEngine: %v", err)
 	}
 	// All-decrease candidates force the worker-clone path.
 	cands := make([]cycletime.WhatIf, g.NumArcs())
@@ -457,12 +459,14 @@ func TestEngineRepeatedSweeps(t *testing.T) {
 	}
 	check := func(round string, base *sg.Graph) {
 		t.Helper()
-		got, err := e.SensitivitySweep(cands)
+		var got []stat.Ratio
+		withProcs(4, func() { got, err = e.SensitivitySweep(cands) })
 		if err != nil {
 			t.Fatalf("%s sweep: %v", round, err)
 		}
 		for i, cd := range cands {
-			oracle, err := cycletime.Sensitivity(base, cd.Arc, cd.Delay)
+			var oracle stat.Ratio
+			withProcs(1, func() { oracle, err = cycletime.Sensitivity(base, cd.Arc, cd.Delay) })
 			if err != nil {
 				t.Fatalf("%s oracle: %v", round, err)
 			}

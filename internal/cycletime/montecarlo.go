@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -87,8 +86,8 @@ type MCOptions struct {
 	// that needs the analysis' pass 2 (winner re-simulation and
 	// backtracking) per sample; without it only pass 1 runs.
 	Criticality bool
-	// Workers bounds the worker-clone pool (default GOMAXPROCS; 1 when
-	// the engine was compiled Serial).
+	// Workers bounds the worker-clone pool (default: the engine's pool
+	// rule, GOMAXPROCS workers for any run of two or more blocks).
 	Workers int
 }
 
@@ -387,10 +386,7 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 	nBlocks := (samples + mcBlockSize - 1) / mcBlockSize
 	workers := opts.Workers
 	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if e.opts.Serial {
-			workers = 1
-		}
+		workers = e.poolSize(nBlocks, mcBlockSize*len(e.cut))
 	}
 	if workers < 1 {
 		return nil, fmt.Errorf("cycletime: MC workers must be >= 1, got %d", workers)

@@ -24,8 +24,6 @@ var (
 	tierLambdaOnly = obs.N("lambda-only")
 	tierFastPath   = obs.N("fast-path")
 	tierCachedRow  = obs.N("cached-row")
-	tierShared     = obs.N("shared")
-	tierExclusive  = obs.N("exclusive")
 	tierSlab       = obs.N("slab")
 	tierWindow     = obs.N("window")
 	tierFlooded    = obs.N("flooded")

@@ -1,7 +1,6 @@
 package cycletime_test
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -165,44 +164,6 @@ func TestSensitivity(t *testing.T) {
 	// The original graph is untouched.
 	if g.Arc(tightArc).Delay != 3 {
 		t.Error("Sensitivity mutated the input graph")
-	}
-}
-
-// TestParallelMatchesSerial: the Parallel option yields the identical
-// result on a graph with many border events.
-func TestParallelMatchesSerial(t *testing.T) {
-	g, err := gen.Stack(16)
-	if err != nil {
-		t.Fatalf("Stack: %v", err)
-	}
-	serial, err := cycletime.AnalyzeOpts(g, cycletime.Options{})
-	if err != nil {
-		t.Fatalf("serial: %v", err)
-	}
-	parallel, err := cycletime.AnalyzeOpts(g, cycletime.Options{Parallel: true})
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-	if !serial.CycleTime.Equal(parallel.CycleTime) {
-		t.Errorf("parallel λ = %v, serial λ = %v", parallel.CycleTime, serial.CycleTime)
-	}
-	if len(serial.Series) != len(parallel.Series) {
-		t.Fatalf("series count differs: %d vs %d", len(serial.Series), len(parallel.Series))
-	}
-	for i := range serial.Series {
-		s, p := serial.Series[i], parallel.Series[i]
-		if s.Event != p.Event || s.BestIndex != p.BestIndex || !s.Best.Equal(p.Best) {
-			t.Errorf("series %d differs: %+v vs %+v", i, s, p)
-		}
-		for j := range s.Distances {
-			sd, pd := s.Distances[j], p.Distances[j]
-			if sd != pd && !(math.IsNaN(sd) && math.IsNaN(pd)) {
-				t.Errorf("series %d distance %d: %g vs %g", i, j, sd, pd)
-			}
-		}
-	}
-	if len(serial.Critical) != len(parallel.Critical) {
-		t.Errorf("critical cycles differ: %d vs %d", len(serial.Critical), len(parallel.Critical))
 	}
 }
 

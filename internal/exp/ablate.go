@@ -99,22 +99,27 @@ func runABLATE(w io.Writer) error {
 		return fmt.Errorf("exp: 1-period oscillator analysis λ = %v, want 10", res1.CycleTime)
 	}
 
-	// Serial vs parallel on the b ≈ n worst case.
+	// Serial vs parallel on the b ≈ n worst case. The engine sizes its
+	// worker pool from GOMAXPROCS, so the serial row runs with one.
 	tabP := textio.New("\nserial vs parallel simulations (stack-31, b = 63)",
 		"mode", "time", "λ")
+	serial := func() (*cycletime.Result, error) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		return cycletime.Analyze(stack)
+	}
 	ts, err := timeRuns(
-		func() error { _, err := cycletime.AnalyzeOpts(stack, cycletime.Options{Serial: true}); return err },
-		func() error { _, err := cycletime.AnalyzeOpts(stack, cycletime.Options{Parallel: true}); return err },
+		func() error { _, err := serial(); return err },
+		func() error { _, err := cycletime.Analyze(stack); return err },
 	)
 	if err != nil {
 		return err
 	}
 	tSer, tPar := ts[0], ts[1]
-	resSer, err := cycletime.AnalyzeOpts(stack, cycletime.Options{Serial: true})
+	resSer, err := serial()
 	if err != nil {
 		return err
 	}
-	resPar, err := cycletime.AnalyzeOpts(stack, cycletime.Options{Parallel: true})
+	resPar, err := cycletime.Analyze(stack)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@ import (
 	"tsg/internal/gen"
 	"tsg/internal/hier"
 	"tsg/internal/sg"
+	"tsg/internal/stat"
 	"tsg/internal/textio"
 )
 
@@ -128,9 +129,8 @@ func runSCALE(w io.Writer) error {
 		// slabs fit the row budget — past that, λ-only is what "flat is
 		// feasible" means, and the expanded hierarchical winners stand in
 		// for pass 2 (acceptance 2 checks them against flat λ).
-		flatOpts := cycletime.Options{LambdaOnly: g.NumEvents() > 200_000}
 		flatStart := time.Now()
-		flat, err := cycletime.AnalyzeOpts(g, flatOpts)
+		flatLam, err := flatCycleTime(g, g.NumEvents() > 200_000)
 		if err != nil {
 			sampler.Stop()
 			return fmt.Errorf("exp: SCALE %s: flat analyze: %w", row.name, err)
@@ -141,15 +141,15 @@ func runSCALE(w io.Writer) error {
 		elapsed := time.Since(start)
 
 		// Hard acceptance 1: bit-identical λ, flat vs hierarchical.
-		hn, fn := hres.CycleTime.Normalize(), flat.CycleTime.Normalize()
+		hn, fn := hres.CycleTime.Normalize(), flatLam.Normalize()
 		if hn.Num != fn.Num || hn.Den != fn.Den {
-			return fmt.Errorf("exp: SCALE %s: λ mismatch: hier %v, flat %v", row.name, hres.CycleTime, flat.CycleTime)
+			return fmt.Errorf("exp: SCALE %s: λ mismatch: hier %v, flat %v", row.name, hres.CycleTime, flatLam)
 		}
 		// Hard acceptance 2: every expanded winner attains λ on the flat graph.
 		for ci := range hres.Critical {
-			if !hres.Critical[ci].Ratio().Equal(flat.CycleTime) {
+			if !hres.Critical[ci].Ratio().Equal(flatLam) {
 				return fmt.Errorf("exp: SCALE %s: expanded cycle %d ratio %v != λ %v",
-					row.name, ci, hres.Critical[ci].Ratio(), flat.CycleTime)
+					row.name, ci, hres.Critical[ci].Ratio(), flatLam)
 			}
 		}
 		// Hard acceptance 3: the row stayed inside its heap budget.
@@ -185,4 +185,22 @@ func runSCALE(w io.Writer) error {
 	fmt.Fprintf(w, "%s sweep done on %d CPU(s); λ bit-equality and heap budgets held on every row\n",
 		mode, runtime.NumCPU())
 	return nil
+}
+
+// flatCycleTime is SCALE's flat reference λ: a full two-pass analysis,
+// or with lambdaOnly an engine's CycleTime, which stops after the
+// windowed pass 1.
+func flatCycleTime(g *sg.Graph, lambdaOnly bool) (stat.Ratio, error) {
+	if lambdaOnly {
+		e, err := cycletime.NewEngine(g)
+		if err != nil {
+			return stat.Ratio{}, err
+		}
+		return e.CycleTime()
+	}
+	res, err := cycletime.Analyze(g)
+	if err != nil {
+		return stat.Ratio{}, err
+	}
+	return res.CycleTime, nil
 }

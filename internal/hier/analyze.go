@@ -74,53 +74,13 @@ func (c *Compressed) Analyze(opts Options) (*Result, error) {
 		s.Event = c.toFlat[s.Event]
 		out.Series[i] = s
 	}
+	exps := make([]*cycletime.CriticalCycle, len(res.Critical))
 	for i := range res.Critical {
-		exp, err := c.ExpandCycle(&res.Critical[i])
-		if err != nil {
+		if exps[i], err = c.ExpandCycle(&res.Critical[i]); err != nil {
 			return nil, err
 		}
-		if !containsCycle(out.Critical, exp) {
-			out.Critical = append(out.Critical, *exp)
-		}
 	}
+	// Distinct compressed cycles can fold onto the same flat cycle.
+	out.Critical = cycletime.DedupeCycles(exps)
 	return out, nil
-}
-
-// containsCycle reports whether the list already holds the same simple
-// cycle up to rotation. Distinct compressed cycles can fold onto the
-// same flat cycle, so expansion deduplicates again.
-func containsCycle(list []cycletime.CriticalCycle, c *cycletime.CriticalCycle) bool {
-	cs := rotationStart(c.Arcs)
-	for i := range list {
-		o := &list[i]
-		if len(o.Arcs) != len(c.Arcs) || o.Period != c.Period {
-			continue
-		}
-		os := rotationStart(o.Arcs)
-		same := true
-		n := len(c.Arcs)
-		for k := 0; k < n; k++ {
-			if o.Arcs[(os+k)%n] != c.Arcs[(cs+k)%n] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return true
-		}
-	}
-	return false
-}
-
-// rotationStart returns the index of the minimum element — arc indices
-// around a simple cycle are distinct, so anchoring at the minimum
-// canonicalises the rotation.
-func rotationStart(s []int) int {
-	best := 0
-	for i := 1; i < len(s); i++ {
-		if s[i] < s[best] {
-			best = i
-		}
-	}
-	return best
 }
