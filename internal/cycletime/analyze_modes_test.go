@@ -82,7 +82,8 @@ func diffResults(t *testing.T, got, want *cycletime.Result) {
 // TestAnalyzeSchedulingDeterminism verifies that serial and pooled
 // scheduling produce identical results — the simulations are
 // independent and the per-index reductions exact, so any divergence is
-// a bug in the worker pool or the slab reuse.
+// a bug in the worker pool or the slab reuse. The pipegrid fixture has
+// 16 λ-winners on one ring cycle, so its pass 2 skips 15 of them.
 func TestAnalyzeSchedulingDeterminism(t *testing.T) {
 	fx := modeFixtures(t)
 	stack, err := gen.Stack(16)
@@ -90,6 +91,11 @@ func TestAnalyzeSchedulingDeterminism(t *testing.T) {
 		t.Fatalf("Stack: %v", err)
 	}
 	fx["stack16"] = stack
+	pipe, err := gen.PipeGrid(gen.PipeGridOptions{Sites: 16, Depth: 4, Width: 3, Seed: 5})
+	if err != nil {
+		t.Fatalf("PipeGrid: %v", err)
+	}
+	fx["pipegrid16"] = pipe
 	for name, g := range fx {
 		t.Run(name, func(t *testing.T) {
 			serial := analyzeWithProcs(t, g, 1)

@@ -33,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -136,7 +137,11 @@ type Result struct {
 	// occurrence period.
 	CycleTime stat.Ratio
 	// Critical holds the distinct critical cycles found by backtracking
-	// from each cut-set event attaining λ (at least one).
+	// from the cut-set events attaining λ (at least one), in cut order,
+	// with one k+1-period simulation per distinct cycle: a winner that
+	// already lies on a cycle found before it is not backtracked, so a
+	// cycle that only such a winner would reach is not listed. Every
+	// winner is still marked OnCritical.
 	Critical []CriticalCycle
 	// Series holds the per-cut-set-event distance series, in the order
 	// the events were simulated.
@@ -252,28 +257,86 @@ func seriesFromTimes(ev sg.EventID, dist []float64) BorderSeries {
 	return series
 }
 
-// criticalCycle is pass 2 for one λ-winner (Prop. 7/8): it re-simulates
-// origin with a full trace, backtracks from origin_k and releases the
-// trace. The caller owns the engine's schedule for reading.
-func (e *Engine) criticalCycle(origin sg.EventID, k int, lambda stat.Ratio) (*CriticalCycle, error) {
-	tr, err := e.sched.RunFrom(origin, timesim.Options{Periods: e.periods + 1})
+// winner is a λ-winner of pass 1: a cut-set event whose series first
+// attains λ at period k.
+type winner struct {
+	ev sg.EventID
+	k  int
+}
+
+// markWinners marks the series attaining lambda OnCritical and returns
+// their events, in series order. A zero BorderSeries never wins.
+func markWinners(series []BorderSeries, lambda stat.Ratio) []winner {
+	var winners []winner
+	for i := range series {
+		s := &series[i]
+		if s.BestIndex == 0 || !s.Best.Equal(lambda) {
+			continue
+		}
+		s.OnCritical = true
+		winners = append(winners, winner{ev: s.Event, k: s.BestIndex})
+	}
+	return winners
+}
+
+// criticalCycles is pass 2 (Prop. 7/8) over the λ-winners, given in cut
+// order: a winner whose event already lies on a cycle found so far is
+// skipped, every other one is re-simulated and backtracked
+// (criticalCycle). So each distinct cycle costs one simulation; on a
+// ring whose winners all share one cycle, that is one simulation in
+// all. The cycles come back deduplicated in discovery order, with the
+// number of winners simulated. Serial, so the list is the same under
+// any GOMAXPROCS. The caller owns the engine's schedule for reading.
+func (e *Engine) criticalCycles(winners []winner, lambda stat.Ratio) ([]CriticalCycle, int, error) {
+	pos := make([]int32, e.g.NumEvents())
+	covered := make([]bool, e.g.NumEvents())
+	var cycs []*CriticalCycle
+	for _, w := range winners {
+		if covered[w.ev] {
+			continue
+		}
+		cyc, err := e.criticalCycle(w.ev, w.k, lambda, pos)
+		if err != nil {
+			return nil, len(cycs), err
+		}
+		cycs = append(cycs, cyc)
+		for _, ev := range cyc.Events {
+			covered[ev] = true
+		}
+	}
+	return DedupeCycles(cycs), len(cycs), nil
+}
+
+// criticalCycle re-simulates one λ-winner (pass2Trace), backtracks from
+// origin_k and releases the trace. pos is backtrack's scratch.
+func (e *Engine) criticalCycle(origin sg.EventID, k int, lambda stat.Ratio, pos []int32) (*CriticalCycle, error) {
+	tr, err := e.pass2Trace(origin, k)
 	if err != nil {
 		return nil, fmt.Errorf("cycletime: re-simulating from %q: %w", e.g.Event(origin).Name, err)
 	}
 	defer tr.Release()
-	return backtrack(e.g, tr, origin, k, lambda)
+	return backtrack(e.g, tr, origin, k, lambda, pos)
+}
+
+// pass2Trace simulates from origin over periods 0..k only: a period's
+// times depend on earlier periods alone, and the backtrack from
+// origin_k never reads a later one, so the trace agrees bit for bit
+// with a full e.periods+1 slab everywhere the backtrack looks.
+func (e *Engine) pass2Trace(origin sg.EventID, k int) (*timesim.Trace, error) {
+	return e.sched.RunFrom(origin, timesim.Options{Periods: k + 1})
 }
 
 // backtrack reconstructs the unfolded critical path from origin_k back to
 // origin_0 via the max-predecessors the trace's times determine
 // (Prop. 1) and folds it into a simple cycle attaining the cycle time.
-func backtrack(g *sg.Graph, tr *timesim.Trace, origin sg.EventID, k int, lambda stat.Ratio) (*CriticalCycle, error) {
-	type step struct {
-		event  sg.EventID
-		period int
-		arc    int // arc leading INTO this instantiation along the path
-	}
-	var rev []step
+// pos is a zeroed per-event scratch index of g.NumEvents() entries; it
+// is zeroed again on return.
+func backtrack(g *sg.Graph, tr *timesim.Trace, origin sg.EventID, k int, lambda stat.Ratio, pos []int32) (*CriticalCycle, error) {
+	// Collect the path backwards from origin_k, then reverse it in
+	// place, so that nodes[i] --arcs[i]--> nodes[i+1] from origin_0 on.
+	nodes := []sg.EventID{origin}
+	periods := []int{k}
+	var arcs []int
 	e, p := origin, k
 	for !(e == origin && p == 0) {
 		pe, pp, arc, ok := tr.Parent(e, p)
@@ -281,34 +344,33 @@ func backtrack(g *sg.Graph, tr *timesim.Trace, origin sg.EventID, k int, lambda 
 			return nil, fmt.Errorf("cycletime: backtracking from %s_%d stranded at %s_%d",
 				g.Event(origin).Name, k, g.Event(e).Name, p)
 		}
-		rev = append(rev, step{event: e, period: p, arc: arc})
+		nodes = append(nodes, pe)
+		periods = append(periods, pp)
+		arcs = append(arcs, arc)
 		e, p = pe, pp
 	}
-	// rev holds the path's non-initial nodes from origin_k down to the
-	// successor of origin_0; reverse into forward order and prepend the
-	// origin. Then nodes[i] --arcs[i]--> nodes[i+1].
-	nodes := make([]sg.EventID, 0, len(rev)+1)
-	periods := make([]int, 0, len(rev)+1)
-	arcs := make([]int, 0, len(rev))
-	nodes = append(nodes, origin)
-	periods = append(periods, 0)
-	for i := len(rev) - 1; i >= 0; i-- {
-		nodes = append(nodes, rev[i].event)
-		periods = append(periods, rev[i].period)
-		arcs = append(arcs, rev[i].arc)
-	}
+	slices.Reverse(nodes)
+	slices.Reverse(periods)
+	slices.Reverse(arcs)
 
 	// The folded path may revisit an event (a combination of critical
 	// cycles, Prop. 5); the first repeated event closes a simple
-	// sub-cycle, which necessarily attains λ exactly.
-	firstPos := map[sg.EventID]int{}
+	// sub-cycle, which necessarily attains λ exactly. pos holds each
+	// event's first path position + 1.
 	start, end := -1, -1
 	for i, ev := range nodes {
-		if p, dup := firstPos[ev]; dup {
-			start, end = p, i
+		if q := pos[ev]; q != 0 {
+			start, end = int(q)-1, i
 			break
 		}
-		firstPos[ev] = i
+		pos[ev] = int32(i) + 1
+	}
+	seen := nodes
+	if end >= 0 {
+		seen = nodes[:end]
+	}
+	for _, ev := range seen {
+		pos[ev] = 0
 	}
 	if start < 0 {
 		return nil, fmt.Errorf("cycletime: critical path from %s has no repeated event", g.Event(origin).Name)

@@ -339,8 +339,9 @@ func (e *Engine) sizeHintShallow() int64 {
 	if e.incr {
 		sz += e.sched.SlabBytes(e.periods + 2) // one pooled slab: 8 B per instantiation
 	} else {
-		// Pass 1 holds two rows, not a slab. Pass 2 still slabs
-		// transiently per λ winner; steady state is the window.
+		// Pass 1 holds two rows, not a slab. Pass 2 slabs
+		// transiently, k+1 periods per distinct critical cycle;
+		// steady state is the window.
 		sz += e.sched.WindowBytes()
 	}
 	return sz
@@ -921,12 +922,12 @@ func (e *Engine) ensureResult(ctx context.Context) (*certificate, error) {
 
 // ensureCriticals runs pass 2 (Prop. 7/8) against the certificate if
 // it has not run yet: exactly the cut-set events attaining λ lie on
-// critical cycles; each winner is re-simulated with a full trace on
-// the bounded worker pool and backtracked (Prop. 1), and the cycles
-// deduplicated. The outcome is cached on the certificate until the
-// next commit, so a session answering λ-only traffic (the edit→analyze
-// loop) never pays it, and a session asking for critical cycles pays
-// it once per committed baseline. Callers hold the session lock.
+// critical cycles, and extractCriticals backtracks them (Prop. 1) with
+// one simulation per distinct cycle, k+1 periods long. The outcome is
+// cached on the certificate until the next commit, so a session
+// answering λ-only traffic (the edit→analyze loop) never pays it, and
+// a session asking for critical cycles pays it once per committed
+// baseline. Callers hold the session lock.
 func (e *Engine) ensureCriticals(ctx context.Context, c *certificate) error {
 	if c.criticals {
 		return nil
@@ -942,38 +943,22 @@ func (e *Engine) ensureCriticals(ctx context.Context, c *certificate) error {
 }
 
 // extractCriticals is pass 2 (Prop. 7/8) against a pass-1 result:
-// exactly the cut-set events attaining λ lie on critical cycles; only
-// those winners are re-simulated with full traces, on the bounded
-// worker pool — in symmetric graphs (rings) every border event can
-// attain λ, so this pass may be as wide as pass 1 — and each is
-// backtracked (Prop. 1). Deduplication runs serially afterwards in
-// winner order, keeping Critical deterministic.
+// exactly the cut-set events attaining λ lie on critical cycles, so
+// every winner is marked OnCritical, and criticalCycles turns the
+// winners, in cut order, into Critical with one k+1-period simulation
+// per distinct cycle.
 func (e *Engine) extractCriticals(ctx context.Context, res *Result) error {
 	e.counters.pass2Runs.Add(1)
-	var winners []int
-	for i := range res.Series {
-		s := &res.Series[i]
-		if s.BestIndex == 0 || !s.Best.Equal(res.CycleTime) {
-			continue
-		}
-		s.OnCritical = true
-		winners = append(winners, i)
-	}
+	winners := markWinners(res.Series, res.CycleTime)
 	sp := obs.LeafN(ctx, spanPass2)
 	sp.AnnotateN(keyWinners, uint64(len(winners)))
 	defer sp.End()
-	cycs := make([]*CriticalCycle, len(winners))
-	cycErrs := make([]error, len(winners))
-	runIndexed(len(winners), e.poolSize(len(winners), 1), func(k int) {
-		s := &res.Series[winners[k]]
-		cycs[k], cycErrs[k] = e.criticalCycle(s.Event, s.BestIndex, res.CycleTime)
-	})
-	for _, err := range cycErrs {
-		if err != nil {
-			return err
-		}
+	cycs, simulated, err := e.criticalCycles(winners, res.CycleTime)
+	sp.AnnotateN(keySimulated, uint64(simulated))
+	if err != nil {
+		return err
 	}
-	res.Critical = DedupeCycles(cycs)
+	res.Critical = cycs
 	return nil
 }
 

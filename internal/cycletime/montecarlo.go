@@ -82,9 +82,10 @@ type MCOptions struct {
 	// 0.95).
 	Confidence float64
 	// Criticality requests per-arc criticality: the fraction of samples
-	// in which the arc lies on a critical cycle. It is the one option
-	// that needs the analysis' pass 2 (winner re-simulation and
-	// backtracking) per sample; without it only pass 1 runs.
+	// in which the arc lies on a critical cycle that the sample's pass 2
+	// lists (the Result.Critical rule: one k+1-period simulation per
+	// distinct cycle). It is the one option that needs pass 2 per
+	// sample; without it only pass 1 runs.
 	Criticality bool
 	// Workers bounds the worker-clone pool (default: the engine's pool
 	// rule, GOMAXPROCS workers for any run of two or more blocks).
@@ -247,19 +248,18 @@ func (a *mcAccum) slackStats() []ArcSlackStats {
 // upper-bound order with exact pruning — an event whose bound is at
 // most the running maximum cannot raise λ and is skipped (strictly
 // below, when criticality needs the exact winner set). With criticality
-// requested it finishes with the PR 1 λ-winner trick: only the
-// simulated events attaining λ are re-simulated with full traces and
-// backtracked into critical cycles. distBuf is a scratch buffer of
-// at least e.periods floats. The caller owns the engine exclusively.
-func (e *Engine) mcSample(order []int, bounds []stat.Ratio, distBuf []float64, needCrit bool) (stat.Ratio, []*CriticalCycle, error) {
+// requested it finishes with pass 2 as Analyze runs it: the simulated
+// events attaining λ, in cut order, go to criticalCycles, so
+// Criticality follows the same one-simulation-per-distinct-cycle rule
+// as Result.Critical. distBuf is a scratch buffer of at least
+// e.periods floats. The caller owns the engine exclusively.
+func (e *Engine) mcSample(order []int, bounds []stat.Ratio, distBuf []float64, needCrit bool) (stat.Ratio, []CriticalCycle, error) {
 	e.counters.analyses.Add(1)
 	best := stat.Ratio{Num: -1, Den: 1}
-	type simmed struct {
-		ev   sg.EventID
-		idx  int
-		best stat.Ratio
+	var sims []BorderSeries // by cut index; zero where not simulated
+	if needCrit {
+		sims = make([]BorderSeries, len(e.cut))
 	}
-	var sims []simmed
 	for _, ci := range order {
 		b := bounds[ci]
 		if needCrit {
@@ -282,7 +282,7 @@ func (e *Engine) mcSample(order []int, bounds []stat.Ratio, distBuf []float64, n
 			best = s.Best
 		}
 		if needCrit {
-			sims = append(sims, simmed{ev: ev, idx: s.BestIndex, best: s.Best})
+			sims[ci] = s
 		}
 	}
 	if best.Num < 0 {
@@ -293,16 +293,9 @@ func (e *Engine) mcSample(order []int, bounds []stat.Ratio, distBuf []float64, n
 	if !needCrit {
 		return lam, nil, nil
 	}
-	var cycs []*CriticalCycle
-	for _, s := range sims {
-		if !s.best.Equal(best) {
-			continue
-		}
-		cyc, err := e.criticalCycle(s.ev, s.idx, best)
-		if err != nil {
-			return stat.Ratio{}, nil, err
-		}
-		cycs = append(cycs, cyc)
+	cycs, _, err := e.criticalCycles(markWinners(sims, best), best)
+	if err != nil {
+		return stat.Ratio{}, nil, err
 	}
 	return lam, cycs, nil
 }
@@ -579,8 +572,8 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 			lam := lamR.Float()
 			w.lam[i-lo] = lam
 			if needCrit {
-				for _, cyc := range cycs {
-					for _, ai := range cyc.Arcs {
+				for ci := range cycs {
+					for _, ai := range cycs[ci].Arcs {
 						if w.stamp[ai] != int64(i) {
 							w.stamp[ai] = int64(i)
 							w.critCnt[ai]++

@@ -29,15 +29,16 @@ var (
 	tierFlooded    = obs.N("flooded")
 	tierConverged  = obs.N("converged")
 
-	keyEvents  = obs.N("events")
-	keyArcs    = obs.N("arcs")
-	keyCands   = obs.N("cands")
-	keyWinners = obs.N("winners")
-	keyDirty   = obs.N("dirty")
-	keyCone    = obs.N("cone")
-	keyCut     = obs.N("cut")
-	keyPeriods = obs.N("periods")
-	keyHeads   = obs.N("heads")
-	keyRounds  = obs.N("rounds")
-	keySamples = obs.N("samples")
+	keyEvents    = obs.N("events")
+	keyArcs      = obs.N("arcs")
+	keyCands     = obs.N("cands")
+	keyWinners   = obs.N("winners")
+	keySimulated = obs.N("simulated")
+	keyDirty     = obs.N("dirty")
+	keyCone      = obs.N("cone")
+	keyCut       = obs.N("cut")
+	keyPeriods   = obs.N("periods")
+	keyHeads     = obs.N("heads")
+	keyRounds    = obs.N("rounds")
+	keySamples   = obs.N("samples")
 )

@@ -198,3 +198,38 @@ func TestEngineSpansReachKernelPhases(t *testing.T) {
 		t.Fatal("no kernel phase span nested under an engine.answer span")
 	}
 }
+
+// TestPass2SpanShowsSkippedWinners: on a pipegrid every site attains λ
+// and every critical cycle threads all sites, so the engine.pass2 span
+// reads 16 winners and 1 simulated.
+func TestPass2SpanShowsSkippedWinners(t *testing.T) {
+	g, err := gen.PipeGrid(gen.PipeGridOptions{Sites: 16, Depth: 2, Width: 2, Seed: 1})
+	if err != nil {
+		t.Fatalf("PipeGrid: %v", err)
+	}
+	tr := obs.NewTracer(64)
+	ctx := obs.WithTracer(context.Background(), tr)
+	e, err := NewEngine(g)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	res, err := e.AnalyzeCtx(ctx)
+	if err != nil {
+		t.Fatalf("AnalyzeCtx: %v", err)
+	}
+	if len(res.Critical) != 1 {
+		t.Fatalf("Critical lists %d cycles, want 1", len(res.Critical))
+	}
+	var pass2 []obs.SpanRecord
+	for _, r := range tr.Snapshot() {
+		if r.Name == "engine.pass2" {
+			pass2 = append(pass2, r)
+		}
+	}
+	if len(pass2) != 1 {
+		t.Fatalf("%d engine.pass2 spans, want 1", len(pass2))
+	}
+	if a := pass2[0].Attrs; a["winners"] != 16 || a["simulated"] != 1 {
+		t.Fatalf("engine.pass2 attrs = %v, want winners=16 simulated=1", a)
+	}
+}

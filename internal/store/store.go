@@ -228,6 +228,10 @@ func (s *Store) replay() (*Recovery, error) {
 	var off int64
 	var header [8]byte
 	buf := make([]byte, 4096)
+	st, err := s.f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("store: sizing log: %w", err)
+	}
 	for {
 		if _, err := io.ReadFull(s.f, header[:]); err != nil {
 			if err != io.EOF && err != io.ErrUnexpectedEOF {
@@ -237,8 +241,8 @@ func (s *Store) replay() (*Recovery, error) {
 		}
 		wantCRC := binary.LittleEndian.Uint32(header[0:4])
 		length := binary.LittleEndian.Uint32(header[4:8])
-		if length == 0 || length > 1<<30 {
-			break // garbage length: torn tail
+		if length == 0 || int64(length) > st.Size()-off-8 {
+			break // garbage length, or longer than the file: torn tail
 		}
 		if int(length) > len(buf) {
 			buf = make([]byte, length)
