@@ -535,9 +535,9 @@ func BenchmarkMCRandom2000(b *testing.B) {
 }
 
 // BenchmarkMCStack66 measures Monte-Carlo throughput on the paper's
-// 66-event stack: λ-only (batch kernel), with criticality attribution
-// (scalar pass + winner re-simulation), and slack distributions, serial
-// vs. the worker pool.
+// 66-event stack: λ-only, with criticality attribution (per sample,
+// pass 2 on top of the shared batch λ path), and slack distributions,
+// serial vs. the worker pool.
 func BenchmarkMCStack66(b *testing.B) {
 	g, err := gen.Stack(31)
 	if err != nil {

@@ -62,8 +62,8 @@ func TestAnalyzeMCCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestSlacksMCCtxCancelled covers the scalar (per-sample) MC path,
-// which slack runs always take.
+// TestSlacksMCCtxCancelled covers the per-sample work (the slack
+// certificate) that slack runs add to the λ path.
 func TestSlacksMCCtxCancelled(t *testing.T) {
 	g := ctxGraph(t)
 	e, err := cycletime.NewEngine(g)

@@ -234,9 +234,10 @@ func extractSeries(tr *timesim.Trace, ev sg.EventID, periods int, dist []float64
 func nan() float64 { return math.NaN() }
 
 // seriesFromTimes turns dist, holding t_e0(e_j) at index j-1 (NaN where
-// e_j is not reached) as timesim.RunFromWindow writes it, into the
-// distance series δ_{e0}(e_j) = t/j in place and records its maximum as
-// an exact ratio.
+// e_j is not reached) as timesim.RunFromWindow writes it, and
+// RunFromBatch per sample, into the distance series δ_{e0}(e_j) = t/j
+// in place and records its maximum as an exact ratio. Pass 1 and the
+// Monte-Carlo λ path both fold through it.
 func seriesFromTimes(ev sg.EventID, dist []float64) BorderSeries {
 	series := BorderSeries{Event: ev, Distances: dist}
 	seriesBest := stat.Ratio{Num: -1, Den: 1}

@@ -1257,11 +1257,12 @@ func fastAnswer(c *certificate, current float64, arc int, newDelay float64) (sta
 
 // ensureRows builds the what-if rows for the given arcs: the arcs are
 // grouped by head event, one event-initiated simulation per distinct
-// head extracts the head→tail path-weight rows for every requested
-// in-arc of that head, and the simulations run on the bounded worker
-// pool. Rows already built are skipped, so a session sweeping
-// repeatedly amortises the simulations across sweeps — and across
-// commits: a commit invalidates only the rows inside the edit's
+// head — on the two-row window (timesim.RunFromWindowEvents), never a
+// full trace slab — reads the head→tail path-weight rows for every
+// requested in-arc of that head, and the simulations run on the
+// bounded worker pool. Rows already built are skipped, so a session
+// sweeping repeatedly amortises the simulations across sweeps — and
+// across commits: a commit invalidates only the rows inside the edit's
 // forward cone (see invalidateRows).
 //
 // rows[arc][j] is the maximum weight of an unfolded path covering j
@@ -1298,28 +1299,23 @@ func (e *Engine) ensureRows(ctx context.Context, arcs []int) error {
 	sp := obs.LeafN(ctx, spanRows)
 	sp.AnnotateN(keyHeads, uint64(len(heads)))
 	defer sp.End()
-	simOpts := timesim.Options{Periods: e.periods + 1}
 	errs := make([]error, len(heads))
 	runIndexed(len(heads), e.poolSize(len(heads), 1), func(i int) {
 		v := heads[i]
-		tr, err := e.sched.RunFrom(v, simOpts)
-		if err != nil {
+		arcs := byHead[v]
+		tails := make([]sg.EventID, len(arcs))
+		rows := make([][]float64, len(arcs))
+		for k, ai := range arcs {
+			tails[k] = e.g.Arc(ai).From
+			rows[k] = make([]float64, e.periods+1)
+		}
+		if err := e.sched.RunFromWindowEvents(v, e.periods, tails, rows); err != nil {
 			errs[i] = fmt.Errorf("cycletime: what-if row simulation from %q: %w", e.g.Event(v).Name, err)
 			return
 		}
-		for _, ai := range byHead[v] {
-			u := e.g.Arc(ai).From
-			row := make([]float64, e.periods+1)
-			for j := 0; j <= e.periods; j++ {
-				if t, ok := tr.Time(u, j); ok && tr.Reached(u, j) {
-					row[j] = t
-				} else {
-					row[j] = math.NaN()
-				}
-			}
-			e.rows[ai] = row
+		for k, ai := range arcs {
+			e.rows[ai] = rows[k]
 		}
-		tr.Release()
 	})
 	for _, err := range errs {
 		if err != nil {

@@ -18,21 +18,29 @@ import (
 // subsystem: distributional cycle-time analysis (AnalyzeMC) and slack
 // distributions (SlacksMC) over a delay model (internal/dist), both
 // running on the engine's compiled kernel. Each sample is one delay
-// vector drawn from the model, written into a worker's private overlay,
-// refreshed into its compiled schedule in place (no re-Build, no
-// re-Compile), and analysed with the paper's pass-1 algorithm — pass 2
-// (the λ-winner re-simulation) runs only when per-arc criticality is
-// requested. Samples fan out over the same bounded worker-clone pool
-// the sensitivity sweeps use.
+// vector drawn from the model. Samples go in blocks of mcBlockSize
+// over the same bounded worker-clone pool the sensitivity sweeps use,
+// and every block takes one λ path: the paper's pass 1 as one batch
+// simulation per cut event (timesim.RunFromBatch, one lane per
+// sample), each lane folded into its distance series by the fold pass
+// 1 itself uses (seriesFromTimes). Only criticality and slack runs
+// touch a sample on its own afterwards: its delays are written into
+// the worker's private overlay and refreshed into its compiled
+// schedule in place (no re-Build, no re-Compile), then pass 2 (the
+// λ-winner re-simulation) or the slack certificate runs on the
+// sample's series.
 //
 // On top of kernel reuse, the sampler prunes with upper bounds: λ is
 // monotone in every delay (a maximum of delay sums — and the float
 // evaluation is monotone too, since float add/max round monotonically),
 // so one pass-1 analysis at the per-arc support maxima bounds each cut
-// event's best distance over ALL samples. Per sample the cut events are
-// simulated in descending bound order, and an event whose bound cannot
-// raise the running maximum (cannot tie it, when criticality needs the
-// winner set) is skipped — exactly, not approximately. On workloads
+// event's best distance over ALL samples. The cut events are simulated
+// in descending bound order. For one sample, an event whose bound
+// cannot raise its running maximum is skipped — exactly, not
+// approximately; in criticality mode the pruning is strict, and an
+// event is skipped only when its bound is below the running maximum,
+// because a tie may be a winner. A block skips an event that no
+// sample admits; the bounds descend, so it stops there. On workloads
 // where few cut events dominate, this collapses the paper's b
 // simulations per sample to one or two.
 //
@@ -53,7 +61,7 @@ import (
 // mcBlockSize is the number of consecutive samples one worker evaluates
 // between coordinator merges. One wave is workers × mcBlockSize
 // samples; convergence is checked at wave boundaries. It is also the
-// batch width of the λ-only kernel: wide enough to amortise the
+// batch width of the Monte-Carlo kernel: wide enough to amortise the
 // structural pass, small enough that the rolling time rows and delay
 // columns of a 2000-event graph stay cache-resident (measured optimum
 // on the Random2000 workload).
@@ -243,63 +251,6 @@ func (a *mcAccum) slackStats() []ArcSlackStats {
 	return out
 }
 
-// mcSample analyses the engine's current delays for the Monte-Carlo
-// loop: the paper's pass 1 over the cut set, visited in descending
-// upper-bound order with exact pruning — an event whose bound is at
-// most the running maximum cannot raise λ and is skipped (strictly
-// below, when criticality needs the exact winner set). With criticality
-// requested it finishes with pass 2 as Analyze runs it: the simulated
-// events attaining λ, in cut order, go to criticalCycles, so
-// Criticality follows the same one-simulation-per-distinct-cycle rule
-// as Result.Critical. distBuf is a scratch buffer of at least
-// e.periods floats. The caller owns the engine exclusively.
-func (e *Engine) mcSample(order []int, bounds []stat.Ratio, distBuf []float64, needCrit bool) (stat.Ratio, []CriticalCycle, error) {
-	e.counters.analyses.Add(1)
-	best := stat.Ratio{Num: -1, Den: 1}
-	var sims []BorderSeries // by cut index; zero where not simulated
-	if needCrit {
-		sims = make([]BorderSeries, len(e.cut))
-	}
-	for _, ci := range order {
-		b := bounds[ci]
-		if needCrit {
-			if b.Less(best) {
-				continue // strictly below the maximum: not a winner either
-			}
-		} else if !best.Less(b) {
-			continue // cannot raise the maximum
-		}
-		ev := e.cut[ci]
-		dist := distBuf[:e.periods]
-		if err := e.sched.RunFromWindow(ev, e.periods, dist); err != nil {
-			return stat.Ratio{}, nil, fmt.Errorf("cycletime: simulating from %q: %w", e.g.Event(ev).Name, err)
-		}
-		s := seriesFromTimes(ev, dist)
-		if s.BestIndex == 0 {
-			continue
-		}
-		if best.Less(s.Best) {
-			best = s.Best
-		}
-		if needCrit {
-			sims[ci] = s
-		}
-	}
-	if best.Num < 0 {
-		return stat.Ratio{}, nil, fmt.Errorf("cycletime: no cut-set event re-occurred within %d periods; graph has no cycles through %v",
-			e.periods, e.g.EventNames(e.cut))
-	}
-	lam := best.Normalize()
-	if !needCrit {
-		return lam, nil, nil
-	}
-	cycs, _, err := e.criticalCycles(markWinners(sims, best), best)
-	if err != nil {
-		return stat.Ratio{}, nil, err
-	}
-	return lam, cycs, nil
-}
-
 // mcBounds runs the upper-bound precomputation of the Monte-Carlo
 // pruning on the given (exclusively owned) engine: delays at the
 // model's per-arc support maxima, one pass-1 analysis, and the per-cut-
@@ -419,41 +370,36 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 	// Per-worker private state. Slack and criticality accumulators are
 	// per worker and merged in worker order after the run; λ values are
 	// buffered per block and folded in sample order after every wave.
-	// λ-only runs take the batch kernel: per block, all samples share
-	// one structural pass per simulated cut event (timesim.RunFromBatch)
-	// with block-level bound pruning. Criticality and slack runs need
-	// per-sample artefacts (critical cycles, certificates) and use the
-	// scalar per-sample path with per-sample pruning.
-	lambdaOnly := !needCrit && !needSlacks
 	type mcWorker struct {
 		delays   []float64
-		distBuf  []float64 // scratch for extractSeries
+		bd       *timesim.BatchDelays
+		outBuf   [][]float64
+		best     []stat.Ratio     // per sample: running λ candidate
+		sims     [][]BorderSeries // criticality, per sample: series by cut index
 		lam      []float64
 		stamp    []int64 // criticality: last sample that counted each arc
 		critCnt  []int64
 		slackAcc []stat.Welford
 		tightCnt []int64
-		bd       *timesim.BatchDelays
-		outBuf   [][]float64
-		best     []stat.Ratio
 		err      error
 	}
 	ws := make([]*mcWorker, workers)
 	for k := range ws {
 		w := &mcWorker{
-			delays:  make([]float64, narcs),
-			distBuf: make([]float64, e.periods),
-			lam:     make([]float64, mcBlockSize),
+			delays: make([]float64, narcs),
+			bd:     clones[k].sched.NewBatchDelays(mcBlockSize),
+			outBuf: make([][]float64, mcBlockSize),
+			best:   make([]stat.Ratio, mcBlockSize),
+			lam:    make([]float64, mcBlockSize),
 		}
-		if lambdaOnly {
-			w.bd = clones[k].sched.NewBatchDelays(mcBlockSize)
-			w.outBuf = make([][]float64, mcBlockSize)
-			for s := range w.outBuf {
-				w.outBuf[s] = make([]float64, e.periods)
-			}
-			w.best = make([]stat.Ratio, mcBlockSize)
+		for s := range w.outBuf {
+			w.outBuf[s] = make([]float64, e.periods)
 		}
 		if needCrit {
+			w.sims = make([][]BorderSeries, mcBlockSize)
+			for s := range w.sims {
+				w.sims[s] = make([]BorderSeries, len(e.cut))
+			}
 			w.stamp = make([]int64, narcs)
 			for i := range w.stamp {
 				w.stamp[i] = -1
@@ -466,9 +412,30 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 		}
 		ws[k] = w
 	}
+	// admits is the pruning rule: an event whose bound cannot raise a
+	// sample's running maximum (cannot tie it, when criticality needs
+	// the exact winner set) is not simulated for that sample.
+	admits := func(bound, best stat.Ratio) bool {
+		if needCrit {
+			return !bound.Less(best)
+		}
+		return best.Less(bound)
+	}
 
-	runBatchBlock := func(k, lo, hi int) {
+	// blockRange returns the samples [lo, hi) of one block.
+	blockRange := func(block int) (int, int) {
+		lo := block * mcBlockSize
+		return lo, min(lo+mcBlockSize, samples)
+	}
+	// runBlock evaluates one block of samples on worker k. λ comes from
+	// one batch simulation per admitted cut event — all samples of the
+	// block share its structural pass (timesim.RunFromBatch) — folded
+	// per sample by seriesFromTimes, the fold pass 1 uses. Criticality
+	// and slack runs then refresh each sample's delays into the worker
+	// clone and do only their per-sample work on the sample's series.
+	runBlock := func(k, block int) {
 		w, we := ws[k], clones[k]
+		lo, hi := blockRange(block)
 		cnt := hi - lo
 		// Sampled delays are valid by construction: distributions are
 		// restricted to non-negative supports and quantiles clamp into
@@ -488,72 +455,53 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 			}
 			b := bounds[ci]
 			active := false
-			for s := 0; s < cnt; s++ {
-				if w.best[s].Less(b) {
-					active = true
-					break
-				}
+			for s := 0; s < cnt && !active; s++ {
+				active = admits(b, w.best[s])
 			}
 			if !active {
 				// Bounds descend along the order and the running maxima
 				// only grow: no later event can matter either.
 				break
 			}
-			if err := we.sched.RunFromBatch(e.cut[ci], w.bd, e.periods, w.outBuf); err != nil {
-				w.err = fmt.Errorf("cycletime: MC batch simulating from %q: %w", e.g.Event(e.cut[ci]).Name, err)
+			ev := e.cut[ci]
+			if err := we.sched.RunFromBatch(ev, w.bd, e.periods, w.outBuf); err != nil {
+				w.err = fmt.Errorf("cycletime: MC batch simulating from %q: %w", e.g.Event(ev).Name, err)
 				return
 			}
 			for s := 0; s < cnt; s++ {
-				row := w.outBuf[s]
-				// Per-event best first, then the cross-event merge —
-				// the same comparison association as the scalar path
-				// (extractSeries then mcSample): float cross-multiplied
-				// ratio comparisons are not associative at the ulp
-				// level, so a different grouping could keep an equal-
-				// valued candidate with a different representation and
-				// break the batch/scalar bit-identity.
-				evBest := stat.Ratio{Num: -1, Den: 1}
-				for j := 1; j <= e.periods; j++ {
-					t := row[j-1]
-					if math.IsNaN(t) {
-						continue
-					}
-					if r := stat.NewRatio(t, j); evBest.Less(r) {
-						evBest = r
-					}
+				if !admits(b, w.best[s]) {
+					continue
 				}
-				if w.best[s].Less(evBest) {
-					w.best[s] = evBest
+				ser := seriesFromTimes(ev, w.outBuf[s])
+				if ser.BestIndex == 0 {
+					continue
+				}
+				if w.best[s].Less(ser.Best) {
+					w.best[s] = ser.Best
+				}
+				if needCrit {
+					w.sims[s][ci] = BorderSeries{Event: ev, Best: ser.Best, BestIndex: ser.BestIndex}
 				}
 			}
 		}
 		e.counters.analyses.Add(int64(cnt))
 		for s := 0; s < cnt; s++ {
-			if w.best[s].Num < 0 {
+			i := lo + s
+			best := w.best[s]
+			if best.Num < 0 {
 				w.err = fmt.Errorf("cycletime: no cut-set event re-occurred within %d periods; graph has no cycles through %v",
 					e.periods, e.g.EventNames(e.cut))
 				return
 			}
-			w.lam[s] = w.best[s].Normalize().Float()
-		}
-	}
-
-	runBlock := func(k, block int) {
-		w, we := ws[k], clones[k]
-		lo := block * mcBlockSize
-		hi := lo + mcBlockSize
-		if hi > samples {
-			hi = samples
-		}
-		if lambdaOnly {
-			runBatchBlock(k, lo, hi)
-			return
-		}
-		for i := lo; i < hi; i++ {
-			// Cooperative cancellation between samples: the scalar path's
-			// unit of work is one sample (simulation fan + optional pass 2
-			// and certificate), so an expired deadline stops the worker
-			// within one sample's cost.
+			lam := best.Normalize().Float()
+			w.lam[s] = lam
+			if !needCrit && !needSlacks {
+				continue
+			}
+			// Per-sample work (pass 2, certificate) checks cancellation
+			// between samples. The sample's delays are drawn again:
+			// they are a pure function of (seed, i), and one vector per
+			// worker is less memory than a block of them.
 			if err := ctx.Err(); err != nil {
 				w.err = err
 				return
@@ -564,14 +512,13 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 				return
 			}
 			we.refreshAll()
-			lamR, cycs, err := we.mcSample(order, bounds, w.distBuf, needCrit)
-			if err != nil {
-				w.err = fmt.Errorf("cycletime: MC sample %d: %w", i, err)
-				return
-			}
-			lam := lamR.Float()
-			w.lam[i-lo] = lam
 			if needCrit {
+				cycs, _, err := we.criticalCycles(markWinners(w.sims[s], best), best)
+				if err != nil {
+					w.err = fmt.Errorf("cycletime: MC sample %d: %w", i, err)
+					return
+				}
+				clear(w.sims[s])
 				for ci := range cycs {
 					for _, ai := range cycs[ci].Arcs {
 						if w.stamp[ai] != int64(i) {
@@ -635,11 +582,7 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 		// Fold λ values in sample order: block k of this wave covers
 		// samples [(waveStart+k)·B, …).
 		for k := 0; k < cnt; k++ {
-			lo := (waveStart + k) * mcBlockSize
-			hi := lo + mcBlockSize
-			if hi > samples {
-				hi = samples
-			}
+			lo, hi := blockRange(waveStart + k)
 			for _, lam := range ws[k].lam[:hi-lo] {
 				acc.lam.Add(lam)
 				for _, q := range acc.quants {

@@ -10,6 +10,7 @@ import (
 	"tsg/internal/dist"
 	"tsg/internal/gen"
 	"tsg/internal/sg"
+	"tsg/internal/stat"
 )
 
 // pointModel returns the deterministic all-point model of g.
@@ -129,9 +130,9 @@ func TestAnalyzeMCDeterministic(t *testing.T) {
 	}
 }
 
-// TestAnalyzeMCBatchMatchesScalar: the λ-only runs take the batch
-// kernel with block-level pruning, criticality runs the scalar path
-// with per-sample pruning — same seed must give bit-identical λ
+// TestAnalyzeMCBatchMatchesScalar: λ-only and criticality runs share
+// one λ path but prune differently (strictly, in criticality mode, so
+// tied winners are simulated) — same seed must give bit-identical λ
 // statistics either way.
 func TestAnalyzeMCBatchMatchesScalar(t *testing.T) {
 	for name, g := range modeFixtures(t) {
@@ -156,6 +157,100 @@ func TestAnalyzeMCBatchMatchesScalar(t *testing.T) {
 			}
 			if !reflect.DeepEqual(batch.Quantiles, scalar.Quantiles) {
 				t.Fatalf("batch quantiles %+v differ from scalar %+v", batch.Quantiles, scalar.Quantiles)
+			}
+		})
+	}
+}
+
+// TestAnalyzeMCMatchesFreshEngines is an oracle for the one λ path
+// that shares no code with it past the engine: every sample's delays
+// go into a fresh graph and a fresh engine, whose CycleTime is folded
+// in sample order into the same streaming estimators, and whose
+// Analyze().Critical arcs are counted once per sample. AnalyzeMC with
+// criticality must reproduce the λ statistics bit for bit and the
+// criticality fractions exactly, at one worker and at three.
+func TestAnalyzeMCMatchesFreshEngines(t *testing.T) {
+	fixtures := modeFixtures(t)
+	rg, err := gen.RandomLive(rand.New(rand.NewSource(31)), gen.RandomOptions{Events: 80, Border: 5, ExtraArcs: 80, MaxDelay: 12})
+	if err != nil {
+		t.Fatalf("RandomLive: %v", err)
+	}
+	fixtures["random80"] = rg
+	const samples, seed = 40, 17
+	qps := []float64{0.5, 0.9}
+	z := math.Sqrt2 * math.Erfinv(0.95)
+	for name, g := range fixtures {
+		t.Run(name, func(t *testing.T) {
+			model, err := gen.UniformJitter(g, 0.25)
+			if err != nil {
+				t.Fatalf("UniformJitter: %v", err)
+			}
+			var lam stat.Welford
+			quants := make([]*stat.P2Quantile, len(qps))
+			for k, p := range qps {
+				if quants[k], err = stat.NewP2Quantile(p); err != nil {
+					t.Fatalf("NewP2Quantile: %v", err)
+				}
+			}
+			crit := make([]int64, g.NumArcs())
+			delays := make([]float64, g.NumArcs())
+			for i := 0; i < samples; i++ {
+				model.SampleInto(seed, uint64(i), delays)
+				sample, err := g.WithDelays(func(a int, _ float64) float64 { return delays[a] })
+				if err != nil {
+					t.Fatalf("sample %d: WithDelays: %v", i, err)
+				}
+				e, err := cycletime.NewEngine(sample)
+				if err != nil {
+					t.Fatalf("sample %d: NewEngine: %v", i, err)
+				}
+				ct, err := e.CycleTime()
+				if err != nil {
+					t.Fatalf("sample %d: CycleTime: %v", i, err)
+				}
+				lam.Add(ct.Float())
+				for _, q := range quants {
+					q.Add(ct.Float())
+				}
+				res, err := e.Analyze()
+				if err != nil {
+					t.Fatalf("sample %d: Analyze: %v", i, err)
+				}
+				on := make([]bool, g.NumArcs())
+				for _, cyc := range res.Critical {
+					for _, ai := range cyc.Arcs {
+						on[ai] = true
+					}
+				}
+				for ai, ok := range on {
+					if ok {
+						crit[ai]++
+					}
+				}
+			}
+			for _, workers := range []int{1, 3} {
+				res, err := cycletime.AnalyzeMC(g, model, cycletime.MCOptions{
+					Samples: samples, Seed: seed, Quantiles: qps, Criticality: true, Workers: workers,
+				})
+				if err != nil {
+					t.Fatalf("AnalyzeMC(workers=%d): %v", workers, err)
+				}
+				if res.Mean != lam.Mean() || res.Variance != lam.Var() || res.Min != lam.Min() ||
+					res.Max != lam.Max() || res.MeanCIHalf != lam.CIHalf(z) {
+					t.Fatalf("workers=%d: MC λ stats %+v, fresh engines mean %v var %v min %v max %v",
+						workers, res, lam.Mean(), lam.Var(), lam.Min(), lam.Max())
+				}
+				for k, q := range quants {
+					got := res.Quantiles[k]
+					if got.P != q.P() || got.Value != q.Value() || got.CIHalf != q.CIHalf(z) {
+						t.Fatalf("workers=%d: quantile %+v, fresh engines %v ± %v", workers, got, q.Value(), q.CIHalf(z))
+					}
+				}
+				for ai, c := range crit {
+					if want := float64(c) / samples; res.Criticality[ai] != want {
+						t.Fatalf("workers=%d: arc %d criticality %v, fresh engines %v", workers, ai, res.Criticality[ai], want)
+					}
+				}
 			}
 		})
 	}

@@ -183,3 +183,57 @@ func TestEngineWindowedSizeHint(t *testing.T) {
 	}
 	diffResults(t, analyzeKernel(t, we, true), analyzeKernel(t, se, false))
 }
+
+// TestEnsureRowsMatchesSlab: the what-if rows, read off the two-row
+// window, equal the rows a full (periods+1)-period trace slab yields
+// through Time/Reached — every arc of the mode fixtures, bit for bit,
+// NaN pattern included. The oscillator's non-repetitive heads and
+// tails exercise the rule that an instantiation past period 0 of a
+// non-repetitive event reads NaN.
+func TestEnsureRowsMatchesSlab(t *testing.T) {
+	for name, g := range modeFixtures(t) {
+		t.Run(name, func(t *testing.T) {
+			e, err := cycletime.NewEngine(g)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			res, err := e.Analyze()
+			if err != nil {
+				t.Fatalf("Analyze: %v", err)
+			}
+			arcs := make([]int, g.NumArcs())
+			for i := range arcs {
+				arcs[i] = i
+			}
+			rows, err := e.WhatIfRows(arcs)
+			if err != nil {
+				t.Fatalf("WhatIfRows: %v", err)
+			}
+			sched, err := timesim.Compile(g)
+			if err != nil {
+				t.Fatalf("Compile: %v", err)
+			}
+			for ai, row := range rows {
+				a := g.Arc(ai)
+				tr, err := sched.RunFrom(a.To, timesim.Options{Periods: res.Periods + 1})
+				if err != nil {
+					t.Fatalf("RunFrom: %v", err)
+				}
+				if len(row) != res.Periods+1 {
+					t.Fatalf("arc %d: row of %d entries, want %d", ai, len(row), res.Periods+1)
+				}
+				for j := range row {
+					want := math.NaN()
+					if v, ok := tr.Time(a.From, j); ok && tr.Reached(a.From, j) {
+						want = v
+					}
+					if math.Float64bits(row[j]) != math.Float64bits(want) {
+						t.Fatalf("arc %d (%s -> %s) period %d: row %v, slab %v",
+							ai, g.Event(a.From).Name, g.Event(a.To).Name, j, row[j], want)
+					}
+				}
+				tr.Release()
+			}
+		})
+	}
+}

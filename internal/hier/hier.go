@@ -44,7 +44,7 @@
 // batched macroWidth entries wide: distance columns are record-major,
 // so one linear pass over the interior CSR serves macroWidth entry
 // events from contiguous cache lines — the same blocking trick as the
-// Monte-Carlo batch kernel.
+// lanes of the Monte-Carlo kernel (timesim.RunFromBatch).
 package hier
 
 import (

@@ -1,6 +1,7 @@
 package timesim_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -122,7 +123,217 @@ func TestRunFromBatchValidation(t *testing.T) {
 	if err := sched.RunFromBatch(0, bd, 3, out[:1]); err == nil {
 		t.Fatalf("short output accepted")
 	}
+	if err := sched.RunFromBatch(0, bd, 4, out); err == nil {
+		t.Fatalf("short output row accepted")
+	}
 	if bd.Samples() != 2 {
 		t.Fatalf("Samples() = %d", bd.Samples())
 	}
+}
+
+// TestRunFromBatchAllocFree: after the first call on a BatchDelays has
+// sized its window, a batch run allocates nothing.
+func TestRunFromBatchAllocFree(t *testing.T) {
+	g, err := gen.MullerRing(7)
+	if err != nil {
+		t.Fatalf("MullerRing: %v", err)
+	}
+	sched, err := timesim.Compile(g)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	const periods = 40
+	for _, S := range []int{16, 5} {
+		bd := sched.NewBatchDelays(S)
+		delays := make([]float64, g.NumArcs())
+		out := make([][]float64, S)
+		for s := range out {
+			for a := range delays {
+				delays[a] = float64(a%3 + s)
+			}
+			bd.Set(sched, s, delays)
+			out[s] = make([]float64, periods)
+		}
+		if err := sched.RunFromBatch(0, bd, periods, out); err != nil {
+			t.Fatalf("warmup: %v", err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := sched.RunFromBatch(0, bd, periods, out); err != nil {
+				t.Fatalf("RunFromBatch: %v", err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("width %d: batch run allocates %.1f objects/run, want 0", S, allocs)
+		}
+	}
+}
+
+// BenchmarkRunFromBatch times the Monte-Carlo kernel as the repository
+// benchmark's timesim.run_from_batch_us layer does: 16 jittered delay
+// samples of the 2000-event random graph, one op simulating every
+// border event over b periods.
+func BenchmarkRunFromBatch(b *testing.B) {
+	g, err := gen.RandomLive(rand.New(rand.NewSource(5)), gen.RandomOptions{
+		Events: 2000, Border: 8, ExtraArcs: 2000, MaxDelay: 16,
+	})
+	if err != nil {
+		b.Fatalf("RandomLive: %v", err)
+	}
+	s, err := timesim.Compile(g)
+	if err != nil {
+		b.Fatalf("Compile: %v", err)
+	}
+	model, err := gen.UniformJitter(g, 0.1)
+	if err != nil {
+		b.Fatalf("UniformJitter: %v", err)
+	}
+	const lanes = 16
+	border := g.BorderEvents()
+	periods := len(border)
+	bd := s.NewBatchDelays(lanes)
+	delays := make([]float64, g.NumArcs())
+	out := make([][]float64, lanes)
+	for l := range out {
+		model.SampleInto(9, uint64(l), delays)
+		bd.Set(s, l, delays)
+		out[l] = make([]float64, periods)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, o := range border {
+			if err := s.RunFromBatch(o, bd, periods, out); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// fuzzGraph builds a small live graph from a seed: a random strongly
+// connected core (gen.RandomLive) plus a chain of up to three
+// non-repetitive events, each feeding the next and, once, a core
+// event — so origins of both kinds occur.
+func fuzzGraph(seed int64) (*sg.Graph, error) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + rng.Intn(9)
+	core, err := gen.RandomLive(rng, gen.RandomOptions{
+		Events: n, Border: 1 + rng.Intn(min(3, n)), ExtraArcs: rng.Intn(n), MaxDelay: 9,
+	})
+	if err != nil {
+		return nil, err
+	}
+	bld := sg.NewBuilder("fuzz")
+	for i := 0; i < core.NumEvents(); i++ {
+		bld.Event(core.Event(sg.EventID(i)).Name)
+	}
+	for i := 0; i < core.NumArcs(); i++ {
+		a := core.Arc(i)
+		var opts []sg.ArcOption
+		if a.Marked {
+			opts = append(opts, sg.Marked())
+		}
+		bld.Arc(core.Event(a.From).Name, core.Event(a.To).Name, a.Delay, opts...)
+	}
+	prev := ""
+	for k := rng.Intn(4); k > 0; k-- {
+		name := fmt.Sprintf("init%d", k)
+		bld.Event(name, sg.NonRepetitive())
+		if prev != "" {
+			bld.Arc(prev, name, float64(rng.Intn(5)))
+		}
+		bld.Arc(name, core.Event(sg.EventID(rng.Intn(n))).Name, float64(rng.Intn(5)), sg.Once())
+		prev = name
+	}
+	return bld.Build()
+}
+
+// FuzzRunFromBatch is the lane-vs-scalar differential: for a seeded
+// graph, a batch width of 1..20 and per-lane delays drawn from the
+// input bytes (zero, fractional, integral and +Inf), every lane of
+// RunFromBatch from every origin — non-repetitive ones included — must
+// be bit-identical, NaN pattern included, to RunFromWindow on the
+// schedule refreshed to that lane's delays, and that to a full RunFrom
+// trace read through Time/Reached.
+func FuzzRunFromBatch(f *testing.F) {
+	f.Add(int64(1), uint8(15), []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(int64(7), uint8(0), []byte{9, 17, 33})
+	f.Add(int64(42), uint8(19), []byte{1, 8, 250, 3})
+	f.Fuzz(func(t *testing.T, seed int64, width uint8, data []byte) {
+		g, err := fuzzGraph(seed)
+		if err != nil {
+			t.Skip(err)
+		}
+		S := 1 + int(width)%20
+		periods := 1 + int(uint64(seed)%6)
+		delay := func(i int) float64 {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[i%len(data)]
+			switch b % 8 {
+			case 0:
+				return 0
+			case 1:
+				return math.Inf(1)
+			case 2, 3:
+				return float64(b) / 7.25
+			}
+			return float64(b % 17)
+		}
+		ov := sg.NewOverlay(g)
+		sched, err := timesim.Compile(ov.Graph())
+		if err != nil {
+			t.Fatalf("Compile: %v", err)
+		}
+		m := g.NumArcs()
+		bd := sched.NewBatchDelays(S)
+		lanes := make([][]float64, S)
+		out := make([][]float64, S)
+		for l := range lanes {
+			lanes[l] = make([]float64, m)
+			for a := range lanes[l] {
+				lanes[l][a] = delay(l*m + a)
+			}
+			bd.Set(sched, l, lanes[l])
+			out[l] = make([]float64, periods)
+		}
+		want := make([]float64, periods)
+		for ev := 0; ev < g.NumEvents(); ev++ {
+			origin := sg.EventID(ev)
+			if err := sched.RunFromBatch(origin, bd, periods, out); err != nil {
+				t.Fatalf("RunFromBatch(%s): %v", g.Event(origin).Name, err)
+			}
+			for l := range lanes {
+				for a, d := range lanes[l] {
+					if err := ov.SetDelay(a, d); err != nil {
+						t.Fatalf("SetDelay(%d, %v): %v", a, d, err)
+					}
+				}
+				sched.RefreshDelays()
+				if err := sched.RunFromWindow(origin, periods, want); err != nil {
+					t.Fatalf("RunFromWindow(%s): %v", g.Event(origin).Name, err)
+				}
+				// The window shares its driver with the batch kernel;
+				// a full trace does not, so it pins the window too.
+				tr, err := sched.RunFrom(origin, timesim.Options{Periods: periods + 1})
+				if err != nil {
+					t.Fatalf("RunFrom(%s): %v", g.Event(origin).Name, err)
+				}
+				for j := range want {
+					if v, ok := tr.Time(origin, j+1); !ok || !tr.Reached(origin, j+1) {
+						if !math.IsNaN(want[j]) {
+							t.Fatalf("origin %s period %d: window %v, trace has no reached instantiation",
+								g.Event(origin).Name, j+1, want[j])
+						}
+					} else if want[j] != v {
+						t.Fatalf("origin %s period %d: window %v, trace %v", g.Event(origin).Name, j+1, want[j], v)
+					}
+					if math.Float64bits(out[l][j]) != math.Float64bits(want[j]) {
+						t.Fatalf("origin %s lane %d/%d period %d: batch %v, scalar %v",
+							g.Event(origin).Name, l, S, j+1, out[l][j], want[j])
+					}
+				}
+				tr.Release()
+			}
+		}
+	})
 }

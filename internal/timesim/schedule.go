@@ -331,13 +331,14 @@ func (s *Schedule) runPeriods(tr *Trace, from int) {
 
 // rows is the storage one period's walk reads and writes: the
 // evaluated period's row starts at cur, its predecessor's at cur-back,
-// and event e of a row sits at row start + e. A full trace slab lays
-// every period out in turn (back = n); the windowed kernel alternates
-// two rows.
+// and lane l of event e sits at row start + e·width + l. A full trace
+// slab lays every period out in turn (back = n, one lane); the rolling
+// window (roll) alternates two rows of one or more lanes.
 type rows struct {
 	times []float64
 	cur   int
 	back  int
+	width int        // lanes per event; walk reads one, walkLanes width
 	pin   sg.EventID // the initiating instantiation (period 0 only), else sg.None
 	// unreached is the time written where no live record reaches an
 	// instantiation: 0 in a plain simulation (a member of I_u), -Inf in
@@ -349,7 +350,7 @@ type rows struct {
 
 // rows returns the storage view that evaluates period p of a slab trace.
 func (tr *Trace) rows(p int) rows {
-	rw := rows{times: tr.times, cur: p * tr.n, back: tr.n, pin: sg.None}
+	rw := rows{times: tr.times, cur: p * tr.n, back: tr.n, width: 1, pin: sg.None}
 	if tr.origin != sg.None {
 		rw.unreached = math.Inf(-1)
 		if p == 0 {

@@ -23,8 +23,13 @@
 // linear scan with no existence tests, and the b simulations of one
 // cycle-time analysis share the compiled form and a slab pool. One
 // walk over those records evaluates every scalar simulation — full
-// trace slabs, the two-row window of RunFromWindow and the in-place
-// re-evaluation of Patch — so they agree by construction.
+// trace slabs, the two-row window of RunFromWindow and
+// RunFromWindowEvents, and the in-place re-evaluation of Patch — so
+// they agree by construction. Simulations that keep no trace run on
+// one driver, the rolling two-row window (roll, window.go): the
+// scalar ones with one lane, the Monte-Carlo batch kernel RunFromBatch
+// with one lane per delay sample. Reachedness rides in the times (−∞)
+// and is the same in every lane, because no delay is −∞ or NaN.
 // ReferenceRun and ReferenceRunFrom walk the graph's adjacency lists
 // directly; they are retained as the executable specification the
 // compiled kernel is differentially tested against.

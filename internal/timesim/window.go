@@ -7,26 +7,35 @@ import (
 	"tsg/internal/sg"
 )
 
-// Windowed scalar kernel: the λ-only pass-1 simulation. A λ-only
-// analysis needs nothing from an event-initiated trace but the
-// origin's occurrence time per period (the distance series of
-// Prop. 7) — yet RunFrom materialises the full (periods+1)×n slab.
-// Like the Monte-Carlo batch kernel (batch.go), the existence rules of
-// §IV.A only ever reference the current period (unmarked in-arcs) and
-// the previous one (marked in-arcs), so the scalar walk can roll a
-// two-row window: O(n) working state regardless of the period count,
-// emitting just the origin series.
+// The rolling two-row window: the one driver of every simulation that
+// reads times period by period and keeps no trace. The existence rules
+// of §IV.A only ever reference the current period (unmarked in-arcs)
+// and the previous one (marked in-arcs), so two rows suffice: O(n)
+// working state per lane regardless of the period count. Three kernels
+// run on it:
 //
-// Results are bit-identical to RunFrom + Trace.Time/Reached: both run
-// the same walk, only the row storage differs. The engine's pass 1
-// runs this kernel whenever it does not retain traces; pass 2 — which
-// backtracks through every period of a trace — re-simulates only the
+//   - RunFromWindow, the λ-only pass 1: one lane, the schedule's own
+//     delay columns, the origin's occurrence time per period (the
+//     distance series of Prop. 7);
+//   - RunFromBatch, the Monte-Carlo kernel (batch.go): S lanes, one
+//     per delay sample of a BatchDelays;
+//   - RunFromWindowEvents, the what-if rows: one lane, the times of a
+//     few chosen events in every period 0..periods.
+//
+// They share roll — validation, row alternation, the origin pin, the
+// row layout and −∞ reachedness — and differ only in the record walk
+// (class.walk, or class.walkLanes over S lanes) and in what they read
+// back. Results are bit-identical to RunFrom + Trace.Time/Reached:
+// every walk performs the same float adds and comparisons in the same
+// record order; only the row storage differs. The engine's pass 1 runs
+// RunFromWindow whenever it does not retain traces; pass 2, which
+// backtracks through every period of a trace, re-simulates only the
 // handful of λ-winning origins with full traces.
 
-// window is the pooled working set of one windowed simulation: two
-// times rows back to back (row A at [0,n), row B at [n,2n)). Like a
-// slab, an instantiation the origin does not precede holds -Inf (see
-// rows.unreached).
+// window is the pooled working set of one single-lane windowed
+// simulation: two times rows back to back (row A at [0,n), row B at
+// [n,2n)). Like a slab, an instantiation the origin does not precede
+// holds -Inf (see rows.unreached).
 type window struct {
 	times []float64
 }
@@ -53,6 +62,47 @@ func (s *Schedule) SlabBytes(periods int) int64 {
 	return int64(periods) * int64(s.n) * 8
 }
 
+// roll is the period driver of the rolling window. It validates the
+// run, lays rows of width lanes per event over times (two rows of
+// n·width floats), and evaluates the event-initiated simulation from
+// origin over periods 0..periods: period 0 with the origin pinned to
+// 0, then each later period into the row its predecessor does not
+// occupy. For each period, step(p, c, rw) walks class c into rw and
+// reads what it needs; rw.cur is the start of period p's row. An
+// instantiation with no live in-record is -Inf in every lane.
+func (s *Schedule) roll(origin sg.EventID, periods int, times []float64, width int, step func(p int, c *class, rw rows)) error {
+	if origin < 0 || int(origin) >= s.n {
+		return fmt.Errorf("timesim: origin event %d out of range", origin)
+	}
+	if periods < 1 {
+		return fmt.Errorf("timesim: periods must be >= 1, got %d", periods)
+	}
+	rw := rows{times: times, width: width, pin: origin, unreached: math.Inf(-1)}
+	step(0, &s.c0, rw)
+	rw.pin = sg.None
+	for p := 1; p <= periods; p++ {
+		prev := rw.cur
+		rw.cur = s.n*width - prev
+		rw.back = rw.cur - prev
+		step(p, s.class(p), rw)
+	}
+	return nil
+}
+
+// time reads lane l of event e from period p's row: NaN where the
+// unfolding has no origin-preceded instantiation e_p. A non-repetitive
+// event has no instantiation past period 0; its slot in a later row is
+// never written and holds a stale value, so it reads NaN too.
+func (s *Schedule) time(rw *rows, e sg.EventID, p, l int) float64 {
+	if p > 0 && s.c1.pos[e] < 0 {
+		return math.NaN()
+	}
+	if t := rw.times[rw.cur+int(e)*rw.width+l]; t != math.Inf(-1) {
+		return t
+	}
+	return math.NaN()
+}
+
 // RunFromWindow executes the event-initiated simulation t_origin of
 // §IV.B over periods 0..periods with the two-row window, writing
 // out[j-1] = t_origin(origin_j) for j = 1..periods — NaN when the
@@ -60,40 +110,46 @@ func (s *Schedule) SlabBytes(periods int) int64 {
 // (and NaN pattern) are bit-identical to a RunFrom trace with
 // Periods: periods+1 read back through Time/Reached at the origin.
 func (s *Schedule) RunFromWindow(origin sg.EventID, periods int, out []float64) error {
-	if origin < 0 || int(origin) >= s.n {
-		return fmt.Errorf("timesim: origin event %d out of range", origin)
-	}
-	if periods < 1 {
-		return fmt.Errorf("timesim: periods must be >= 1, got %d", periods)
-	}
 	if len(out) < periods {
 		return fmt.Errorf("timesim: window output has %d entries, need %d", len(out), periods)
 	}
-	if s.c1.pos[origin] < 0 {
-		// A non-repetitive origin has no instantiation past period 0.
-		for j := range out[:periods] {
-			out[j] = math.NaN()
+	w := s.acquireWindow()
+	err := s.roll(origin, periods, w.times, 1, func(p int, c *class, rw rows) {
+		c.walk(0, len(c.order), &rw)
+		if p > 0 {
+			out[p-1] = s.time(&rw, origin, p, 0)
 		}
-		return nil
+	})
+	s.winPool.put(w)
+	return err
+}
+
+// RunFromWindowEvents executes the event-initiated simulation t_origin
+// over periods 0..periods with the two-row window and records, for
+// every events[k], out[k][j] = t_origin(events[k]_j) for j =
+// 0..periods — NaN where the unfolding has no origin-preceded
+// instantiation. Each out[k] must hold at least periods+1 entries. The
+// values are bit-identical to a RunFrom trace with Periods: periods+1
+// read back through Time/Reached.
+func (s *Schedule) RunFromWindowEvents(origin sg.EventID, periods int, events []sg.EventID, out [][]float64) error {
+	if len(out) < len(events) {
+		return fmt.Errorf("timesim: window output has %d rows, need %d", len(out), len(events))
+	}
+	for k, e := range events {
+		if e < 0 || int(e) >= s.n {
+			return fmt.Errorf("timesim: read event %d out of range", e)
+		}
+		if len(out[k]) <= periods {
+			return fmt.Errorf("timesim: window output row %d has %d entries, need %d", k, len(out[k]), periods+1)
+		}
 	}
 	w := s.acquireWindow()
-	n := s.n
-	// Period 0 has no predecessor row; its records are all unmarked.
-	rw := rows{times: w.times, pin: origin, unreached: math.Inf(-1)}
-	s.c0.walk(0, len(s.c0.order), &rw)
-	rw.pin = sg.None
-	for p := 1; p <= periods; p++ {
-		prev := rw.cur
-		rw.cur = n - prev
-		rw.back = rw.cur - prev
-		c := s.class(p)
+	err := s.roll(origin, periods, w.times, 1, func(p int, c *class, rw rows) {
 		c.walk(0, len(c.order), &rw)
-		if t := w.times[rw.cur+int(origin)]; t != math.Inf(-1) {
-			out[p-1] = t
-		} else {
-			out[p-1] = math.NaN()
+		for k, e := range events {
+			out[k][p] = s.time(&rw, e, p, 0)
 		}
-	}
+	})
 	s.winPool.put(w)
-	return nil
+	return err
 }
