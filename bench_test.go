@@ -444,8 +444,59 @@ func BenchmarkEditAnalyzeRandom2000(b *testing.B) {
 	})
 }
 
+// BenchmarkWhatIfDecreaseRandom2000 measures sweeps of uncertified
+// delay decreases on a warm Random2000 session: 1, 4 and 16 critical
+// arcs halved, each candidate one λ-only analysis at private delays.
+// One op is one sweep.
+func BenchmarkWhatIfDecreaseRandom2000(b *testing.B) {
+	g := random2000(b)
+	e, err := tsg.NewEngine(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := e.Analyze()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := e.Slacks(); err != nil {
+		b.Fatal(err)
+	}
+	// Arcs on every critical cycle: halving one of them is not
+	// certified by the session's certificate.
+	onAll := map[int]int{}
+	for _, c := range res.Critical {
+		for _, a := range c.Arcs {
+			onAll[a]++
+		}
+	}
+	var arcs []int
+	for _, a := range res.Critical[0].Arcs {
+		if onAll[a] == len(res.Critical) && g.Arc(a).Delay > 0 {
+			arcs = append(arcs, a)
+		}
+	}
+	for _, n := range []int{1, 4, 16} {
+		cands := make([]tsg.WhatIf, n)
+		for i, a := range arcs[:n] {
+			cands[i] = tsg.WhatIf{Arc: a, Delay: g.Arc(a).Delay / 2}
+		}
+		b.Run(fmt.Sprintf("decreases=%d", n), func(b *testing.B) {
+			before := e.Stats().Analyses
+			for i := 0; i < b.N; i++ {
+				if _, err := e.SensitivitySweep(cands); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if got := e.Stats().Analyses - before; got != int64(n*b.N) {
+				b.Fatalf("%d analyses for %d sweeps of %d decreases: not all uncertified", got, b.N, n)
+			}
+		})
+	}
+}
+
 // BenchmarkBoundsRandom2000 measures the interval-delay bounds, whose
-// two extreme analyses now run concurrently on engine clones.
+// two extreme analyses run concurrently, each at private delays over
+// the session's compiled schedule.
 func BenchmarkBoundsRandom2000(b *testing.B) {
 	g := random2000(b)
 	lo, hi := tsg.Jitter(0.1)

@@ -10,7 +10,8 @@ import (
 // one-shot functions (Analyze, Slacks, Sensitivity, AnalyzeBounds)
 // rebuild the compiled form on every call; an Engine keeps it alive so
 // heavy what-if traffic — the designer's edit-evaluate loop of §I —
-// pays a delay refresh per query instead of a recompile.
+// never pays a recompile: a what-if reads its delay from private delay
+// columns over the session's compiled schedule.
 //
 //	e, err := tsg.NewEngine(g)
 //	res, err := e.Analyze()              // compiled once, cached
@@ -25,9 +26,10 @@ import (
 // arbitrarily many analyses, slack reports, what-if sensitivities,
 // sweeps and interval bounds, with in-place delay edits between
 // queries. An Engine is safe for concurrent use under a
-// readers/writer session lock: queries answered from the cached
-// certificate run fully in parallel, while SetDelay commits (and
-// anything that must simulate or mutate session state) take the lock
+// readers/writer session lock: queries whose session state exists —
+// cached answers, warm sweeps including their simulated decreases,
+// bounds — run fully in parallel, while SetDelay commits (and queries
+// that must first build session state, and Monte-Carlo) take the lock
 // exclusively — the discipline that lets the serving layer
 // (internal/serve, cmd/tsgserved) share one engine across thousands
 // of clients. Graph() exposes the engine's graph view, Stats() its

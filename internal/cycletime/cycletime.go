@@ -183,7 +183,7 @@ func AnalyzeOpts(g *sg.Graph, opts Options) (*Result, error) {
 // runWorkers invokes fn(worker, 0..n-1), distributing the indices over
 // `workers` goroutines (sized by Engine.poolSize) pulling from a shared
 // atomic counter; the worker id lets callers hand each goroutine
-// private state (the sweep's per-worker engine clones). With one worker
+// private state (a what-if worker's delay columns). With one worker
 // it runs inline with no goroutine overhead.
 func runWorkers(n, workers int, fn func(worker, i int)) {
 	if workers <= 1 {
@@ -287,8 +287,8 @@ func markWinners(series []BorderSeries, lambda stat.Ratio) []winner {
 // ring whose winners all share one cycle, that is one simulation in
 // all. The cycles come back deduplicated in discovery order, with the
 // number of winners simulated. Serial, so the list is the same under
-// any GOMAXPROCS. The caller owns the engine's schedule for reading.
-func (e *Engine) criticalCycles(winners []winner, lambda stat.Ratio) ([]CriticalCycle, int, error) {
+// any GOMAXPROCS. The simulations run at the delays at.
+func (e *Engine) criticalCycles(at delays, winners []winner, lambda stat.Ratio) ([]CriticalCycle, int, error) {
 	pos := make([]int32, e.g.NumEvents())
 	covered := make([]bool, e.g.NumEvents())
 	var cycs []*CriticalCycle
@@ -296,7 +296,7 @@ func (e *Engine) criticalCycles(winners []winner, lambda stat.Ratio) ([]Critical
 		if covered[w.ev] {
 			continue
 		}
-		cyc, err := e.criticalCycle(w.ev, w.k, lambda, pos)
+		cyc, err := e.criticalCycle(at, w.ev, w.k, lambda, pos)
 		if err != nil {
 			return nil, len(cycs), err
 		}
@@ -308,23 +308,24 @@ func (e *Engine) criticalCycles(winners []winner, lambda stat.Ratio) ([]Critical
 	return DedupeCycles(cycs), len(cycs), nil
 }
 
-// criticalCycle re-simulates one λ-winner (pass2Trace), backtracks from
-// origin_k and releases the trace. pos is backtrack's scratch.
-func (e *Engine) criticalCycle(origin sg.EventID, k int, lambda stat.Ratio, pos []int32) (*CriticalCycle, error) {
-	tr, err := e.pass2Trace(origin, k)
+// criticalCycle re-simulates one λ-winner at the delays at
+// (pass2Trace), backtracks from origin_k and releases the trace. pos
+// is backtrack's scratch.
+func (e *Engine) criticalCycle(at delays, origin sg.EventID, k int, lambda stat.Ratio, pos []int32) (*CriticalCycle, error) {
+	tr, err := e.pass2Trace(at, origin, k)
 	if err != nil {
 		return nil, fmt.Errorf("cycletime: re-simulating from %q: %w", e.g.Event(origin).Name, err)
 	}
 	defer tr.Release()
-	return backtrack(e.g, tr, origin, k, lambda, pos)
+	return backtrack(at.g, tr, origin, k, lambda, pos)
 }
 
 // pass2Trace simulates from origin over periods 0..k only: a period's
 // times depend on earlier periods alone, and the backtrack from
 // origin_k never reads a later one, so the trace agrees bit for bit
 // with a full e.periods+1 slab everywhere the backtrack looks.
-func (e *Engine) pass2Trace(origin sg.EventID, k int) (*timesim.Trace, error) {
-	return e.sched.RunFrom(origin, timesim.Options{Periods: k + 1})
+func (e *Engine) pass2Trace(at delays, origin sg.EventID, k int) (*timesim.Trace, error) {
+	return e.sched.RunWith(origin, at.cols, timesim.Options{Periods: k + 1})
 }
 
 // backtrack reconstructs the unfolded critical path from origin_k back to

@@ -2,7 +2,6 @@ package cycletime
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -54,25 +53,30 @@ import (
 //     from the per-arc what-if rows — one initiated simulation per
 //     distinct arc head, shared across all queries of the session —
 //     in O(periods) arithmetic. Only uncertified delay DECREASES pay
-//     a delay-column refresh (O(1) per edited arc) plus one λ-only
-//     analysis — never a rebuild or recompile; in sweeps those run on
-//     the bounded worker pool, each worker owning a private overlay +
-//     schedule clone.
+//     one λ-only analysis each: b windowed simulations at a private
+//     delay column set that differs from the session's in the one arc
+//     (timesim.BatchDelays), split one job per (candidate, cut event)
+//     over the bounded worker pool — never a rebuild, a recompile or
+//     a write to the session's own delays;
+//   - AnalyzeBounds and Monte-Carlo: every run at delays other than
+//     the session's reads them from private columns over the session's
+//     one compiled schedule, plus a private overlay where pass 2 or the
+//     slack certificate reads delays from a graph. They are dropped
+//     when the query returns, so a session pins no memory for queries
+//     it has answered.
 //
 // An Engine is safe for concurrent use under a readers/writer session
-// lock: queries answered from the cached certificate — a warm Analyze,
-// a warm Slacks, sensitivity fast-path hits and what-if-row answers —
-// run concurrently under the shared lock, so many goroutines (the
-// request handlers of a serving layer, see internal/serve) read one
-// engine in parallel. Anything that mutates session state — a delay
-// commit (SetDelay/ResetDelays), the first analysis after an edit,
-// building what-if rows, bounds and Monte-Carlo runs, uncertified
-// what-if decreases — takes the lock exclusively; the parallel paths
-// inside those (sweep workers, the AnalyzeBounds lo extreme) run on
-// private clones while the session schedule stays under the exclusive
-// lock. The one exception is the Graph() view, which reflects
-// in-flight exclusive-path perturbations — read it only between
-// queries, and use Delay() for lock-protected delay reads.
+// lock. No query writes the session's delays, so every query whose
+// session state already exists runs under the shared lock: a warm
+// Analyze or Slacks, sweeps once the certificate and the what-if rows
+// they need exist (uncertified decreases included), and bounds — many
+// goroutines (the request handlers of a serving layer, see
+// internal/serve) read one engine in parallel. The lock is taken
+// exclusively by delay commits (SetDelay/ResetDelays), by queries that
+// build session state first — a cold analysis, pass 2, the slack
+// certificate, what-if rows — and by Monte-Carlo runs (the lazy
+// sampling-plan compile of a dist.Model is not safe for concurrent
+// first calls).
 type Engine struct {
 	mu      sync.RWMutex
 	overlay *sg.Overlay
@@ -81,12 +85,9 @@ type Engine struct {
 	cut     []sg.EventID
 	periods int
 	opts    Options
-	// serial marks a worker clone: the pool that owns it already
-	// saturates the CPUs, so its own simulations run on one goroutine.
-	serial bool
 
 	cert     *certificate
-	counters *engineCounters
+	counters engineCounters
 
 	// Incremental commit state. A committed delay edit (SetDelay /
 	// ResetDelays) drops the certificate but records the edited arcs in
@@ -110,14 +111,6 @@ type Engine struct {
 	rows         [][]float64
 	reachMark    []bool       // scratch for the row-invalidation BFS
 	reachQueue   []sg.EventID // scratch for the row-invalidation BFS
-
-	// sweepClones are the serial worker engines reused across sweeps;
-	// created on first need, re-synced to the session's baseline delays
-	// before each use (compile once, even for the workers).
-	sweepClones []*Engine
-	// boundsClone runs the lo extreme of AnalyzeBounds concurrently
-	// with the hi extreme on the session schedule; reused across calls.
-	boundsClone *Engine
 }
 
 // certificate caches the analysis of the engine's current baseline
@@ -141,8 +134,8 @@ type certificate struct {
 	onAllCrit  []bool    // arc lies on every cached critical cycle
 }
 
-// engineCounters is shared between an engine and its worker clones so
-// sweep statistics aggregate at the session root.
+// engineCounters are the engine's query counters, atomic so queries
+// under the shared lock and their pool workers count concurrently.
 type engineCounters struct {
 	analyses     atomic.Int64
 	incremental  atomic.Int64
@@ -157,8 +150,10 @@ type engineCounters struct {
 
 // EngineStats is a snapshot of an engine's query counters.
 type EngineStats struct {
-	// Analyses counts full timing-simulation analyses run by the
-	// engine, including sweep-worker and bounds-extreme analyses.
+	// Analyses counts pass-1 analyses (the b event-initiated
+	// simulations that yield λ): the session's own, one per uncertified
+	// what-if decrease, one per bounds extreme, the Monte-Carlo
+	// support-maximum bound and one per Monte-Carlo sample.
 	Analyses int64
 	// IncrementalAnalyses counts post-commit analyses answered by
 	// patching the committed traces through the edit's dirty cone
@@ -173,9 +168,11 @@ type EngineStats struct {
 	// re-analysis.
 	TableAnswers int64
 	// WindowedPass1 counts pass-1 runs on the two-row window kernel —
-	// every pass 1 that does not retain its traces; SlabPass1 counts
-	// the runs that do (sessions that have committed an edit keep full
-	// trace slabs for incremental patching).
+	// every pass 1 that does not retain its traces, at the session's
+	// delays or at private ones, except the Monte-Carlo samples, which
+	// run the batch kernel; SlabPass1 counts the runs that do retain
+	// them (sessions that have committed an edit keep full trace slabs
+	// for incremental patching).
 	WindowedPass1 int64
 	SlabPass1     int64
 	// PatchFloods counts per-trace incremental patches whose dirty
@@ -185,7 +182,9 @@ type EngineStats struct {
 	// LazyPass2Skips counts certificates dropped by a delay commit
 	// before pass 2 (winner re-simulation and critical-cycle
 	// backtracking) ever ran — analyses where laziness saved the whole
-	// pass. Pass2Runs counts the extractions that did run.
+	// pass. Pass2Runs counts the extractions that did run: the
+	// session's and one per bounds extreme (Monte-Carlo criticality
+	// runs pass 2 per sample without counting it).
 	LazyPass2Skips int64
 	Pass2Runs      int64
 }
@@ -213,8 +212,8 @@ func NewEngineOptsCtx(ctx context.Context, g *sg.Graph, opts Options) (*Engine, 
 	if cut == nil {
 		cut = g.BorderEvents()
 	} else {
-		// The cut set lives as long as the session (and its clones):
-		// decouple it from the caller's buffer.
+		// The cut set lives as long as the session: decouple it from
+		// the caller's buffer.
 		cut = append([]sg.EventID(nil), cut...)
 		for _, e := range cut {
 			if e < 0 || int(e) >= g.NumEvents() {
@@ -249,21 +248,20 @@ func NewEngineOptsCtx(ctx context.Context, g *sg.Graph, opts Options) (*Engine, 
 		return nil, err
 	}
 	return &Engine{
-		overlay:  ov,
-		g:        ov.Graph(),
-		sched:    sched,
-		cut:      cut,
-		periods:  periods,
-		opts:     opts,
-		counters: &engineCounters{},
+		overlay: ov,
+		g:       ov.Graph(),
+		sched:   sched,
+		cut:     cut,
+		periods: periods,
+		opts:    opts,
 	}, nil
 }
 
 // Graph returns the engine's view of the graph. Delays read through it
-// reflect the session's edits; callers must treat it as read-only and
-// must not read it concurrently with in-flight queries (a what-if miss
-// briefly holds the perturbed delay in the view). For concurrent delay
-// reads use Delay, which takes the session lock.
+// reflect the session's committed edits; callers must treat it as
+// read-only and must not read it concurrently with SetDelay or
+// ResetDelays. For delay reads concurrent with commits use Delay,
+// which takes the session lock.
 func (e *Engine) Graph() *sg.Graph { return e.g }
 
 // Periods returns the number of unfolding periods each simulation of
@@ -295,43 +293,16 @@ func (e *Engine) Delay(arc int) float64 {
 // SizeHint estimates the resident heap bytes of the compiled session:
 // the delay overlay, the compiled schedule's record columns, one pooled
 // simulation slab or window (times only, 8 B per instantiation), the
-// cached certificate (slacks and what-if rows) and any worker/bounds
-// clones. It deliberately excludes the immutable graph, which the
+// cached certificate (slacks and what-if rows) and the retained
+// committed traces. Queries at other delays (what-if decreases,
+// bounds, Monte-Carlo) keep nothing once they return, so they add
+// nothing. It deliberately excludes the immutable graph, which the
 // engine shares with its builder. Serving caches use the hint as the
 // per-entry cost when bounding total engine memory
 // (internal/serve.Cache).
 func (e *Engine) SizeHint() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	sz := e.sizeHintShallow()
-	if c := e.cert; c != nil {
-		m := int64(e.g.NumArcs())
-		sz += int64(len(c.slacks))*24 + m*9 // slackByArc + onAllCrit
-	}
-	for _, row := range e.rows {
-		sz += int64(len(row)) * 8
-	}
-	if e.rows != nil {
-		sz += int64(e.g.NumArcs()) * 24 // row headers
-	}
-	for _, tr := range e.simTraces {
-		sz += tr.MemEstimate()
-	}
-	if e.slackTrace != nil {
-		sz += e.slackTrace.MemEstimate()
-	}
-	for _, we := range e.sweepClones {
-		sz += we.sizeHintShallow()
-	}
-	if e.boundsClone != nil {
-		sz += e.boundsClone.sizeHintShallow()
-	}
-	return sz
-}
-
-// sizeHintShallow estimates one engine's own overlay + schedule + slab
-// memory, without certificate or clones.
-func (e *Engine) sizeHintShallow() int64 {
 	m := int64(e.g.NumArcs())
 	sz := int64(1024)           // struct headers, cut set, options
 	sz += m * 72                // overlay: arc copies, delay column, nominal, dirty tracking
@@ -343,6 +314,21 @@ func (e *Engine) sizeHintShallow() int64 {
 		// transiently, k+1 periods per distinct critical cycle;
 		// steady state is the window.
 		sz += e.sched.WindowBytes()
+	}
+	if c := e.cert; c != nil {
+		sz += int64(len(c.slacks))*24 + m*9 // slackByArc + onAllCrit
+	}
+	for _, row := range e.rows {
+		sz += int64(len(row)) * 8
+	}
+	if e.rows != nil {
+		sz += m * 24 // row headers
+	}
+	for _, tr := range e.simTraces {
+		sz += tr.MemEstimate()
+	}
+	if e.slackTrace != nil {
+		sz += e.slackTrace.MemEstimate()
 	}
 	return sz
 }
@@ -585,9 +571,9 @@ func (e *Engine) SlacksCtx(ctx context.Context) ([]ArcSlack, error) {
 
 // Sensitivity answers "what is λ if this arc's delay becomes newDelay"
 // without disturbing the session: certified perturbations are answered
-// from the slack certificate without simulating; everything else is a
-// delay refresh plus one full analysis, with the baseline restored
-// afterwards.
+// from the slack certificate without simulating, increases from the
+// arc's what-if row, and uncertified decreases by one λ-only analysis
+// at private delays.
 func (e *Engine) Sensitivity(arc int, newDelay float64) (stat.Ratio, error) {
 	return e.SensitivityCtx(context.Background(), arc, newDelay)
 }
@@ -619,22 +605,21 @@ type WhatIf struct {
 // assert it — but the sweep answers certified candidates from the slack
 // fast path without simulating, batches the what-if-row simulations of
 // the remaining increases (one per distinct arc head, on the worker
-// pool), and distributes the full analyses of uncertified decreases
-// over the same pool, each worker owning a private overlay + schedule
-// clone so simulations never share mutable state.
+// pool), and splits the λ-only analyses of uncertified decreases over
+// the same pool, one job per (candidate, cut event).
 func (e *Engine) SensitivitySweep(cands []WhatIf) ([]stat.Ratio, error) {
 	return e.SensitivitySweepCtx(context.Background(), cands)
 }
 
 // SensitivitySweepCtx is SensitivitySweep with cooperative cancellation:
-// the sweep checks ctx before every full what-if analysis it runs or
-// distributes to the worker pool, and returns ctx.Err() once it fires —
-// a request whose deadline expired (or whose client went away) stops
-// burning cores mid-sweep. Certified candidates answered from the
-// warm certificate never block, so cancellation costs nothing on the
-// fast path. A cancelled sweep leaves the session baseline untouched
-// (sweeps never commit state), so the engine is immediately reusable.
-// The engine.sweep span's tier is the deepest any candidate took.
+// the sweep checks ctx before every decrease simulation it runs on the
+// worker pool, and returns ctx.Err() once it fires — a request whose
+// deadline expired (or whose client went away) stops burning cores
+// mid-sweep. Certified candidates answered from the warm certificate
+// never block, so cancellation costs nothing on the fast path. Sweeps
+// never write session state other than the what-if rows they build,
+// so a cancelled sweep leaves the engine immediately reusable. The
+// engine.sweep span's tier is the deepest any candidate took.
 func (e *Engine) SensitivitySweepCtx(ctx context.Context, cands []WhatIf) ([]stat.Ratio, error) {
 	sp := obs.LeafN(ctx, spanSweep)
 	defer sp.End()
@@ -642,53 +627,82 @@ func (e *Engine) SensitivitySweepCtx(ctx context.Context, cands []WhatIf) ([]sta
 	return e.sweep(ctx, sp, cands)
 }
 
-// sweep answers cands under the shared lock when the certificate covers
-// them all, else exclusively; sp receives the deepest tier taken.
+// sweep answers cands under the shared lock when the certificate exists
+// and every increase it does not certify already has its what-if row,
+// else exclusively once the certificate and the missing rows are built;
+// sp receives the deepest tier taken.
 func (e *Engine) sweep(ctx context.Context, sp *obs.Span, cands []WhatIf) ([]stat.Ratio, error) {
 	if err := e.validateCands(cands); err != nil {
 		return nil, err
 	}
-	if out, tier, ok := e.sweepShared(cands); ok {
-		sp.SetTierN(tier)
-		return out, nil
+	e.mu.RLock()
+	if c := e.cert; c != nil && c.slackByArc != nil {
+		if out, missing, err := e.answer(ctx, sp, c, cands); missing == nil {
+			e.mu.RUnlock()
+			return out, err
+		}
 	}
+	e.mu.RUnlock()
 	ctx = obs.ContextWith(ctx, sp) // cold: phases nest under this span
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.sweepLocked(ctx, cands)
+	c, err := e.ensureCert(ctx)
+	if err != nil {
+		return nil, err
+	}
+	out, missing, err := e.answer(ctx, sp, c, cands)
+	if missing != nil {
+		// One initiated simulation per distinct arc head builds the
+		// rows, cheaper than one λ-only analysis.
+		if err := e.ensureRows(ctx, missing); err != nil {
+			return nil, err
+		}
+		out, _, err = e.answer(ctx, sp, c, cands)
+	}
+	return out, err
 }
 
-// sweepShared answers a whole sweep under the shared (reader) lock when
-// every candidate is covered by the existing certificate — fast-path
-// certified or served by an already-built what-if row. A single
-// candidate needing simulation aborts the attempt (ok=false) and the
-// sweep reruns exclusively; counters are only flushed on full success,
-// so an aborted attempt leaves the session statistics untouched.
-func (e *Engine) sweepShared(cands []WhatIf) (out []stat.Ratio, tier obs.Name, ok bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	c := e.cert
-	if c == nil || c.slackByArc == nil {
-		return nil, 0, false
-	}
+// answer is the one answer loop of a sweep: each candidate takes the
+// fast path when the certificate proves λ unchanged, its arc's what-if
+// row when it is an increase, else (an uncertified decrease) one λ-only
+// analysis at private delays (whatIfDecreases). When increases lack
+// their rows it returns those arcs as missing, having answered and
+// counted nothing. Callers hold the session lock, shared or exclusive;
+// sp receives the deepest tier taken.
+func (e *Engine) answer(ctx context.Context, sp *obs.Span, c *certificate, cands []WhatIf) (out []stat.Ratio, missing []int, err error) {
 	out = make([]stat.Ratio, len(cands))
 	var fast, table int64
+	var full []int
 	for i, cd := range cands {
-		if lam, ok := fastAnswer(c, e.overlay.Delay(cd.Arc), cd.Arc, cd.Delay); ok {
+		cur := e.overlay.Delay(cd.Arc)
+		if lam, ok := fastAnswer(c, cur, cd.Arc, cd.Delay); ok {
 			out[i] = lam
 			fast++
 			continue
 		}
-		if cd.Delay > e.overlay.Delay(cd.Arc) && e.rows != nil && e.rows[cd.Arc] != nil {
-			out[i] = e.answerFromRow(c.result.CycleTime, cd.Arc, cd.Delay)
-			table++
+		if cd.Delay <= cur {
+			full = append(full, i)
 			continue
 		}
-		return nil, 0, false
+		if e.rows == nil || e.rows[cd.Arc] == nil {
+			missing = append(missing, cd.Arc)
+			continue
+		}
+		out[i] = e.answerFromRow(c.result.CycleTime, cd.Arc, cd.Delay)
+		table++
+	}
+	if missing != nil {
+		return nil, missing, nil
 	}
 	e.counters.fastPathHits.Add(fast)
 	e.counters.tableHits.Add(table)
-	return out, deepestTier(fast, table, 0), true
+	sp.SetTierN(deepestTier(fast, table, int64(len(full))))
+	if len(full) > 0 {
+		if err := e.whatIfDecreases(obs.ContextWith(ctx, sp), cands, full, out); err != nil {
+			return nil, nil, err
+		}
+	}
+	return out, nil, nil
 }
 
 // deepestTier names the deepest what-if tier a sweep took, given how
@@ -721,90 +735,76 @@ func (e *Engine) validateCands(cands []WhatIf) error {
 	return nil
 }
 
-// sweepLocked is the exclusive-path sweep; callers hold the session
-// lock.
-func (e *Engine) sweepLocked(ctx context.Context, cands []WhatIf) ([]stat.Ratio, error) {
-	c, err := e.ensureCert(ctx)
-	if err != nil {
-		return nil, err
+// whatIfDecreases answers the uncertified decreases cands[i], i in full:
+// each is the λ-only pass 1 at the session's delays with the one arc
+// changed. The work is one job per (candidate, cut event) pair on the
+// bounded worker pool. Each worker owns a width-1 private column set at
+// the session's delays and moves the job's arc in and back out, so no
+// job writes the session's delays. Each candidate's per-event bests are
+// then folded in cut order, as pass 1 folds them. Callers hold the
+// session lock, shared or exclusive.
+func (e *Engine) whatIfDecreases(ctx context.Context, cands []WhatIf, full []int, out []stat.Ratio) error {
+	e.counters.analyses.Add(int64(len(full)))
+	e.counters.windowedP1.Add(int64(len(full)))
+	sp := e.pass1Span(ctx, tierWindow)
+	sp.AnnotateN(keyCands, uint64(len(full)))
+	defer sp.End()
+	b := len(e.cut)
+	jobs := len(full) * b
+	type worker struct {
+		cols *timesim.BatchDelays
+		out  [][]float64
+		err  error
 	}
-	out := make([]stat.Ratio, len(cands))
-	var fast int64
-	var full, incr []int
-	for i, cd := range cands {
-		if lam, ok := fastAnswer(c, e.overlay.Delay(cd.Arc), cd.Arc, cd.Delay); ok {
-			out[i] = lam
-			fast++
-			continue
-		}
-		if cd.Delay > e.overlay.Delay(cd.Arc) {
-			incr = append(incr, i)
-		} else {
-			full = append(full, i)
-		}
+	ws := make([]worker, e.poolSize(jobs, 1))
+	for i := range ws {
+		ws[i] = worker{cols: e.sched.NewBatchDelays(1), out: [][]float64{make([]float64, e.periods)}}
 	}
-	e.counters.fastPathHits.Add(fast)
-	// Increase misses are answered exactly from the what-if rows: one
-	// initiated simulation per distinct arc head — always cheaper than
-	// the |cut| simulations of even one full analysis — then O(periods)
-	// arithmetic per candidate.
-	if len(incr) > 0 {
-		arcs := make([]int, len(incr))
-		for k, i := range incr {
-			arcs[k] = cands[i].Arc
-		}
-		if err := e.ensureRows(ctx, arcs); err != nil {
-			return nil, err
-		}
-		for _, i := range incr {
-			out[i] = e.answerFromRow(c.result.CycleTime, cands[i].Arc, cands[i].Delay)
-		}
-		e.counters.tableHits.Add(int64(len(incr)))
-	}
-	obs.FromContext(ctx).SetTierN(deepestTier(fast, int64(len(incr)), int64(len(full))))
-	if len(full) == 0 {
-		return out, nil
-	}
-	// Uncertified decreases each pay one λ-only analysis: in place when
-	// the pool rule says one worker, else on the session's worker clones.
-	workers := e.poolSize(len(full), len(e.cut))
-	engines := []*Engine{e}
-	if workers > 1 {
-		if engines, err = e.syncedClones(workers); err != nil {
-			return nil, err
-		}
-	}
-	errs := make([]error, workers)
-	runWorkers(len(full), workers, func(w, k int) {
-		// Cooperative cancellation: each worker checks the deadline
-		// before every full analysis it claims, so a cancelled sweep
-		// stops within one candidate's work per worker.
-		if errs[w] != nil {
+	series := make([]BorderSeries, jobs) // per job: the Best of its series
+	runWorkers(jobs, len(ws), func(wi, j int) {
+		w := &ws[wi]
+		// Cooperative cancellation: a cancelled sweep stops within one
+		// simulation per worker.
+		if w.err != nil {
 			return
 		}
-		if errs[w] = ctx.Err(); errs[w] != nil {
+		if w.err = ctx.Err(); w.err != nil {
 			return
 		}
-		i := full[k]
-		out[i], errs[w] = engines[w].whatIfFull(ctx, cands[i].Arc, cands[i].Delay)
+		cd, ev := cands[full[j/b]], e.cut[j%b]
+		w.cols.SetArc(e.sched, 0, cd.Arc, cd.Delay)
+		w.err = e.sched.RunFromBatch(ev, w.cols, e.periods, w.out)
+		w.cols.SetArc(e.sched, 0, cd.Arc, e.overlay.Delay(cd.Arc))
+		if w.err != nil {
+			w.err = fmt.Errorf("cycletime: simulating from %q: %w", e.g.Event(ev).Name, w.err)
+			return
+		}
+		series[j].Best = seriesFromTimes(ev, w.out[0]).Best
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	for _, w := range ws {
+		if w.err != nil {
+			return w.err
 		}
 	}
-	return out, nil
+	for k, i := range full {
+		res, err := e.assembleSeries(series[k*b : (k+1)*b])
+		if err != nil {
+			return err
+		}
+		out[i] = res.CycleTime
+	}
+	return nil
 }
 
 // AnalyzeBounds computes guaranteed cycle-time bounds when every arc
 // delay may vary inside [lo(a), hi(a)] of the session's current delays:
 // λ is monotone in each delay, so the two extreme assignments bracket
 // every assignment in between. The two extreme analyses are independent
-// and run on the worker pool — the lo extreme on a cached clone, the hi
-// extreme in place on the session schedule, which is restored after.
+// and run on the worker pool, each at its own private delays, so the
+// query writes no session state and runs under the shared lock.
 func (e *Engine) AnalyzeBounds(lo, hi func(arc int, nominal float64) float64) (*Bounds, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
 	m := e.g.NumArcs()
 	dLo := make([]float64, m)
 	dHi := make([]float64, m)
@@ -821,71 +821,60 @@ func (e *Engine) AnalyzeBounds(lo, hi func(arc int, nominal float64) float64) (*
 			return nil, fmt.Errorf("cycletime: arc %d has lo %g > hi %g", i, dLo[i], dHi[i])
 		}
 	}
-	analyzeAt := func(we *Engine, d []float64) (*Result, error) {
-		if err := we.overlay.SetDelays(func(i int, _ float64) float64 { return d[i] }); err != nil {
-			return nil, err
+	var (
+		ds   = [2][]float64{dLo, dHi}
+		res  [2]*Result
+		errs [2]error
+	)
+	runIndexed(2, e.poolSize(2, len(e.cut)), func(i int) {
+		at := e.privateDelays()
+		if errs[i] = at.set(e.sched, ds[i]); errs[i] == nil {
+			res[i], errs[i] = e.runAnalysis(context.Background(), at)
 		}
-		we.refreshAll()
-		return we.runAnalysis(context.Background(), false)
-	}
-	// The lo extreme runs on a private clone, the hi extreme reuses the
-	// session's own idle schedule (restored afterwards), so one bounds
-	// query costs a single extra compile, and none once the clone
-	// exists.
-	if e.boundsClone == nil {
-		bc, err := e.clone(false)
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		e.boundsClone = bc
-	}
-	loClone := e.boundsClone
-	cur := make([]float64, m)
-	for i := range cur {
-		cur[i] = e.overlay.Delay(i)
-	}
-	var (
-		rLo, rHi *Result
-		eLo, eHi error
-	)
-	runIndexed(2, e.poolSize(2, len(e.cut)), func(i int) {
-		if i == 0 {
-			rHi, eHi = analyzeAt(e, dHi)
-		} else {
-			rLo, eLo = analyzeAt(loClone, dLo)
-		}
-	})
-	// Restore the session baseline exactly; the cached certificate
-	// remains valid.
-	restoreErr := e.overlay.SetDelays(func(i int, _ float64) float64 { return cur[i] })
-	e.refreshAll()
-	if restoreErr != nil {
-		return nil, restoreErr
-	}
-	if eLo != nil {
-		return nil, eLo
-	}
-	if eHi != nil {
-		return nil, eHi
 	}
 	return &Bounds{
-		Min: rLo.CycleTime, Max: rHi.CycleTime,
-		MinResult: rLo, MaxResult: rHi,
+		Min: res[0].CycleTime, Max: res[1].CycleTime,
+		MinResult: res[0], MaxResult: res[1],
 	}, nil
 }
 
 // --- internals ---------------------------------------------------------
 
-// refresh drains the overlay's dirty arcs into the compiled schedule's
-// delay columns.
-func (e *Engine) refresh() { e.overlay.DrainDirty(e.sched.RefreshArcDelay) }
+// delays is one delay assignment an analysis runs at: the graph whose
+// arc delays backtracking sums into cycle lengths and the dual solve
+// reads, and the compiled delay columns the kernels read — nil for the
+// session schedule's own. The session's assignment is e.session();
+// privateDelays makes one that leaves the session's delays alone.
+type delays struct {
+	g    *sg.Graph
+	cols *timesim.BatchDelays
+	ov   *sg.Overlay // behind g for a private assignment, else nil
+}
 
-// refreshAll rewrites every delay column from the overlay graph — the
-// bulk counterpart of refresh for whole-graph delay assignments, where
-// one column scan beats draining m dirty arcs one by one.
-func (e *Engine) refreshAll() {
-	e.sched.RefreshDelays()
-	e.overlay.DrainDirty(func(int, float64) {})
+// session returns the session's own delay assignment.
+func (e *Engine) session() delays { return delays{g: e.g} }
+
+// privateDelays returns a private delay assignment over the session's
+// structure and compiled schedule, starting at the session's delays: a
+// private overlay and width-1 delay columns. Callers hold the session
+// lock, shared or exclusive.
+func (e *Engine) privateDelays() delays {
+	ov := sg.NewOverlay(e.g)
+	return delays{g: ov.Graph(), cols: e.sched.NewBatchDelays(1), ov: ov}
+}
+
+// set moves a private assignment to the per-arc delays d.
+func (at delays) set(sch *timesim.Schedule, d []float64) error {
+	if err := at.ov.SetDelays(func(i int, _ float64) float64 { return d[i] }); err != nil {
+		return err
+	}
+	at.cols.Set(sch, 0, d)
+	return nil
 }
 
 // ensureResult returns the certificate holding the pass-1 analysis (λ
@@ -899,7 +888,7 @@ func (e *Engine) ensureResult(ctx context.Context) (*certificate, error) {
 	if e.cert != nil {
 		return e.cert, nil
 	}
-	e.refresh()
+	e.overlay.DrainDirty(e.sched.RefreshArcDelay)
 	dirty := e.drainPending()
 	e.invalidateRows(dirty)
 	var (
@@ -932,7 +921,7 @@ func (e *Engine) ensureCriticals(ctx context.Context, c *certificate) error {
 	if c.criticals {
 		return nil
 	}
-	if err := e.extractCriticals(ctx, c.result); err != nil {
+	if err := e.extractCriticals(ctx, e.session(), c.result); err != nil {
 		return err
 	}
 	c.criticals = true
@@ -942,18 +931,18 @@ func (e *Engine) ensureCriticals(ctx context.Context, c *certificate) error {
 	return nil
 }
 
-// extractCriticals is pass 2 (Prop. 7/8) against a pass-1 result:
-// exactly the cut-set events attaining λ lie on critical cycles, so
-// every winner is marked OnCritical, and criticalCycles turns the
-// winners, in cut order, into Critical with one k+1-period simulation
-// per distinct cycle.
-func (e *Engine) extractCriticals(ctx context.Context, res *Result) error {
+// extractCriticals is pass 2 (Prop. 7/8) against a pass-1 result at
+// the delays at: exactly the cut-set events attaining λ lie on critical
+// cycles, so every winner is marked OnCritical, and criticalCycles
+// turns the winners, in cut order, into Critical with one k+1-period
+// simulation per distinct cycle.
+func (e *Engine) extractCriticals(ctx context.Context, at delays, res *Result) error {
 	e.counters.pass2Runs.Add(1)
 	winners := markWinners(res.Series, res.CycleTime)
 	sp := obs.LeafN(ctx, spanPass2)
 	sp.AnnotateN(keyWinners, uint64(len(winners)))
 	defer sp.End()
-	cycs, simulated, err := e.criticalCycles(winners, res.CycleTime)
+	cycs, simulated, err := e.criticalCycles(at, winners, res.CycleTime)
 	sp.AnnotateN(keySimulated, uint64(simulated))
 	if err != nil {
 		return err
@@ -966,9 +955,9 @@ func (e *Engine) extractCriticals(ctx context.Context, res *Result) error {
 // jobs of simsPerJob simulations each run on up to GOMAXPROCS
 // goroutines once there are at least two jobs and AutoParallelThreshold
 // simulations in all; below that the goroutine overhead outweighs the
-// win. A worker clone always runs serially.
+// win.
 func (e *Engine) poolSize(jobs, simsPerJob int) int {
-	if e.serial || jobs < 2 || jobs*simsPerJob < AutoParallelThreshold {
+	if jobs < 2 || jobs*simsPerJob < AutoParallelThreshold {
 		return 1
 	}
 	return min(jobs, runtime.GOMAXPROCS(0))
@@ -1122,7 +1111,7 @@ func (e *Engine) buildCertificate(ctx context.Context, c *certificate) error {
 	if e.incr {
 		slacks, err = e.certifySlacksSession(lam)
 	} else {
-		slacks, err = e.certifySlacksAt(lam)
+		slacks, err = e.certifySlacksAt(e.session(), lam)
 	}
 	if err != nil {
 		return err
@@ -1154,20 +1143,19 @@ func (e *Engine) buildCertificate(ctx context.Context, c *certificate) error {
 	return nil
 }
 
-// certifySlacksAt runs one plain simulation at the schedule's current
-// delays, seeds the dual (Burns LP) solve from the λ-detrended
-// occurrence maxima — unfolded-path weights, already feasible along
-// every simulated constraint — and returns the per-arc slack
-// certificate at λ. Callers hold the session lock or own the engine
-// exclusively. Besides the session certificate, this is the per-sample
-// slack evaluation of the Monte-Carlo subsystem (SlacksMC), which is
-// why it takes λ as a parameter instead of reading the cached result.
-func (e *Engine) certifySlacksAt(lam float64) ([]ArcSlack, error) {
-	tr, err := e.sched.Run(timesim.Options{Periods: e.periods + 1})
+// certifySlacksAt runs one plain simulation at the delays at, seeds
+// the dual (Burns LP) solve from the λ-detrended occurrence maxima —
+// unfolded-path weights, already feasible along every simulated
+// constraint — and returns the per-arc slack certificate at λ. Besides
+// the session certificate, this is the per-sample slack evaluation of
+// the Monte-Carlo subsystem (SlacksMC), which is why it takes the
+// delays and λ as parameters instead of reading the cached result.
+func (e *Engine) certifySlacksAt(at delays, lam float64) ([]ArcSlack, error) {
+	tr, err := e.sched.RunWith(sg.None, at.cols, timesim.Options{Periods: e.periods + 1})
 	if err != nil {
 		return nil, err
 	}
-	slacks, err := e.certifySlacksFromTrace(tr, lam)
+	slacks, err := e.certifySlacksFromTrace(at.g, tr, lam)
 	tr.Release()
 	return slacks, err
 }
@@ -1187,14 +1175,14 @@ func (e *Engine) certifySlacksSession(lam float64) ([]ArcSlack, error) {
 		}
 		e.slackTrace = tr
 	}
-	return e.certifySlacksFromTrace(e.slackTrace, lam)
+	return e.certifySlacksFromTrace(e.g, e.slackTrace, lam)
 }
 
 // certifySlacksFromTrace seeds the dual solve from a plain simulation
-// at the schedule's current delays and returns the slack certificate.
-func (e *Engine) certifySlacksFromTrace(tr *timesim.Trace, lam float64) ([]ArcSlack, error) {
-	seed := make([]float64, e.g.NumEvents())
-	for _, ev := range e.g.RepetitiveEvents() {
+// of g's delays and returns the slack certificate.
+func (e *Engine) certifySlacksFromTrace(g *sg.Graph, tr *timesim.Trace, lam float64) ([]ArcSlack, error) {
+	seed := make([]float64, g.NumEvents())
+	for _, ev := range g.RepetitiveEvents() {
 		best := 0.0
 		for p := 0; p <= e.periods; p++ {
 			if t, ok := tr.Time(ev, p); ok {
@@ -1205,11 +1193,11 @@ func (e *Engine) certifySlacksFromTrace(tr *timesim.Trace, lam float64) ([]ArcSl
 		}
 		seed[ev] = best
 	}
-	u, err := mcr.FeasiblePotentialSeeded(e.g, lam, seed)
+	u, err := mcr.FeasiblePotentialSeeded(g, lam, seed)
 	if err != nil {
 		return nil, fmt.Errorf("cycletime: certifying slacks at λ=%g: %w", lam, err)
 	}
-	return slacksFromPotential(e.g, lam, u), nil
+	return slacksFromPotential(g, lam, u), nil
 }
 
 // fastAnswer reports (λ, true) when the certificate proves the
@@ -1346,103 +1334,15 @@ func (e *Engine) answerFromRow(lam stat.Ratio, arc int, newDelay float64) stat.R
 	return best.Normalize()
 }
 
-// whatIfFull perturbs one arc in place, re-analyses against the
-// compiled schedule, and restores the baseline delay. The cached
-// certificate stays valid because the baseline is restored exactly.
-// Only λ is needed, so the analysis skips pass 2 (winner re-simulation
-// and critical-cycle backtracking).
-func (e *Engine) whatIfFull(ctx context.Context, arc int, newDelay float64) (stat.Ratio, error) {
-	old := e.overlay.Delay(arc)
-	if err := e.overlay.SetDelay(arc, newDelay); err != nil {
-		return stat.Ratio{}, err
-	}
-	e.refresh()
-	res, err := e.runAnalysis(ctx, true)
-	// Restore before error handling so the session baseline survives a
-	// failed analysis. The old delay was valid when it was read, so a
-	// restore failure means the session invariants are already broken;
-	// it must surface, never be discarded — a silently kept perturbation
-	// would corrupt every later answer of the session.
-	if restoreErr := e.overlay.SetDelay(arc, old); restoreErr != nil {
-		err = errors.Join(err, fmt.Errorf(
-			"cycletime: restoring baseline delay %g on arc %d after what-if: %w", old, arc, restoreErr))
-	}
-	e.refresh()
-	if err != nil {
-		return stat.Ratio{}, err
-	}
-	return res.CycleTime, nil
-}
-
-// syncedClones returns n worker engines re-synced to the session's
-// current baseline delays, creating (and caching) any that do not
-// exist yet. Runs serially under the session lock; the clones are then
-// used exclusively by the sweep's worker goroutines.
-func (e *Engine) syncedClones(n int) ([]*Engine, error) {
-	for len(e.sweepClones) < n {
-		we, err := e.clone(true)
-		if err != nil {
-			return nil, err
-		}
-		e.sweepClones = append(e.sweepClones, we)
-	}
-	for ci, we := range e.sweepClones[:n] {
-		for i := 0; i < e.g.NumArcs(); i++ {
-			if d := e.overlay.Delay(i); we.overlay.Delay(i) != d {
-				if err := we.overlay.SetDelay(i, d); err != nil {
-					// The session delay was valid, so this clone's overlay
-					// has broken invariants and is now partially synced:
-					// drop it from the pool so no later sweep can reuse the
-					// corrupted delay state, and surface the failure.
-					e.sweepClones = append(e.sweepClones[:ci], e.sweepClones[ci+1:]...)
-					return nil, fmt.Errorf("cycletime: syncing sweep clone %d (arc %d to %g): %w", ci, i, d, err)
-				}
-			}
-		}
-		we.refresh()
-	}
-	return e.sweepClones[:n], nil
-}
-
-// clone derives an engine over the same current baseline delays with a
-// private overlay and schedule, sharing the parent's counters. Worker
-// clones (serial=true) run their b simulations on one goroutine — the
-// sweep's worker pool already saturates the CPUs — which yields
-// identical Results by the scheduling-determinism guarantee.
-func (e *Engine) clone(serial bool) (*Engine, error) {
-	ov := sg.NewOverlay(e.g)
-	sched, err := timesim.Compile(ov.Graph())
+// runAnalysis executes the paper's two-pass algorithm (§VII) at the
+// delays at without touching session state: the form AnalyzeBounds
+// runs its extremes in.
+func (e *Engine) runAnalysis(ctx context.Context, at delays) (*Result, error) {
+	res, err := e.pass1At(ctx, at.cols)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{
-		overlay:  ov,
-		g:        ov.Graph(),
-		sched:    sched,
-		cut:      e.cut,
-		periods:  e.periods,
-		opts:     e.opts,
-		serial:   serial,
-		counters: e.counters,
-	}, nil
-}
-
-// runAnalysis executes the paper's two-pass algorithm (§VII) against
-// the compiled schedule at the schedule's current delays, without
-// touching the session's retained traces — the form the what-if,
-// bounds and Monte-Carlo paths use on temporarily perturbed delays.
-// With lambdaOnly set it stops after pass 1 — λ and the series are
-// complete, only the critical-cycle extraction is skipped. Callers
-// hold the session lock or own the engine exclusively.
-func (e *Engine) runAnalysis(ctx context.Context, lambdaOnly bool) (*Result, error) {
-	res, err := e.pass1Analysis(ctx, false)
-	if err != nil {
-		return nil, err
-	}
-	if lambdaOnly {
-		return res, nil
-	}
-	if err := e.extractCriticals(ctx, res); err != nil {
+	if err := e.extractCriticals(ctx, at, res); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -1478,54 +1378,66 @@ func DedupeCycles(cycs []*CriticalCycle) []CriticalCycle {
 // With retain set the simulations are kept as the session's committed
 // traces, which later post-commit analyses patch in place; the lazy
 // pass 2 re-simulates only the λ winners when critical cycles are
-// actually requested. Without retain the simulations run the
-// two-row windowed kernel, which materialises no slab at all and
-// writes each origin series straight into the result. Callers hold
-// the session lock.
+// actually requested. Without retain it is pass1At at the session's
+// delays. Callers hold the session lock.
 func (e *Engine) pass1Analysis(ctx context.Context, retain bool) (*Result, error) {
+	if !retain {
+		return e.pass1At(ctx, nil)
+	}
+	// Retaining sessions never window: incremental patching needs the
+	// materialised slabs.
 	e.counters.analyses.Add(1)
-	cut := e.cut
-	workers := e.poolSize(len(cut), 1)
-	simErrs := make([]error, len(cut))
-	sp := obs.LeafN(ctx, spanPass1)
-	sp.AnnotateN(keyCut, uint64(len(cut)))
-	sp.AnnotateN(keyPeriods, uint64(e.periods))
+	e.counters.slabP1.Add(1)
+	sp := e.pass1Span(ctx, tierSlab)
 	defer sp.End()
-	if retain {
-		// Retaining sessions never window: incremental patching needs
-		// the materialised slabs.
-		e.counters.slabP1.Add(1)
-		sp.SetTierN(tierSlab)
-		traces := make([]*timesim.Trace, len(cut))
-		runIndexed(len(cut), workers, func(i int) {
-			traces[i], simErrs[i] = e.sched.RunFrom(cut[i], timesim.Options{Periods: e.periods + 1})
-		})
-		release := func() {
-			for _, tr := range traces {
-				if tr != nil {
-					tr.Release()
-				}
+	cut := e.cut
+	simErrs := make([]error, len(cut))
+	traces := make([]*timesim.Trace, len(cut))
+	runIndexed(len(cut), e.poolSize(len(cut), 1), func(i int) {
+		traces[i], simErrs[i] = e.sched.RunFrom(cut[i], timesim.Options{Periods: e.periods + 1})
+	})
+	release := func() {
+		for _, tr := range traces {
+			if tr != nil {
+				tr.Release()
 			}
 		}
-		if err := e.simErr(simErrs); err != nil {
-			release()
-			return nil, err
-		}
-		res, err := e.resultFromTraces(traces)
-		if err != nil {
-			release()
-			return nil, err
-		}
-		e.simTraces = traces
-		return res, nil
 	}
+	if err := e.simErr(simErrs); err != nil {
+		release()
+		return nil, err
+	}
+	res, err := e.resultFromTraces(traces)
+	if err != nil {
+		release()
+		return nil, err
+	}
+	e.simTraces = traces
+	return res, nil
+}
+
+// pass1At is the windowed pass 1 at the delay columns cols (nil: the
+// session's own): the two-row kernel materialises no slab and writes
+// each origin series straight into the result. It writes no session
+// state, so the session's own λ and the analyses at private delays
+// (bounds, the Monte-Carlo support-maximum bound) share it.
+func (e *Engine) pass1At(ctx context.Context, cols *timesim.BatchDelays) (*Result, error) {
+	e.counters.analyses.Add(1)
 	e.counters.windowedP1.Add(1)
-	sp.SetTierN(tierWindow)
+	sp := e.pass1Span(ctx, tierWindow)
+	defer sp.End()
+	cut := e.cut
+	simErrs := make([]error, len(cut))
 	series := make([]BorderSeries, len(cut))
 	distSlab := make([]float64, len(cut)*e.periods)
-	runIndexed(len(cut), workers, func(i int) {
+	runIndexed(len(cut), e.poolSize(len(cut), 1), func(i int) {
 		dist := distSlab[i*e.periods : (i+1)*e.periods : (i+1)*e.periods]
-		if simErrs[i] = e.sched.RunFromWindow(cut[i], e.periods, dist); simErrs[i] == nil {
+		if cols == nil {
+			simErrs[i] = e.sched.RunFromWindow(cut[i], e.periods, dist)
+		} else {
+			simErrs[i] = e.sched.RunFromBatch(cut[i], cols, e.periods, [][]float64{dist})
+		}
+		if simErrs[i] == nil {
 			series[i] = seriesFromTimes(cut[i], dist)
 		}
 	})
@@ -1533,6 +1445,16 @@ func (e *Engine) pass1Analysis(ctx context.Context, retain bool) (*Result, error
 		return nil, err
 	}
 	return e.assembleSeries(series)
+}
+
+// pass1Span opens the engine.pass1 span of a pass 1 on the given
+// kernel tier.
+func (e *Engine) pass1Span(ctx context.Context, tier obs.Name) *obs.Span {
+	sp := obs.LeafN(ctx, spanPass1)
+	sp.SetTierN(tier)
+	sp.AnnotateN(keyCut, uint64(len(e.cut)))
+	sp.AnnotateN(keyPeriods, uint64(e.periods))
+	return sp
 }
 
 // simErr wraps the first failed pass-1 simulation, or returns nil.

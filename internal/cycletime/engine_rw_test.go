@@ -2,6 +2,7 @@ package cycletime
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -10,12 +11,13 @@ import (
 )
 
 // TestEngineConcurrentReadersWithWriters is the session-lock stress
-// test: parallel Analyze/Slacks/SensitivitySweep readers interleaved
-// with SetDelay writers on one engine. Every answer must match the
-// serial oracle for one of the committed delay states — the sweep
-// vector in particular must be consistent with a SINGLE state, proving
-// queries see committed baselines atomically and never a half-applied
-// edit. Run under -race (the CI race step covers this package).
+// test: parallel Analyze/Slacks/SensitivitySweep/AnalyzeBounds and
+// Monte-Carlo readers interleaved with SetDelay writers on one engine.
+// Every answer must match the serial oracle for one of the committed
+// delay states — a sweep vector or a bounds pair in particular must be
+// consistent with a SINGLE state, proving queries see committed
+// baselines atomically and never a half-applied edit. Run under -race
+// (the CI race step covers this package).
 func TestEngineConcurrentReadersWithWriters(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	g, err := gen.RandomLive(rng, gen.RandomOptions{Events: 120, Border: 6, ExtraArcs: 120, MaxDelay: 8})
@@ -33,17 +35,27 @@ func TestEngineConcurrentReadersWithWriters(t *testing.T) {
 	states := []float64{d0, d0*2 + 1, d0*4 + 3}
 
 	// Candidate set for the sweeps: a spread of increases (fast path /
-	// what-if rows) plus a decrease on the hot arc, which forces the
-	// exclusive full-analysis path through the worker clones.
+	// what-if rows) plus a decrease on the hot arc, which runs a λ-only
+	// analysis at private delays. The decrease-only sweep takes the
+	// decrease on every arc of the critical cycle, so it simulates
+	// under the shared lock once the certificate exists.
 	var cands []WhatIf
 	for a := 0; a < g.NumArcs() && len(cands) < 10; a += g.NumArcs() / 10 {
 		cands = append(cands, WhatIf{Arc: a, Delay: g.Arc(a).Delay * 1.5})
 	}
 	cands = append(cands, WhatIf{Arc: hot, Delay: d0 * 0.5})
+	var decs []WhatIf
+	for _, a := range base.Critical[0].Arcs {
+		decs = append(decs, WhatIf{Arc: a, Delay: g.Arc(a).Delay * 0.5})
+	}
+	lo, hi := Jitter(0.1)
 
-	// Serial oracle per committed state: λ and the full sweep vector.
+	// Serial oracle per committed state: λ, the full sweep vectors and
+	// the bounds.
 	oracleLam := make([]stat.Ratio, len(states))
 	oracleSweep := make([][]stat.Ratio, len(states))
+	oracleDecs := make([][]stat.Ratio, len(states))
+	oracleBounds := make([][2]stat.Ratio, len(states))
 	for si, d := range states {
 		gs, err := g.WithArcDelay(hot, d)
 		if err != nil {
@@ -63,6 +75,34 @@ func TestEngineConcurrentReadersWithWriters(t *testing.T) {
 			vec[ci] = lam
 		}
 		oracleSweep[si] = vec
+		for _, cd := range decs {
+			lam, err := Sensitivity(gs, cd.Arc, cd.Delay)
+			if err != nil {
+				t.Fatalf("oracle decrease state %d arc %d: %v", si, cd.Arc, err)
+			}
+			oracleDecs[si] = append(oracleDecs[si], lam)
+		}
+		bd, err := AnalyzeBounds(gs, lo, hi)
+		if err != nil {
+			t.Fatalf("oracle AnalyzeBounds state %d: %v", si, err)
+		}
+		oracleBounds[si] = [2]stat.Ratio{bd.Min, bd.Max}
+	}
+	// The delay model fixes every arc's distribution, so Monte-Carlo
+	// answers the same in every committed state: one oracle each.
+	model, err := gen.UniformJitter(g, 0.1)
+	if err != nil {
+		t.Fatalf("UniformJitter: %v", err)
+	}
+	mcOpts := MCOptions{Samples: 48, Seed: 4, Workers: 2, Criticality: true}
+	oracleMC, err := AnalyzeMC(g, model, mcOpts)
+	if err != nil {
+		t.Fatalf("oracle AnalyzeMC: %v", err)
+	}
+	slackOpts := MCOptions{Samples: 32, Seed: 4, Workers: 2}
+	oracleSlackRows, oracleSlackMC, err := SlacksMC(g, model, slackOpts)
+	if err != nil {
+		t.Fatalf("oracle SlacksMC: %v", err)
 	}
 	if oracleLam[0].Equal(oracleLam[1]) || oracleLam[1].Equal(oracleLam[2]) {
 		t.Fatalf("fixture broken: states do not separate λ: %v", oracleLam)
@@ -162,33 +202,99 @@ func TestEngineConcurrentReadersWithWriters(t *testing.T) {
 	}()
 
 	// Sweep readers: the whole vector must match one committed state.
+	// Two sweep the mixed candidates, one the decreases alone.
+	matchVec := func(lams []stat.Ratio, oracle [][]stat.Ratio) bool {
+		for _, vec := range oracle {
+			all := true
+			for i := range vec {
+				if !lams[i].Equal(vec[i]) {
+					all = false
+					break
+				}
+			}
+			if all {
+				return true
+			}
+		}
+		return false
+	}
+	for r := 0; r < 3; r++ {
+		sweep, oracle := cands, oracleSweep
+		if r == 2 {
+			sweep, oracle = decs, oracleDecs
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lams, err := e.SensitivitySweep(sweep)
+				if err != nil {
+					fail("SensitivitySweep: %v", err)
+					return
+				}
+				if !matchVec(lams, oracle) {
+					fail("sweep vector %v matches no single committed state", lams)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+
+	// Bounds reader: both extremes must come from one committed state.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			bd, err := e.AnalyzeBounds(lo, hi)
+			if err != nil {
+				fail("AnalyzeBounds: %v", err)
+				return
+			}
+			if !matchVec([]stat.Ratio{bd.Min, bd.Max}, [][]stat.Ratio{
+				oracleBounds[0][:], oracleBounds[1][:], oracleBounds[2][:],
+			}) {
+				fail("bounds [%v, %v] match no single committed state", bd.Min, bd.Max)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+
+	// Monte-Carlo readers: criticality and slack distributions.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				lams, err := e.SensitivitySweep(cands)
-				if err != nil {
-					fail("SensitivitySweep: %v", err)
-					return
-				}
-				consistent := false
-				for _, vec := range oracleSweep {
-					all := true
-					for i := range vec {
-						if !lams[i].Equal(vec[i]) {
-							all = false
-							break
-						}
+				if r == 0 {
+					res, err := e.AnalyzeMC(model, mcOpts)
+					if err != nil {
+						fail("AnalyzeMC: %v", err)
+						return
 					}
-					if all {
-						consistent = true
-						break
+					if !reflect.DeepEqual(res, oracleMC) {
+						fail("AnalyzeMC = %+v, oracle %+v", res, oracleMC)
+						return
 					}
-				}
-				if !consistent {
-					fail("sweep vector %v matches no single committed state", lams)
-					return
+				} else {
+					rows, res, err := e.SlacksMC(model, slackOpts)
+					if err != nil {
+						fail("SlacksMC: %v", err)
+						return
+					}
+					if !reflect.DeepEqual(rows, oracleSlackRows) || !reflect.DeepEqual(res, oracleSlackMC) {
+						fail("SlacksMC differs from its oracle")
+						return
+					}
 				}
 				select {
 				case <-done:

@@ -438,11 +438,11 @@ func TestEngineEditLoop(t *testing.T) {
 	diffResults(t, back, res)
 }
 
-// TestEngineRepeatedSweeps: the cached worker clones are re-synced to
-// the session baseline across sweeps, including after a committed
-// delay edit; every answer still matches the one-shot oracle. The
-// sweep runs under GOMAXPROCS(4), so it takes the worker-clone pool on
-// any machine; the oracle runs serially under GOMAXPROCS(1).
+// TestEngineRepeatedSweeps: the decrease workers' private delay columns
+// start from the session baseline in every sweep, including after a
+// committed delay edit; every answer still matches the one-shot
+// oracle. The sweep runs under GOMAXPROCS(4), so it takes the worker
+// pool on any machine; the oracle runs serially under GOMAXPROCS(1).
 func TestEngineRepeatedSweeps(t *testing.T) {
 	g, err := gen.Stack(13)
 	if err != nil {
@@ -452,7 +452,7 @@ func TestEngineRepeatedSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	// All-decrease candidates force the worker-clone path.
+	// All-decrease candidates force the λ-only decrease path.
 	cands := make([]cycletime.WhatIf, g.NumArcs())
 	for i := range cands {
 		cands[i] = cycletime.WhatIf{Arc: i, Delay: g.Arc(i).Delay / 2}
@@ -477,8 +477,8 @@ func TestEngineRepeatedSweeps(t *testing.T) {
 		}
 	}
 	check("initial", g)
-	check("repeat", g) // clone reuse, unchanged baseline
-	// Commit an edit; clones must re-sync to the new baseline.
+	check("repeat", g) // unchanged baseline
+	// Commit an edit; the decreases must start from the new baseline.
 	if err := e.SetDelay(0, g.Arc(0).Delay*4); err != nil {
 		t.Fatalf("SetDelay: %v", err)
 	}

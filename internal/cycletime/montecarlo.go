@@ -17,18 +17,17 @@ import (
 // This file is the Monte-Carlo layer of the statistical timing
 // subsystem: distributional cycle-time analysis (AnalyzeMC) and slack
 // distributions (SlacksMC) over a delay model (internal/dist), both
-// running on the engine's compiled kernel. Each sample is one delay
-// vector drawn from the model. Samples go in blocks of mcBlockSize
-// over the same bounded worker-clone pool the sensitivity sweeps use,
-// and every block takes one λ path: the paper's pass 1 as one batch
-// simulation per cut event (timesim.RunFromBatch, one lane per
-// sample), each lane folded into its distance series by the fold pass
-// 1 itself uses (seriesFromTimes). Only criticality and slack runs
-// touch a sample on its own afterwards: its delays are written into
-// the worker's private overlay and refreshed into its compiled
-// schedule in place (no re-Build, no re-Compile), then pass 2 (the
+// running on the session's one compiled schedule. Each sample is one
+// delay vector drawn from the model. Samples go in blocks of
+// mcBlockSize over a bounded worker pool, and every block takes one λ
+// path: the paper's pass 1 as one batch simulation per cut event
+// (timesim.RunFromBatch, one lane per sample of the worker's private
+// delay columns), each lane folded into its distance series by the
+// fold pass 1 itself uses (seriesFromTimes). Only criticality and
+// slack runs touch a sample on its own afterwards: its delays go into
+// the worker's private overlay and width-1 columns, then pass 2 (the
 // λ-winner re-simulation) or the slack certificate runs on the
-// sample's series.
+// sample's series. The session's delays are never written.
 //
 // On top of kernel reuse, the sampler prunes with upper bounds: λ is
 // monotone in every delay (a maximum of delay sums — and the float
@@ -95,8 +94,8 @@ type MCOptions struct {
 	// distinct cycle). It is the one option that needs pass 2 per
 	// sample; without it only pass 1 runs.
 	Criticality bool
-	// Workers bounds the worker-clone pool (default: the engine's pool
-	// rule, GOMAXPROCS workers for any run of two or more blocks).
+	// Workers bounds the worker pool (default: the engine's pool rule,
+	// GOMAXPROCS workers for any run of two or more blocks).
 	Workers int
 }
 
@@ -155,9 +154,9 @@ type ArcSlackStats struct {
 
 // AnalyzeMC runs a Monte-Carlo cycle-time analysis over the delay
 // model: λ mean/variance/quantiles and (optionally) per-arc
-// criticality. The compiled kernel is reused for every sample — each
-// worker owns a cloned overlay + schedule and pays one in-place delay
-// refresh per sample instead of a re-Build/re-Compile.
+// criticality. The session's compiled schedule serves every sample —
+// each worker reads its samples' delays from private delay columns
+// instead of a re-Build/re-Compile.
 func (e *Engine) AnalyzeMC(m *dist.Model, opts MCOptions) (*MCResult, error) {
 	return e.AnalyzeMCCtx(context.Background(), m, opts)
 }
@@ -252,21 +251,20 @@ func (a *mcAccum) slackStats() []ArcSlackStats {
 }
 
 // mcBounds runs the upper-bound precomputation of the Monte-Carlo
-// pruning on the given (exclusively owned) engine: delays at the
-// model's per-arc support maxima, one pass-1 analysis, and the per-cut-
-// event best distances as bounds, plus the visit order (descending
-// bound). Every sampled delay vector is dominated arc-wise by the
-// support maxima, so each bound dominates the event's best distance in
-// every sample.
-func mcBounds(we *Engine, m *dist.Model) (bounds []stat.Ratio, order []int, err error) {
-	if err := we.overlay.SetDelays(func(i int, _ float64) float64 {
+// pruning: one pass-1 analysis at the model's per-arc support maxima,
+// on private columns over the session schedule, and the per-cut-event
+// best distances as bounds, plus the visit order (descending bound).
+// Every sampled delay vector is dominated arc-wise by the support
+// maxima, so each bound dominates the event's best distance in every
+// sample. Supports are non-negative by construction (the dist package
+// restricts distributions to them).
+func (e *Engine) mcBounds(m *dist.Model) (bounds []stat.Ratio, order []int, err error) {
+	cols := e.sched.NewBatchDelays(1)
+	for i := 0; i < e.g.NumArcs(); i++ {
 		_, hi := m.Support(i)
-		return hi
-	}); err != nil {
-		return nil, nil, fmt.Errorf("cycletime: MC upper-bound delays: %w", err)
+		cols.SetArc(e.sched, 0, i, hi)
 	}
-	we.refreshAll()
-	hiRes, err := we.runAnalysis(context.Background(), true)
+	hiRes, err := e.pass1At(context.Background(), cols)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cycletime: MC upper-bound analysis: %w", err)
 	}
@@ -338,16 +336,10 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 	if workers > nBlocks {
 		workers = nBlocks
 	}
-	clones, err := e.syncedClones(workers)
-	if err != nil {
-		return nil, err
-	}
 	// Force the model's sampling plan to compile before workers call
 	// SampleInto concurrently (the plan is built lazily after edits).
 	m.Deterministic()
-	// Upper-bound pruning precomputation, on the first clone (its
-	// delays are overwritten per sample anyway).
-	bounds, order, err := mcBounds(clones[0], m)
+	bounds, order, err := e.mcBounds(m)
 	if err != nil {
 		return nil, err
 	}
@@ -373,6 +365,7 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 	type mcWorker struct {
 		delays   []float64
 		bd       *timesim.BatchDelays
+		at       delays // criticality and slacks: the current sample's delays
 		outBuf   [][]float64
 		best     []stat.Ratio     // per sample: running λ candidate
 		sims     [][]BorderSeries // criticality, per sample: series by cut index
@@ -387,13 +380,16 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 	for k := range ws {
 		w := &mcWorker{
 			delays: make([]float64, narcs),
-			bd:     clones[k].sched.NewBatchDelays(mcBlockSize),
+			bd:     e.sched.NewBatchDelays(mcBlockSize),
 			outBuf: make([][]float64, mcBlockSize),
 			best:   make([]stat.Ratio, mcBlockSize),
 			lam:    make([]float64, mcBlockSize),
 		}
 		for s := range w.outBuf {
 			w.outBuf[s] = make([]float64, e.periods)
+		}
+		if needCrit || needSlacks {
+			w.at = e.privateDelays()
 		}
 		if needCrit {
 			w.sims = make([][]BorderSeries, mcBlockSize)
@@ -431,10 +427,10 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 	// one batch simulation per admitted cut event — all samples of the
 	// block share its structural pass (timesim.RunFromBatch) — folded
 	// per sample by seriesFromTimes, the fold pass 1 uses. Criticality
-	// and slack runs then refresh each sample's delays into the worker
-	// clone and do only their per-sample work on the sample's series.
+	// and slack runs then move the worker's private delays to each
+	// sample and do only their per-sample work on the sample's series.
 	runBlock := func(k, block int) {
-		w, we := ws[k], clones[k]
+		w := ws[k]
 		lo, hi := blockRange(block)
 		cnt := hi - lo
 		// Sampled delays are valid by construction: distributions are
@@ -442,7 +438,7 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 		// them, so no per-sample validation pass is needed.
 		for i := lo; i < hi; i++ {
 			m.SampleInto(opts.Seed, uint64(i), w.delays)
-			w.bd.Set(we.sched, i-lo, w.delays)
+			w.bd.Set(e.sched, i-lo, w.delays)
 			w.best[i-lo] = stat.Ratio{Num: -1, Den: 1}
 		}
 		for _, ci := range order {
@@ -464,7 +460,7 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 				break
 			}
 			ev := e.cut[ci]
-			if err := we.sched.RunFromBatch(ev, w.bd, e.periods, w.outBuf); err != nil {
+			if err := e.sched.RunFromBatch(ev, w.bd, e.periods, w.outBuf); err != nil {
 				w.err = fmt.Errorf("cycletime: MC batch simulating from %q: %w", e.g.Event(ev).Name, err)
 				return
 			}
@@ -507,13 +503,12 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 				return
 			}
 			m.SampleInto(opts.Seed, uint64(i), w.delays)
-			if err := we.overlay.SetDelays(func(a int, _ float64) float64 { return w.delays[a] }); err != nil {
+			if err := w.at.set(e.sched, w.delays); err != nil {
 				w.err = fmt.Errorf("cycletime: MC sample %d: %w", i, err)
 				return
 			}
-			we.refreshAll()
 			if needCrit {
-				cycs, _, err := we.criticalCycles(markWinners(w.sims[s], best), best)
+				cycs, _, err := e.criticalCycles(w.at, markWinners(w.sims[s], best), best)
 				if err != nil {
 					w.err = fmt.Errorf("cycletime: MC sample %d: %w", i, err)
 					return
@@ -529,7 +524,7 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 				}
 			}
 			if needSlacks {
-				sl, err := we.certifySlacksAt(lam)
+				sl, err := e.certifySlacksAt(w.at, lam)
 				if err != nil {
 					w.err = fmt.Errorf("cycletime: MC sample %d: %w", i, err)
 					return

@@ -20,7 +20,7 @@ func allWinnerCycles(t *testing.T, e *Engine, res *Result) (winners []sg.EventID
 		if !s.OnCritical {
 			continue
 		}
-		cyc, err := e.criticalCycle(s.Event, s.BestIndex, res.CycleTime, pos)
+		cyc, err := e.criticalCycle(e.session(), s.Event, s.BestIndex, res.CycleTime, pos)
 		if err != nil {
 			t.Fatalf("criticalCycle(%s): %v", e.g.Event(s.Event).Name, err)
 		}
@@ -140,7 +140,7 @@ func TestPass2TruncatedTrace(t *testing.T) {
 			if !s.OnCritical {
 				continue
 			}
-			short, err := e.pass2Trace(s.Event, s.BestIndex)
+			short, err := e.pass2Trace(e.session(), s.Event, s.BestIndex)
 			if err != nil {
 				t.Fatalf("pass2Trace: %v", err)
 			}

@@ -176,10 +176,11 @@ func TestEvictionRacesInFlightRequests(t *testing.T) {
 }
 
 // TestMCWorkersCapped pins the Monte-Carlo worker cap: every worker is
-// an engine clone the cache entry keeps for its lifetime, so a request
-// above MaxMCWorkers answers 400 — refused, not clamped, since answers
-// are reproducible only for a fixed (seed, workers) pair — while the
-// cap itself is served.
+// a goroutine with its own transient delay columns and rows, so the
+// cap bounds what one request runs and allocates; a request above
+// MaxMCWorkers answers 400 — refused, not clamped, since answers are
+// reproducible only for a fixed (seed, workers) pair — while the cap
+// itself is served.
 func TestMCWorkersCapped(t *testing.T) {
 	s := New(Config{})
 	srv := httptest.NewServer(s)

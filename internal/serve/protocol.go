@@ -196,10 +196,11 @@ type EditResponse struct {
 }
 
 // MaxMCWorkers is the largest worker pool a /v1/mc request may ask
-// for. Each worker is an engine clone that the cache entry keeps for
-// its lifetime, so the cap bounds the memory one request can pin.
-// Larger requests are refused, not clamped: answers are bit-identical
-// only for a fixed (seed, workers) pair.
+// for. Each worker is a goroutine with its own delay columns and
+// working rows for as long as the request runs, so the cap bounds one
+// request's goroutines and transient memory; nothing stays resident
+// after it answers. Larger requests are refused, not clamped: answers
+// are bit-identical only for a fixed (seed, workers) pair.
 const MaxMCWorkers = 64
 
 // MCRequest asks for a Monte-Carlo cycle-time analysis over the

@@ -31,24 +31,32 @@ import (
 // delays: the record order, and hence every float add and max, is the
 // same.
 
-// BatchDelays holds the per-sample delay columns of a batch, laid out
-// record-major ([record*S + sample]) so the kernel's inner loop over
-// samples is contiguous. Build one per worker with NewBatchDelays and
-// refill it with Set; it is tied to the schedule that created it.
+// BatchDelays is a private set of delay columns, S lanes per record of
+// each record class, laid out record-major ([record*S + lane]) so the
+// kernel's inner loop over lanes is contiguous. A run reads it instead
+// of the schedule's own columns (RunFromBatch, RunWith), so any number
+// of delay assignments share one compiled schedule. It is tied to the
+// schedule that created it (NewBatchDelays).
 type BatchDelays struct {
 	s   int
 	del [3][]float64 // per record class: period 0, period 1, periods >= 2
-	// times is the two-row window, reused across RunFromBatch calls (a
-	// BatchDelays belongs to one worker, like the schedule clone it
-	// feeds).
+	// times is the two-row window of S-lane runs, reused across calls
+	// (such a set belongs to one worker); width-1 runs use the pool's.
 	times []float64
 }
 
-// NewBatchDelays allocates delay columns for batches of s samples.
+// NewBatchDelays allocates delay columns for batches of s samples,
+// every lane at the schedule's own delays. It reads the schedule's
+// columns, so it must not run concurrently with a refresh.
 func (sch *Schedule) NewBatchDelays(s int) *BatchDelays {
 	b := &BatchDelays{s: s}
 	for k, c := range sch.classes() {
 		b.del[k] = make([]float64, len(c.del)*s)
+		for r, d := range c.del {
+			for l := range s {
+				b.del[k][r*s+l] = d
+			}
+		}
 	}
 	return b
 }
@@ -66,6 +74,15 @@ func (b *BatchDelays) Set(sch *Schedule, sample int, delays []float64) {
 	}
 }
 
+// SetArc sets one arc's delay in sample column `sample`, in O(1).
+func (b *BatchDelays) SetArc(sch *Schedule, sample, arc int, delay float64) {
+	for k, c := range sch.classes() {
+		if r := c.rec[arc]; r >= 0 {
+			b.del[k][int(r)*b.s+sample] = delay
+		}
+	}
+}
+
 // RunFromBatch executes the event-initiated simulation t_origin of
 // §IV.B for every delay sample of the batch in one structural pass,
 // evaluating unfolding periods 0..periods. For sample s and period
@@ -73,7 +90,8 @@ func (b *BatchDelays) Set(sch *Schedule, sample int, delays []float64) {
 // t_origin(origin_j), or NaN when the unfolding has no origin-preceded
 // instantiation origin_j (matching Trace.Time/Reached semantics — the
 // inputs of the distance series δ). out must hold at least bd.Samples()
-// rows of at least `periods` entries.
+// rows of at least `periods` entries. A width-1 set runs RunFromWindow's
+// scalar walk on a pooled window, so concurrent runs may share it.
 func (sch *Schedule) RunFromBatch(origin sg.EventID, bd *BatchDelays, periods int, out [][]float64) error {
 	S := bd.s
 	if len(out) < S {
@@ -84,11 +102,14 @@ func (sch *Schedule) RunFromBatch(origin sg.EventID, bd *BatchDelays, periods in
 			return fmt.Errorf("timesim: batch output row %d has %d entries, need %d", s, len(row), periods)
 		}
 	}
+	if S == 1 {
+		return sch.window(origin, periods, out[0], bd)
+	}
 	if len(bd.times) != 2*sch.n*S {
 		bd.times = make([]float64, 2*sch.n*S)
 	}
-	return sch.roll(origin, periods, bd.times, S, func(p int, c *class, rw rows) {
-		c.walkLanes(&rw, bd.del[min(p, 2)])
+	return sch.roll(origin, periods, bd.times, S, bd, func(p int, c *class, rw rows) {
+		c.walkLanes(&rw)
 		if p > 0 {
 			for s := 0; s < S; s++ {
 				out[s][p-1] = sch.time(&rw, origin, p, s)
@@ -98,15 +119,15 @@ func (sch *Schedule) RunFromBatch(origin sg.EventID, bd *BatchDelays, periods in
 }
 
 // walkLanes is walk over rw.width lanes: lane l of every row and of
-// every delay column is a separate delay sample. A record whose source
-// is −∞ in lane 0 is unreached in every lane and skipped whole. The
-// first live record sets the instantiation's lanes to source + delay,
-// each later one keeps the larger — the values and comparisons walk
-// makes, so every lane is bit-identical to a scalar walk over that
-// lane's delays. The batchWidth case runs on fixed-size arrays, which
-// lets the compiler drop the bounds checks of the lane loops.
-func (c *class) walkLanes(rw *rows, del []float64) {
-	times, pin, S := rw.times, rw.pin, rw.width
+// the delay column rw.del is a separate delay sample. A record whose
+// source is −∞ in lane 0 is unreached in every lane and skipped whole.
+// The first live record sets the instantiation's lanes to source +
+// delay, each later one keeps the larger — the values and comparisons
+// walk makes, so every lane is bit-identical to a scalar walk over
+// that lane's delays. The batchWidth case runs on fixed-size arrays,
+// which lets the compiler drop the bounds checks of the lane loops.
+func (c *class) walkLanes(rw *rows) {
+	times, del, pin, S := rw.times, rw.del, rw.pin, rw.width
 	cur, back := rw.cur, rw.back
 	off, src, mark := c.off, c.src, c.mark
 	for idx, f := range c.order {

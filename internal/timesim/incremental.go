@@ -51,6 +51,9 @@ func (s *Schedule) Patch(tr *Trace, dirty []int) (PatchStats, error) {
 	if tr.slab == nil {
 		return PatchStats{}, fmt.Errorf("timesim: Patch on a released trace")
 	}
+	if tr.cols != nil {
+		return PatchStats{}, fmt.Errorf("timesim: Patch on a trace simulated at private delay columns")
+	}
 	n := s.n
 	P := tr.periods
 	ps := s.acquirePatch(P, n)

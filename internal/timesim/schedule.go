@@ -28,14 +28,15 @@ import (
 // order, so the first record attaining an instantiation's time is the
 // parent the reference kernel selects (first max wins).
 //
-// A Schedule is immutable after Compile — except for its delay columns,
-// which RefreshArcDelay and RefreshDelays rewrite in place so one
-// compiled schedule can track the delay edits of an sg.Overlay session
-// (the compile-once/query-many engine of the cycletime package) —
-// and safe for concurrent use between refreshes; the b event-initiated
-// simulations of one cycle-time analysis share one Schedule and draw
-// their working slabs from its pool. Refreshes must not run
-// concurrently with Run/RunFrom; the session layer serialises them.
+// A Schedule is immutable after Compile — except for its own delay
+// columns, which RefreshArcDelay and RefreshDelays rewrite in place so
+// one compiled schedule can track the delay edits of an sg.Overlay
+// session (the compile-once/query-many engine of the cycletime
+// package) — and safe for concurrent use between refreshes; the b
+// event-initiated simulations of one cycle-time analysis share one
+// Schedule and draw their working slabs from its pool. Refreshes must
+// not run concurrently with simulations; the session layer serialises
+// them. Runs at other delays read private columns (BatchDelays).
 type Schedule struct {
 	g *sg.Graph
 	n int
@@ -273,17 +274,27 @@ func (s *Schedule) RefreshDelays() {
 
 // Run executes the plain timing simulation t of §IV.A.
 func (s *Schedule) Run(opts Options) (*Trace, error) {
-	return s.run(sg.None, opts)
+	return s.run(sg.None, nil, opts)
 }
 
 // RunFrom executes the event-initiated simulation t_origin of §IV.B.
 // The returned trace may be handed back to the schedule's slab pool with
 // Trace.Release once its values have been consumed.
 func (s *Schedule) RunFrom(origin sg.EventID, opts Options) (*Trace, error) {
-	if origin < 0 || int(origin) >= s.n {
+	return s.RunWith(origin, nil, opts)
+}
+
+// RunWith is RunFrom (Run for origin sg.None) at the width-1 private
+// delay columns d, or the schedule's own for nil d. Parent rescans d,
+// so d must not change while the trace is in use; Patch refuses it.
+func (s *Schedule) RunWith(origin sg.EventID, d *BatchDelays, opts Options) (*Trace, error) {
+	if origin != sg.None && (origin < 0 || int(origin) >= s.n) {
 		return nil, fmt.Errorf("timesim: origin event %d out of range", origin)
 	}
-	return s.run(origin, opts)
+	if d != nil && d.s != 1 {
+		return nil, fmt.Errorf("timesim: a trace runs at one delay column, got %d", d.s)
+	}
+	return s.run(origin, d, opts)
 }
 
 // acquire prepares a slab for a run of the given period count, reusing
@@ -303,14 +314,14 @@ func (s *Schedule) acquire(periods int) *slab {
 	return sl
 }
 
-func (s *Schedule) run(origin sg.EventID, opts Options) (*Trace, error) {
+func (s *Schedule) run(origin sg.EventID, d *BatchDelays, opts Options) (*Trace, error) {
 	if opts.Periods < 1 {
 		return nil, fmt.Errorf("timesim: periods must be >= 1, got %d", opts.Periods)
 	}
 	sl := s.acquire(opts.Periods)
 	tr := &Trace{
 		g: s.g, origin: origin, periods: opts.Periods, n: s.n, order: s.c0.order,
-		times: sl.times, sched: s, slab: sl,
+		times: sl.times, sched: s, slab: sl, cols: d,
 	}
 	s.runPeriods(tr, 0)
 	return tr, nil
@@ -329,6 +340,15 @@ func (s *Schedule) runPeriods(tr *Trace, from int) {
 	}
 }
 
+// column returns the delay column period p's walk reads from d (nil:
+// the schedule's own).
+func (s *Schedule) column(d *BatchDelays, p int) []float64 {
+	if d != nil {
+		return d.del[min(p, 2)]
+	}
+	return s.class(p).del
+}
+
 // rows is the storage one period's walk reads and writes: the
 // evaluated period's row starts at cur, its predecessor's at cur-back,
 // and lane l of event e sits at row start + e·width + l. A full trace
@@ -336,6 +356,7 @@ func (s *Schedule) runPeriods(tr *Trace, from int) {
 // window (roll) alternates two rows of one or more lanes.
 type rows struct {
 	times []float64
+	del   []float64 // the walked class's delay column, width lanes per record
 	cur   int
 	back  int
 	width int        // lanes per event; walk reads one, walkLanes width
@@ -350,7 +371,7 @@ type rows struct {
 
 // rows returns the storage view that evaluates period p of a slab trace.
 func (tr *Trace) rows(p int) rows {
-	rw := rows{times: tr.times, cur: p * tr.n, back: tr.n, width: 1, pin: sg.None}
+	rw := rows{times: tr.times, del: tr.sched.column(tr.cols, p), cur: p * tr.n, back: tr.n, width: 1, pin: sg.None}
 	if tr.origin != sg.None {
 		rw.unreached = math.Inf(-1)
 		if p == 0 {
@@ -362,7 +383,8 @@ func (tr *Trace) rows(p int) rows {
 
 // walk is the simulation kernel: it evaluates the instantiations at
 // positions [lo,hi) of the class's order view into rw under the MAX
-// rule. Each position keeps the maximum over its records, so every
+// rule, at the delay column rw.del. Each position keeps the maximum
+// over its records, so every
 // kernel built on it — full slab runs, the two-row window, the
 // incremental patch — performs the same float adds and comparisons as
 // the reference kernel.
@@ -375,7 +397,7 @@ func (tr *Trace) rows(p int) rows {
 func (c *class) walk(lo, hi int, rw *rows) {
 	times, pin, unreached := rw.times, rw.pin, rw.unreached
 	cur, back := rw.cur, rw.back
-	off, src, del, mark := c.off, c.src, c.del, c.mark
+	off, src, del, mark := c.off, c.src, rw.del, c.mark
 	for idx := lo; idx < hi; idx++ {
 		best := math.Inf(-1)
 		for r := off[idx]; r < off[idx+1]; r++ {
@@ -396,9 +418,10 @@ func (c *class) walk(lo, hi int, rw *rows) {
 
 // parent derives the max-predecessor of f_p from the trace's times: the
 // first record, in ascending arc order, whose source time plus delay
-// equals t(f_p). The walk keeps the first strict maximum, so this is
-// the record it would have kept, ties and +Inf delays included. An
-// unreached source sums to -Inf or NaN and never matches a live time.
+// (at the trace's columns) equals t(f_p). The walk keeps the first
+// strict maximum, so this is the record it would have kept, ties and
+// +Inf delays included. An unreached source sums to -Inf or NaN and
+// never matches a live time.
 func (s *Schedule) parent(tr *Trace, f sg.EventID, p int) (sg.EventID, int, int, bool) {
 	c := s.class(p)
 	idx := c.pos[f]
@@ -411,7 +434,7 @@ func (s *Schedule) parent(tr *Trace, f sg.EventID, p int) (sg.EventID, int, int,
 		return sg.None, -1, -1, false
 	}
 	for r := c.off[idx]; r < c.off[idx+1]; r++ {
-		if tr.times[rw.cur-int(c.mark[r])*rw.back+int(c.src[r])]+c.del[r] == t {
+		if tr.times[rw.cur-int(c.mark[r])*rw.back+int(c.src[r])]+rw.del[r] == t {
 			return c.src[r], p - int(c.mark[r]), int(c.arc[r]), true
 		}
 	}

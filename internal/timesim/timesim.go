@@ -66,9 +66,11 @@ type Trace struct {
 	times []float64
 
 	// Set for compiled traces: the schedule whose records Parent
-	// rescans, and the pooled slab Release returns.
+	// rescans, and the pooled slab Release returns; cols are the private
+	// delay columns of the run (nil: the schedule's own).
 	sched *Schedule
 	slab  *slab
+	cols  *BatchDelays
 
 	// ref is the reference kernel's recorded reachedness and parents;
 	// nil for compiled traces.

@@ -17,8 +17,9 @@ import (
 //   - RunFromWindow, the λ-only pass 1: one lane, the schedule's own
 //     delay columns, the origin's occurrence time per period (the
 //     distance series of Prop. 7);
-//   - RunFromBatch, the Monte-Carlo kernel (batch.go): S lanes, one
-//     per delay sample of a BatchDelays;
+//   - RunFromBatch (batch.go): one lane per delay sample of a
+//     BatchDelays — the Monte-Carlo kernel at S lanes, and
+//     RunFromWindow at private delays at one lane;
 //   - RunFromWindowEvents, the what-if rows: one lane, the times of a
 //     few chosen events in every period 0..periods.
 //
@@ -65,25 +66,28 @@ func (s *Schedule) SlabBytes(periods int) int64 {
 // roll is the period driver of the rolling window. It validates the
 // run, lays rows of width lanes per event over times (two rows of
 // n·width floats), and evaluates the event-initiated simulation from
-// origin over periods 0..periods: period 0 with the origin pinned to
-// 0, then each later period into the row its predecessor does not
-// occupy. For each period, step(p, c, rw) walks class c into rw and
-// reads what it needs; rw.cur is the start of period p's row. An
-// instantiation with no live in-record is -Inf in every lane.
-func (s *Schedule) roll(origin sg.EventID, periods int, times []float64, width int, step func(p int, c *class, rw rows)) error {
+// origin over periods 0..periods at the delay columns d (nil: the
+// schedule's own): period 0 with the origin pinned to 0, then each
+// later period into the row its predecessor does not occupy. For each
+// period, step(p, c, rw) walks class c into rw and reads what it
+// needs; rw.cur is the start of period p's row and rw.del the period's
+// delay column. An instantiation with no live in-record is -Inf in
+// every lane.
+func (s *Schedule) roll(origin sg.EventID, periods int, times []float64, width int, d *BatchDelays, step func(p int, c *class, rw rows)) error {
 	if origin < 0 || int(origin) >= s.n {
 		return fmt.Errorf("timesim: origin event %d out of range", origin)
 	}
 	if periods < 1 {
 		return fmt.Errorf("timesim: periods must be >= 1, got %d", periods)
 	}
-	rw := rows{times: times, width: width, pin: origin, unreached: math.Inf(-1)}
+	rw := rows{times: times, del: s.column(d, 0), width: width, pin: origin, unreached: math.Inf(-1)}
 	step(0, &s.c0, rw)
 	rw.pin = sg.None
 	for p := 1; p <= periods; p++ {
 		prev := rw.cur
 		rw.cur = s.n*width - prev
 		rw.back = rw.cur - prev
+		rw.del = s.column(d, p)
 		step(p, s.class(p), rw)
 	}
 	return nil
@@ -110,11 +114,17 @@ func (s *Schedule) time(rw *rows, e sg.EventID, p, l int) float64 {
 // (and NaN pattern) are bit-identical to a RunFrom trace with
 // Periods: periods+1 read back through Time/Reached at the origin.
 func (s *Schedule) RunFromWindow(origin sg.EventID, periods int, out []float64) error {
+	return s.window(origin, periods, out, nil)
+}
+
+// window is RunFromWindow at the delay columns d (nil: the schedule's
+// own), on two pooled rows.
+func (s *Schedule) window(origin sg.EventID, periods int, out []float64, d *BatchDelays) error {
 	if len(out) < periods {
 		return fmt.Errorf("timesim: window output has %d entries, need %d", len(out), periods)
 	}
 	w := s.acquireWindow()
-	err := s.roll(origin, periods, w.times, 1, func(p int, c *class, rw rows) {
+	err := s.roll(origin, periods, w.times, 1, d, func(p int, c *class, rw rows) {
 		c.walk(0, len(c.order), &rw)
 		if p > 0 {
 			out[p-1] = s.time(&rw, origin, p, 0)
@@ -144,7 +154,7 @@ func (s *Schedule) RunFromWindowEvents(origin sg.EventID, periods int, events []
 		}
 	}
 	w := s.acquireWindow()
-	err := s.roll(origin, periods, w.times, 1, func(p int, c *class, rw rows) {
+	err := s.roll(origin, periods, w.times, 1, nil, func(p int, c *class, rw rows) {
 		c.walk(0, len(c.order), &rw)
 		for k, e := range events {
 			out[k][p] = s.time(&rw, e, p, 0)

@@ -15,9 +15,10 @@ import (
 // compiled kernel. The paper's algorithm takes fixed delays; here the
 // delays become distributions — the question the statistical-timing
 // literature asks — and the compile-once session layer is what makes
-// sampling cheap: every sample is an in-place delay refresh plus one
-// pass-1 analysis on a worker's cloned schedule, never a re-Build or
-// re-Compile.
+// sampling cheap: samples go sixteen at a time through one batch
+// pass 1 over the session's compiled schedule, each reading its delays
+// from a worker's private delay columns, never a re-Build, a
+// re-Compile or a copy of the schedule.
 //
 //	model := tsg.NewDelayModel(g)                  // all-point: MC == Analyze
 //	d, _ := tsg.DistUniform(0.9*nominal, 1.1*nominal)
