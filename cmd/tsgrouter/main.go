@@ -15,9 +15,9 @@
 //	          [-probe-interval d] [-fail-threshold N] [-readmit-threshold N]
 //	          [-breaker-threshold N] [-breaker-cooldown d] [-breaker-close-after N]
 //	          [-disable-hedge] [-hedge-frac F] [-retry-budget-frac F]
-//	          [-hop-timeout d] [-hop-retries N] [-max-body N]
+//	          [-hop-timeout d] [-max-body N]
 //	          [-fault-plan PATH] [-fault-seed N]
-//	          [-trace-buffer N] [-disable-obs] [-version]
+//	          [-disable-obs] [-version]
 //
 // The router prints its listen URL on startup (with -addr :0 the kernel
 // picks a free port), serves until SIGINT/SIGTERM, then drains.
@@ -51,8 +51,14 @@
 //
 // Endpoints: the /v1 protocol of tsgserved, plus GET /healthz (OK while
 // ≥1 node is live), GET /metrics (tsgrouter_* families), GET
-// /debug/cluster (topology, breaker states + per-graph sync state),
-// GET /debug/trace.
+// /debug/cluster (topology, breaker states + per-graph sync state), and
+// GET /debug/trace (router.* span trees; ?graph=<fingerprint> keeps
+// the traces of one graph, ?format=tree renders text). /metrics and
+// /debug/trace are served by the same code as tsgserved's, with the
+// same obs.DefaultRingSize span ring; -disable-obs turns both off.
+//
+// Backend hops make no transport retries: failover across the replica
+// set is the router's retry policy.
 //
 // Run the backends durable (-data-dir) for full fault tolerance: an
 // ejected node that restarts re-enters with its WAL state, and the
@@ -123,11 +129,9 @@ func main() {
 	hedgeFrac := flag.Float64("hedge-frac", 0.05, "hedge budget: max fraction of read traffic that may launch a backup attempt")
 	retryBudgetFrac := flag.Float64("retry-budget-frac", 0.1, "retry budget: max fraction of traffic that may spend failover/retry attempts")
 	hopTimeout := flag.Duration("hop-timeout", 15*time.Second, "timeout per forwarded backend attempt")
-	hopRetries := flag.Int("hop-retries", 0, "transport retries per hop (failover across replicas is the main retry policy)")
 	maxBody := flag.Int64("max-body", 8<<20, "maximum request body size in bytes")
 	faultPlan := flag.String("fault-plan", "", "fault-plan file arming deterministic fault injection on backend hops (chaos drills; SIGUSR1 advances the phase)")
 	faultSeed := flag.Int64("fault-seed", 0, "override the fault plan's seed directive")
-	traceBuffer := flag.Int("trace-buffer", 0, "span ring capacity for /debug/trace (0 = default 4096)")
 	disableObs := flag.Bool("disable-obs", false, "strip tracing/metrics (/metrics and /debug/trace answer 404)")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -183,9 +187,7 @@ func main() {
 		HedgeFrac:         *hedgeFrac,
 		RetryBudgetFrac:   *retryBudgetFrac,
 		HopTimeout:        *hopTimeout,
-		HopRetries:        *hopRetries,
 		MaxBodyBytes:      *maxBody,
-		TraceBuffer:       *traceBuffer,
 		DisableObs:        *disableObs,
 		Version:           version,
 		Logf:              log.Printf,

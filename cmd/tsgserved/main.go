@@ -9,8 +9,7 @@
 //
 //	tsgserved [-addr host:port] [-cache-bytes N] [-max-body N]
 //	          [-data-dir dir] [-max-concurrent N] [-max-queue N]
-//	          [-request-timeout d] [-trace-buffer N] [-pprof]
-//	          [-disable-obs] [-version]
+//	          [-request-timeout d] [-pprof] [-disable-obs] [-version]
 //
 // The daemon prints its listen URL on startup (with -addr :0 the
 // kernel picks a free port — the printed URL is how scripts find it),
@@ -50,9 +49,11 @@
 //
 // Observability is on by default and costs little (lock-free span ring
 // + atomic counters); -disable-obs strips it entirely, turning the
-// /metrics and /debug endpoints off. -trace-buffer sizes the span ring
-// (spans beyond it overwrite the oldest). -version prints the build
-// version and exits.
+// /metrics and /debug/trace endpoints off. The span ring holds the
+// newest obs.DefaultRingSize (8192) spans; older ones are overwritten.
+// tsgrouter serves /metrics and /debug/trace through the same code, so
+// both daemons answer ?graph= and ?format=tree alike. -version prints
+// the build version and exits.
 //
 // See the client package for the Go client and EXPERIMENTS.md (SERVE)
 // for the load harness driving the daemon.
@@ -90,9 +91,8 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 0, "max in-flight requests per endpoint (0 = unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "max queued requests per endpoint beyond -max-concurrent (0 = 4x concurrency)")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline; expiry cancels the analysis and answers 503 (0 = none)")
-	traceBuffer := flag.Int("trace-buffer", 0, "span ring capacity for /debug/trace (0 = default 8192)")
 	enablePprof := flag.Bool("pprof", false, "mount Go profiler endpoints under /debug/pprof/")
-	disableObs := flag.Bool("disable-obs", false, "strip tracing/metrics entirely (/metrics and /debug answer 404)")
+	disableObs := flag.Bool("disable-obs", false, "strip tracing/metrics entirely (/metrics and /debug/trace answer 404)")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *showVersion {
@@ -125,7 +125,6 @@ func main() {
 		MaxConcurrent:  *maxConcurrent,
 		MaxQueue:       *maxQueue,
 		RequestTimeout: *requestTimeout,
-		TraceBuffer:    *traceBuffer,
 		EnablePprof:    *enablePprof,
 		DisableObs:     *disableObs,
 		Version:        version,

@@ -71,6 +71,9 @@ type graphState struct {
 	dropped bool
 
 	requests atomic.Uint64
+	// obsGraph caches the tracer's interned id of fp (0 = not yet
+	// interned), so attributing a request tree is an atomic load.
+	obsGraph atomic.Uint32
 }
 
 // journalEdit is one accepted write, replayable verbatim.

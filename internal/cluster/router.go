@@ -97,11 +97,6 @@ type Config struct {
 	// request context still cuts hops short when it expires).
 	HopTimeout time.Duration
 
-	// HopRetries is the per-hop transport retry budget (default 0: the
-	// router's failover across replicas IS its retry policy, and an
-	// in-hop retry against a dead node only delays it).
-	HopRetries int
-
 	// MaxBodyBytes caps request bodies at the router edge (default 8 MiB,
 	// matching the serve layer).
 	MaxBodyBytes int64
@@ -113,9 +108,6 @@ type Config struct {
 	// DisableObs turns off tracing and metrics (the counters behind
 	// /debug/cluster stay on — they are plain atomics).
 	DisableObs bool
-
-	// TraceBuffer is the span ring size (default 4096).
-	TraceBuffer int
 
 	// Version is reported in tsgrouter_build_info.
 	Version string
@@ -250,10 +242,12 @@ func New(cfg Config) (*Router, error) {
 	} else {
 		r.clientID = fmt.Sprintf("router-%d", time.Now().UnixNano())
 	}
+	var edge *obs.Edge // nil: /metrics and /debug/trace answer 404
 	if !cfg.DisableObs {
 		// Telemetry first: newNode attaches each node's hop histogram.
 		// The registry closures read r.pool lazily at scrape time.
-		r.tel = newTelemetry(r, cfg.TraceBuffer, cfg.Version)
+		r.tel = newTelemetry(r, cfg.Version)
+		edge = r.tel.edge
 	}
 	p := &nodePool{byURL: make(map[string]*node, len(cfg.Nodes))}
 	for i, raw := range cfg.Nodes {
@@ -279,9 +273,9 @@ func New(cfg Config) (*Router, error) {
 	r.mux.HandleFunc("POST /v1/mc", r.instrument(rMC, r.handleRead))
 	r.mux.HandleFunc("POST /v1/edit", r.instrument(rEdit, r.handleEdit))
 	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
-	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
+	r.mux.HandleFunc("GET /metrics", edge.ServeMetrics)
 	r.mux.HandleFunc("GET /debug/cluster", r.handleDebugCluster)
-	r.mux.HandleFunc("GET /debug/trace", r.handleDebugTrace)
+	r.mux.HandleFunc("GET /debug/trace", edge.ServeTrace)
 	return r, nil
 }
 
@@ -290,7 +284,9 @@ func New(cfg Config) (*Router, error) {
 // Callers hand out monotonically increasing ids so a node removed and
 // later re-added never aliases stale sync marks.
 func (r *Router) newNode(id int, url string) *node {
-	opts := []client.Option{client.WithRetryPolicy(client.RetryPolicy{MaxRetries: r.cfg.HopRetries})}
+	// No in-hop retries: failover across replicas is the router's retry
+	// policy, and a retry against a dead node only delays it.
+	opts := []client.Option{client.WithRetryPolicy(client.RetryPolicy{})}
 	probeOpts := []client.Option{client.WithRetryPolicy(client.RetryPolicy{})}
 	if r.cfg.HTTPClient != nil {
 		opts = append(opts, client.WithHTTPClient(r.cfg.HTTPClient))
@@ -430,7 +426,7 @@ func (r *Router) instrument(ep int, fn func(ctx context.Context, w http.Response
 		ctx := req.Context()
 		if r.tel != nil {
 			var sp *obs.Span
-			ctx, sp = r.tel.tracer.StartRoot(ctx, r.tel.rootNames[ep])
+			ctx, sp = r.tel.edge.StartRoot(ctx, ep)
 			defer sp.End()
 		}
 		fn(ctx, w, req)
@@ -483,35 +479,36 @@ func (r *Router) writeBackendError(w http.ResponseWriter, err error) {
 	r.writeErrorStatus(w, http.StatusBadGateway, err.Error())
 }
 
-// readBody reads the whole request body under the edge's size cap: an
-// oversized body answers 413, a broken one 400.
+// readBody reads the whole request body under the edge's size cap.
 func (r *Router) readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
 	raw, err := io.ReadAll(req.Body)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			r.writeErrorStatus(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return nil, false
-		}
-		r.writeErrorStatus(w, http.StatusBadRequest, "reading request body: "+err.Error())
+		r.writeBodyError(w, fmt.Errorf("reading request body: %w", err))
 		return nil, false
 	}
 	return raw, true
 }
 
-// decodeJSON mirrors the serve layer's decode contract: bad syntax,
-// wrong shape, trailing garbage, and oversized bodies all answer the
-// right 4xx instead of leaking a 500.
+// decodeJSON decodes the whole request body into v under the decode
+// contract the backends apply (serve.Decode), so a body the router
+// decodes in full answers the same status here as on a backend.
 func (r *Router) decodeJSON(w http.ResponseWriter, req *http.Request, v any) bool {
-	raw, ok := r.readBody(w, req)
-	if !ok {
-		return false
-	}
-	if err := json.Unmarshal(raw, v); err != nil {
-		r.writeErrorStatus(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	if err := serve.Decode(req.Body, v); err != nil {
+		r.writeBodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// writeBodyError answers a request whose body could not be read or
+// decoded: 413 past the size cap, 400 otherwise.
+func (r *Router) writeBodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		r.writeErrorStatus(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	r.writeErrorStatus(w, http.StatusBadRequest, err.Error())
 }
 
 // readGraphText extracts .tsg text from an upload/fingerprint body:
@@ -946,6 +943,25 @@ func (r *Router) resolveRef(w http.ResponseWriter, ref serve.GraphRef, create bo
 	return ref.Fingerprint, gs, true
 }
 
+// attribute ties the request's span tree to the graph, so
+// /debug/trace?graph=<fp> returns the router's trees as it returns a
+// backend's. Handlers call it once a backend has accepted the request:
+// a fingerprint no backend confirmed is never interned, so rejected
+// texts and unknown fingerprints cannot grow the tracer's intern table
+// (the reason lookupGraph exists). Spans that ended earlier in the
+// request still match: the ?graph= filter keeps whole traces.
+func (r *Router) attribute(ctx context.Context, gs *graphState) {
+	if r.tel == nil || gs == nil {
+		return
+	}
+	id := gs.obsGraph.Load()
+	if id == 0 {
+		id = r.tel.tracer.InternGraph(gs.fp)
+		gs.obsGraph.Store(id)
+	}
+	obs.FromContext(ctx).SetGraphID(id)
+}
+
 // --- handlers -------------------------------------------------------------
 
 // handleUpload fans a graph upload out to every replica: each backend
@@ -1001,6 +1017,7 @@ func (r *Router) handleUpload(ctx context.Context, w http.ResponseWriter, req *h
 		r.writeBackendErrorUnavailable(w, lastErr)
 		return
 	}
+	r.attribute(ctx, gs)
 	r.writeJSON(w, serve.UploadResponse{Fingerprint: fp, Events: events, Arcs: arcs, Border: border})
 }
 
@@ -1079,6 +1096,7 @@ func (r *Router) handleRead(ctx context.Context, w http.ResponseWriter, req *htt
 		r.writeBackendErrorUnavailable(w, err)
 		return
 	}
+	r.attribute(ctx, gs)
 	w.Header().Set("Content-Type", "application/json")
 	_, _ = w.Write(res)
 }
@@ -1206,6 +1224,7 @@ func (r *Router) handleEdit(ctx context.Context, w http.ResponseWriter, req *htt
 	version := gs.appendWriteLocked(&body, r.cfg.JournalCompactAt)
 	gs.marks[committed.id] = syncMark{epoch: committedEpoch, version: version}
 	gs.mu.Unlock()
+	r.attribute(ctx, gs)
 
 	// Push it to the remaining replicas OUTSIDE the lock: sync replays
 	// the journal from each node's watermark in journal order, so a
@@ -1250,6 +1269,7 @@ func (r *Router) dedupeAnswer(ctx context.Context, w http.ResponseWriter, gs *gr
 		r.writeErrorStatus(w, http.StatusBadGateway, "decoding backend answer: "+err.Error())
 		return
 	}
+	r.attribute(ctx, gs)
 	r.writeJSON(w, serve.EditResponse{Fingerprint: fp, Applied: 0, Deduped: true, Lambda: an.Lambda})
 }
 

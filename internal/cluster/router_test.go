@@ -16,6 +16,7 @@ import (
 	"tsg"
 	"tsg/client"
 	"tsg/internal/gen"
+	"tsg/internal/obs"
 	"tsg/internal/serve"
 )
 
@@ -650,5 +651,56 @@ func TestRouterErrorPasses(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("no-ref analyze through router: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestRouterTracesAttributedToGraph checks that the router's request
+// trees carry the fingerprint of the graph they served, so
+// /debug/trace?graph= on the router returns router.* trees.
+func TestRouterTracesAttributedToGraph(t *testing.T) {
+	tc := newTestCluster(t)
+	ctx := context.Background()
+	up, err := tc.cl.UploadText(ctx, pipelineText(t, 4))
+	if err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	ref := client.GraphRef{Fingerprint: up.Fingerprint}
+	if _, err := tc.cl.Analyze(ctx, ref); err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	if _, err := tc.cl.Edit(ctx, ref, []client.DelayEdit{{Arc: 0, Delay: 3}}); err != nil {
+		t.Fatalf("edit: %v", err)
+	}
+
+	trace := func(query string) []obs.SpanRecord {
+		resp, err := http.Get(tc.front.URL + "/debug/trace" + query)
+		if err != nil {
+			t.Fatalf("GET /debug/trace%s: %v", query, err)
+		}
+		defer resp.Body.Close()
+		var reply struct {
+			Spans []obs.SpanRecord `json:"spans"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+			t.Fatalf("decoding /debug/trace%s: %v", query, err)
+		}
+		return reply.Spans
+	}
+	roots := map[string]bool{}
+	for _, s := range trace("?graph=" + up.Fingerprint) {
+		if s.Parent == 0 {
+			if s.Graph != up.Fingerprint {
+				t.Errorf("root %s attributed to %q, want %s", s.Name, s.Graph, up.Fingerprint)
+			}
+			roots[s.Name] = true
+		}
+	}
+	for _, want := range []string{"router.upload", "router.analyze", "router.edit"} {
+		if !roots[want] {
+			t.Errorf("?graph= returned no %s tree (roots %v)", want, roots)
+		}
+	}
+	if spans := trace("?graph=deadbeef"); len(spans) != 0 {
+		t.Fatalf("unknown-graph filter returned %d spans", len(spans))
 	}
 }

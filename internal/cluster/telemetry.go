@@ -1,11 +1,7 @@
 package cluster
 
 import (
-	"net/http"
-	"runtime"
 	"strconv"
-	"strings"
-	"time"
 
 	"tsg/internal/obs"
 )
@@ -29,65 +25,35 @@ var (
 	tierNoNode   = obs.N("no_replica")
 )
 
-// telemetry is the router's observability surface, mirroring the
-// serve layer's: a span ring for /debug/trace, a registry for
-// /metrics, per-endpoint request histograms fed by root-span ends, and
-// per-node hop histograms observed directly on the forwarding path.
+// telemetry is the router's share of the observability edge: the
+// edge itself (tracer, registry, router.<endpoint> roots and their
+// request histogram, /metrics and /debug/trace) plus the per-node hop
+// histograms observed directly on the forwarding path.
 type telemetry struct {
-	tracer *obs.Tracer
-	reg    *obs.Registry
-
-	reqDur *obs.HistogramVec // request latency by endpoint
-	hopDur *obs.HistogramVec // backend hop latency by node
-
-	rootNames [rEndpoints]obs.Name
-	reqDurEp  [rEndpoints]*obs.Histogram
+	edge   *obs.Edge
+	tracer *obs.Tracer // the edge's; request roots are attributed to graphs interned here
+	hopDur *obs.HistogramVec
 }
 
-func newTelemetry(r *Router, traceBuffer int, version string) *telemetry {
-	if traceBuffer <= 0 {
-		traceBuffer = 4096
-	}
+func newTelemetry(r *Router, version string) *telemetry {
+	e := obs.NewEdge("tsgrouter", "router", rEndpointNames[:], version)
 	t := &telemetry{
-		tracer: obs.NewTracer(traceBuffer),
-		reg:    obs.NewRegistry(),
-		reqDur: obs.NewHistogramVec("tsgrouter_http_request_duration_seconds", "Request latency through the router, edge to edge, by endpoint.", obs.LatencyBuckets, "endpoint"),
+		edge:   e,
+		tracer: e.Tracer,
+		// Per-node hop histograms live on the nodes themselves (attached
+		// in newNode), so dynamically added pool members get one too.
 		hopDur: obs.NewHistogramVec("tsgrouter_node_request_duration_seconds", "Latency of forwarded backend requests, by node.", obs.LatencyBuckets, "node"),
 	}
-	durHist := make(map[uint32]*obs.Histogram, rEndpoints)
-	for ep, name := range rEndpointNames {
-		t.rootNames[ep] = obs.N("router." + name)
-		t.reqDurEp[ep] = t.reqDur.With(name)
-		durHist[uint32(t.rootNames[ep])] = t.reqDurEp[ep]
-	}
-	// Per-node hop histograms live on the nodes themselves (attached in
-	// newNode), so dynamically added pool members get one too.
-	t.tracer.OnEnd(func(name uint32, seconds float64) {
-		if h := durHist[name]; h != nil {
-			h.Observe(seconds)
-		}
-	})
-
-	if version == "" {
-		version = "dev"
-	}
-	gauge := func(name, help string, labels []string, fn func(emit func([]string, float64))) obs.Func {
-		return obs.Func{D: obs.Desc{Name: name, Help: help, Type: "gauge", Labels: labels}, Fn: fn}
-	}
-	counter := func(name, help string, labels []string, fn func(emit func([]string, float64))) obs.Func {
-		return obs.Func{D: obs.Desc{Name: name, Help: help, Type: "counter", Labels: labels}, Fn: fn}
-	}
-	t.reg.MustRegister(
-		counter("tsgrouter_http_requests_total", "Requests received at the router, by endpoint.", []string{"endpoint"}, func(emit func([]string, float64)) {
+	e.Registry.MustRegister(
+		obs.CounterFunc("tsgrouter_http_requests_total", "Requests received at the router, by endpoint.", []string{"endpoint"}, func(emit func([]string, float64)) {
 			for ep, name := range rEndpointNames {
 				emit([]string{name}, float64(r.queries[ep].Load()))
 			}
 		}),
-		counter("tsgrouter_http_request_failures_total", "Router requests answered with a non-2xx status.", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_http_request_failures_total", "Router requests answered with a non-2xx status.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(r.failures.Load()))
 		}),
-		t.reqDur,
-		gauge("tsgrouter_node_healthy", "Health of each backend node: 1 routable, 0 ejected.", []string{"node", "url"}, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgrouter_node_healthy", "Health of each backend node: 1 routable, 0 ejected.", []string{"node", "url"}, func(emit func([]string, float64)) {
 			for _, n := range r.poolNodes() {
 				v := 0.0
 				if n.healthy.Load() {
@@ -96,84 +62,84 @@ func newTelemetry(r *Router, traceBuffer int, version string) *telemetry {
 				emit([]string{strconv.Itoa(n.id), n.url}, v)
 			}
 		}),
-		counter("tsgrouter_node_ejections_total", "Times each node was ejected after consecutive failures.", []string{"node"}, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_node_ejections_total", "Times each node was ejected after consecutive failures.", []string{"node"}, func(emit func([]string, float64)) {
 			for _, n := range r.poolNodes() {
 				emit([]string{strconv.Itoa(n.id)}, float64(n.ejections.Load()))
 			}
 		}),
-		counter("tsgrouter_node_requests_total", "Requests forwarded to each node that returned an answer.", []string{"node"}, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_node_requests_total", "Requests forwarded to each node that returned an answer.", []string{"node"}, func(emit func([]string, float64)) {
 			for _, n := range r.poolNodes() {
 				emit([]string{strconv.Itoa(n.id)}, float64(n.requests.Load()))
 			}
 		}),
-		counter("tsgrouter_node_failures_total", "Forwarded requests and probes that failed, by node.", []string{"node"}, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_node_failures_total", "Forwarded requests and probes that failed, by node.", []string{"node"}, func(emit func([]string, float64)) {
 			for _, n := range r.poolNodes() {
 				emit([]string{strconv.Itoa(n.id)}, float64(n.failures.Load()))
 			}
 		}),
-		gauge("tsgrouter_node_inflight_requests", "Requests currently forwarded to each node (the power-of-two-choices balancing signal).", []string{"node"}, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgrouter_node_inflight_requests", "Requests currently forwarded to each node (the power-of-two-choices balancing signal).", []string{"node"}, func(emit func([]string, float64)) {
 			for _, n := range r.poolNodes() {
 				emit([]string{strconv.Itoa(n.id)}, float64(n.inflight.Load()))
 			}
 		}),
 		t.hopDur,
-		counter("tsgrouter_failovers_total", "Requests answered by a non-first-choice replica after the preferred one failed.", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_failovers_total", "Requests answered by a non-first-choice replica after the preferred one failed.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(r.failovers.Load()))
 		}),
-		counter("tsgrouter_sync_replays_total", "Journal records (uploads excluded) replayed to bring replicas up to date.", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_sync_replays_total", "Journal records (uploads excluded) replayed to bring replicas up to date.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(r.syncReplays.Load()))
 		}),
-		counter("tsgrouter_write_replications_total", "Secondary-replica write applications, by outcome.", []string{"outcome"}, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_write_replications_total", "Secondary-replica write applications, by outcome.", []string{"outcome"}, func(emit func([]string, float64)) {
 			emit([]string{"ok"}, float64(r.replOK.Load()))
 			emit([]string{"failed"}, float64(r.replFail.Load()))
 		}),
-		counter("tsgrouter_dedupe_hits_total", "Writes acknowledged from the router's own exactly-once table without touching a backend.", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_dedupe_hits_total", "Writes acknowledged from the router's own exactly-once table without touching a backend.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(r.dedupes.Load()))
 		}),
-		counter("tsgrouter_warm_syncs_total", "Background replica-warming syncs run after a node re-admission.", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_warm_syncs_total", "Background replica-warming syncs run after a node re-admission.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(r.warmSyncs.Load()))
 		}),
-		gauge("tsgrouter_breaker_state", "Each node's circuit-breaker state: 0 closed, 1 open, 2 half-open.", []string{"node", "url"}, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgrouter_breaker_state", "Each node's circuit-breaker state: 0 closed, 1 open, 2 half-open.", []string{"node", "url"}, func(emit func([]string, float64)) {
 			for _, n := range r.poolNodes() {
 				emit([]string{strconv.Itoa(n.id), n.url}, float64(n.state.Load()))
 			}
 		}),
-		counter("tsgrouter_breaker_trips_total", "Times each node's circuit breaker tripped open.", []string{"node"}, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_breaker_trips_total", "Times each node's circuit breaker tripped open.", []string{"node"}, func(emit func([]string, float64)) {
 			for _, n := range r.poolNodes() {
 				emit([]string{strconv.Itoa(n.id)}, float64(n.trips.Load()))
 			}
 		}),
-		counter("tsgrouter_hedge_attempts_total", "Hedged (backup) read attempts launched after the adaptive delay.", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_hedge_attempts_total", "Hedged (backup) read attempts launched after the adaptive delay.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(r.hedgeAttempts.Load()))
 		}),
-		counter("tsgrouter_hedge_wins_total", "Hedged reads where the backup replica answered first.", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_hedge_wins_total", "Hedged reads where the backup replica answered first.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(r.hedgeWins.Load()))
 		}),
-		counter("tsgrouter_hedge_suppressed_total", "Hedge launches suppressed by an exhausted hedge budget.", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_hedge_suppressed_total", "Hedge launches suppressed by an exhausted hedge budget.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(r.hedgeDenied.Load()))
 		}),
-		gauge("tsgrouter_hedge_delay_seconds", "Current adaptive hedge delay (p95 of recent successful hops, clamped).", nil, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgrouter_hedge_delay_seconds", "Current adaptive hedge delay (p95 of recent successful hops, clamped).", nil, func(emit func([]string, float64)) {
 			emit(nil, r.hedgeDelay().Seconds())
 		}),
-		counter("tsgrouter_retry_budget_denials_total", "Failover or retry attempts suppressed by an exhausted retry budget.", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_retry_budget_denials_total", "Failover or retry attempts suppressed by an exhausted retry budget.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(r.retryDenied.Load()))
 		}),
-		gauge("tsgrouter_retry_budget_tokens", "Tokens currently in the retry budget.", nil, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgrouter_retry_budget_tokens", "Tokens currently in the retry budget.", nil, func(emit func([]string, float64)) {
 			emit(nil, r.retryBudget.tokens())
 		}),
-		counter("tsgrouter_membership_reloads_total", "Node-pool membership reloads applied (nodes-file change or SIGHUP).", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgrouter_membership_reloads_total", "Node-pool membership reloads applied (nodes-file change or SIGHUP).", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(r.membershipReloads.Load()))
 		}),
-		gauge("tsgrouter_pool_nodes", "Backend nodes currently in the pool (live or not).", nil, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgrouter_pool_nodes", "Backend nodes currently in the pool (live or not).", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(len(r.poolNodes())))
 		}),
-		gauge("tsgrouter_graphs", "Fingerprints the router holds journal state for.", nil, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgrouter_graphs", "Fingerprints the router holds journal state for.", nil, func(emit func([]string, float64)) {
 			r.mu.Lock()
 			n := len(r.graphs)
 			r.mu.Unlock()
 			emit(nil, float64(n))
 		}),
-		gauge("tsgrouter_journal_edits", "Edit records currently journaled across all graphs.", nil, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgrouter_journal_edits", "Edit records currently journaled across all graphs.", nil, func(emit func([]string, float64)) {
 			r.mu.Lock()
 			states := make([]*graphState, 0, len(r.graphs))
 			for _, gs := range r.graphs {
@@ -188,12 +154,6 @@ func newTelemetry(r *Router, traceBuffer int, version string) *telemetry {
 			}
 			emit(nil, float64(total))
 		}),
-		gauge("tsgrouter_build_info", "Build metadata; the value is always 1.", []string{"version", "goversion"}, func(emit func([]string, float64)) {
-			emit([]string{version, runtime.Version()}, 1)
-		}),
-		gauge("tsgrouter_uptime_seconds", "Seconds since the router started.", nil, func(emit func([]string, float64)) {
-			emit(nil, time.Since(r.start).Seconds())
-		}),
 	)
 	return t
 }
@@ -204,40 +164,4 @@ func (r *Router) telSyncReplays(n int) {
 	if n > 0 {
 		r.syncReplays.Add(uint64(n))
 	}
-}
-
-// handleMetrics renders the router's registry in Prometheus text
-// exposition format (same conformance contract as the serve layer:
-// promlint parses this back in CI).
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	if r.tel == nil {
-		r.writeErrorStatus(w, http.StatusNotFound, "metrics disabled on this router (Config.DisableObs)")
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	var b strings.Builder
-	if err := r.tel.reg.WritePrometheus(&b); err != nil {
-		r.writeErrorStatus(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	_, _ = w.Write([]byte(b.String()))
-}
-
-// handleDebugTrace serves the router's span ring, like the serve
-// layer's /debug/trace (?format=tree renders the indented text form).
-func (r *Router) handleDebugTrace(w http.ResponseWriter, req *http.Request) {
-	if r.tel == nil {
-		r.writeErrorStatus(w, http.StatusNotFound, "tracing disabled on this router (Config.DisableObs)")
-		return
-	}
-	spans := r.tel.tracer.Snapshot()
-	if req.URL.Query().Get("format") == "tree" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		obs.WriteTree(w, spans)
-		return
-	}
-	r.writeJSON(w, struct {
-		Recorded uint64           `json:"recorded_total"`
-		Spans    []obs.SpanRecord `json:"spans"`
-	}{Recorded: r.tel.tracer.Recorded(), Spans: spans})
 }

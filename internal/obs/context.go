@@ -26,32 +26,13 @@ func FromContext(ctx context.Context) *Span {
 	return s
 }
 
-// TracerFromContext returns the tracer riding the context, if any.
-func TracerFromContext(ctx context.Context) *Tracer {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	if s == nil {
-		return nil
-	}
-	return s.tr
-}
-
-// Start begins a span named name as a child of the context's current
+// StartN begins a span named name as a child of the context's current
 // span and returns a derived context carrying it. When the context has
 // no tracer it returns (ctx, nil) — and a nil *Span makes every method
 // a no-op — so callers never branch on whether tracing is on.
 //
 // The returned span must be finished with End (usually deferred); the
 // ring append in End is lock-free and allocation-free.
-func Start(ctx context.Context, name string) (context.Context, *Span) {
-	cur, _ := ctx.Value(ctxKey{}).(*Span)
-	if cur == nil || cur.tr == nil {
-		return ctx, nil
-	}
-	s := begin(cur, Name(Intern(name)))
-	return context.WithValue(ctx, ctxKey{}, s), s
-}
-
-// StartN is Start with a pre-interned name — the hot-path form.
 func StartN(ctx context.Context, name Name) (context.Context, *Span) {
 	cur, _ := ctx.Value(ctxKey{}).(*Span)
 	if cur == nil || cur.tr == nil {
@@ -103,7 +84,7 @@ func Detach(ctx context.Context) context.Context {
 }
 
 // StartRoot begins a root span of a new trace directly on the tracer,
-// fusing WithTracer+Start into a single context value: the per-request
+// fusing WithTracer+StartN into a single context value: the per-request
 // entry point of the serving layer. The returned context carries the
 // span; child spans nest under it.
 func (t *Tracer) StartRoot(ctx context.Context, name Name) (context.Context, *Span) {

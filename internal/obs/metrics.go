@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -188,110 +187,6 @@ func (c *Counter) Collect(emit func([]string, float64)) {
 	emit(nil, float64(c.v.Load()))
 }
 
-// CounterVec is a family of counters distinguished by label values.
-// Series creation takes a write lock once; subsequent lookups are
-// read-locked map hits. Callers on hot paths should cache the *Counter
-// returned by With.
-type CounterVec struct {
-	d     Desc
-	mu    sync.RWMutex
-	elems map[string]*vecCounter
-	order []string
-}
-
-type vecCounter struct {
-	labels []string
-	v      atomic.Uint64
-}
-
-func NewCounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{
-		d:     Desc{Name: name, Help: help, Type: "counter", Labels: labels},
-		elems: make(map[string]*vecCounter),
-	}
-}
-
-func vecKey(values []string) string { return strings.Join(values, "\x00") }
-
-func (v *CounterVec) with(values []string) *vecCounter {
-	if len(values) != len(v.d.Labels) {
-		panic("obs: label cardinality mismatch for " + v.d.Name)
-	}
-	k := vecKey(values)
-	v.mu.RLock()
-	e := v.elems[k]
-	v.mu.RUnlock()
-	if e != nil {
-		return e
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if e = v.elems[k]; e != nil {
-		return e
-	}
-	e = &vecCounter{labels: append([]string(nil), values...)}
-	v.elems[k] = e
-	v.order = append(v.order, k)
-	return e
-}
-
-// With returns the counter for the given label values, creating it on
-// first use.
-func (v *CounterVec) With(values ...string) *VecCounter {
-	return &VecCounter{v.with(values)}
-}
-
-// VecCounter is one series of a CounterVec.
-type VecCounter struct{ e *vecCounter }
-
-func (c *VecCounter) Inc()          { c.e.v.Add(1) }
-func (c *VecCounter) Add(n uint64)  { c.e.v.Add(n) }
-func (c *VecCounter) Value() uint64 { return c.e.v.Load() }
-
-func (v *CounterVec) Describe() Desc { return v.d }
-func (v *CounterVec) Collect(emit func([]string, float64)) {
-	v.mu.RLock()
-	order := append([]string(nil), v.order...)
-	elems := make([]*vecCounter, len(order))
-	for i, k := range order {
-		elems[i] = v.elems[k]
-	}
-	v.mu.RUnlock()
-	for _, e := range elems {
-		emit(e.labels, float64(e.v.Load()))
-	}
-}
-
-// ---------------------------------------------------------------------
-// Gauge
-// ---------------------------------------------------------------------
-
-// Gauge is a lock-free float gauge.
-type Gauge struct {
-	d    Desc
-	bits atomic.Uint64
-}
-
-func NewGauge(name, help string) *Gauge {
-	return &Gauge{d: Desc{Name: name, Help: help, Type: "gauge"}}
-}
-
-func (g *Gauge) Set(v float64)  { g.bits.Store(math.Float64bits(v)) }
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-func (g *Gauge) Describe() Desc { return g.d }
-func (g *Gauge) Collect(emit func([]string, float64)) {
-	emit(nil, g.Value())
-}
-
 // Func adapts an arbitrary read function into a Collector — the bridge
 // for exporting state that already lives in application atomics
 // (server counters, cache sizes, WAL stats).
@@ -302,6 +197,16 @@ type Func struct {
 
 func (f Func) Describe() Desc                       { return f.D }
 func (f Func) Collect(emit func([]string, float64)) { f.Fn(emit) }
+
+// GaugeFunc is a gauge family whose series fn emits at scrape time.
+func GaugeFunc(name, help string, labels []string, fn func(emit func(labelValues []string, value float64))) Func {
+	return Func{D: Desc{Name: name, Help: help, Type: "gauge", Labels: labels}, Fn: fn}
+}
+
+// CounterFunc is a counter family whose series fn emits at scrape time.
+func CounterFunc(name, help string, labels []string, fn func(emit func(labelValues []string, value float64))) Func {
+	return Func{D: Desc{Name: name, Help: help, Type: "counter", Labels: labels}, Fn: fn}
+}
 
 // ---------------------------------------------------------------------
 // Histogram
@@ -382,8 +287,9 @@ func (h *Histogram) CollectHist(emit func([]string, []float64, []uint64, uint64,
 }
 
 // HistogramVec is a family of histograms distinguished by label
-// values. As with CounterVec, hot paths should cache the *Histogram
-// from With.
+// values. Series creation takes a write lock once; later lookups are
+// read-locked map hits. Hot paths should cache the *Histogram from
+// With.
 type HistogramVec struct {
 	d      Desc
 	bounds []float64
@@ -404,6 +310,8 @@ func NewHistogramVec(name, help string, bounds []float64, labels ...string) *His
 		elems:  make(map[string]*vecHist),
 	}
 }
+
+func vecKey(values []string) string { return strings.Join(values, "\x00") }
 
 // With returns the histogram for the given label values, creating it
 // on first use.
@@ -446,20 +354,4 @@ func (v *HistogramVec) CollectHist(emit func([]string, []float64, []uint64, uint
 			emit(e.labels, bounds, buckets, count, sum)
 		})
 	}
-}
-
-// SortedLabelDump returns "name{k=v,...} value" lines for tests that
-// want order-independent series comparison.
-func SortedLabelDump(r *Registry) []string {
-	var sb strings.Builder
-	r.WritePrometheus(&sb)
-	var out []string
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		out = append(out, line)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,7 +1,13 @@
 // Package obs is the process-wide observability layer: a
 // context-propagated span tracer backed by a fixed-size lock-free ring,
-// plus Prometheus-style counters, gauges and fixed-bucket histograms
-// with a text-exposition writer and a matching parser/linter.
+// plus Prometheus-style counters and fixed-bucket histograms with a
+// text-exposition writer and a matching parser/linter.
+//
+// Edge is the one HTTP observability edge both daemons share: a
+// tracer, a registry, <daemon>.<endpoint> request roots feeding a
+// <prefix>_http_request_duration_seconds histogram, the build-info and
+// uptime gauges, and the /metrics and /debug/trace handlers. tsgserved
+// and tsgrouter register only the families and spans that are theirs.
 //
 // The design goal is that instrumentation stays cheap enough to leave
 // on in production serving:
@@ -12,16 +18,17 @@
 //     are pooled, so the hot path neither allocates nor pays an
 //     atomic store per field.
 //   - Span names, answer tiers and annotation keys are interned to
-//     uint32 ids once; the hot path moves only integers.
-//   - Graph fingerprints are interned per tracer, so per-graph
-//     attribution costs one read-locked map hit.
-//   - When no tracer rides the context, obs.Start returns a nil *Span
-//     and every method on it is a nil-check no-op, so library code can
-//     be instrumented unconditionally. Running with tracing disabled
-//     is the "compiled-out" baseline the OBS experiment measures
-//     against.
+//     Names once, at package init of the instrumented code; the hot
+//     path moves only integers.
+//   - Graph fingerprints are interned per tracer; callers cache the id
+//     alongside the graph, so per-graph attribution is one store.
+//   - When no tracer rides the context, StartN and LeafN return a nil
+//     *Span and every method on it is a nil-check no-op, so library
+//     code can be instrumented unconditionally. Running with tracing
+//     disabled (a nil Edge) is the "compiled-out" baseline the OBS
+//     experiment measures against.
 //
-// Spans form trees: obs.Start derives a child context, so a serve
+// Spans form trees: StartN derives a child context, so a serve
 // request naturally produces handler → admission → cache → engine
 // phase nesting, inspectable via /debug/trace or tsgtime -trace.
 package obs
@@ -176,9 +183,10 @@ type Tracer struct {
 	pool   sync.Pool
 }
 
-// DefaultRingSize is the span-ring capacity used when a non-positive
-// size is requested.
-const DefaultRingSize = 4096
+// DefaultRingSize is the span-ring capacity of every daemon's Edge, and
+// of NewTracer when a non-positive size is requested: enough for a few
+// hundred request trees of interactive depth.
+const DefaultRingSize = 8192
 
 // NewTracer builds a tracer whose ring holds at least size spans
 // (rounded up to a power of two, minimum 64). Memory is allocated once,
@@ -201,9 +209,6 @@ func NewTracer(size int) *Tracer {
 // histograms. It must be installed before the tracer sees traffic; it
 // is not synchronized against concurrent Span.End calls.
 func (t *Tracer) OnEnd(f func(name uint32, seconds float64)) { t.onEnd = f }
-
-// Len reports the ring capacity.
-func (t *Tracer) Len() int { return len(t.slots) }
 
 // Recorded reports how many spans have ever been recorded (including
 // ones the ring has since overwritten). The ring write cursor is that
@@ -230,18 +235,10 @@ type Span struct {
 	start    int64
 }
 
-// SetGraph attributes the span (and, at snapshot time, its whole
-// trace) to a graph fingerprint.
-func (s *Span) SetGraph(fp string) {
-	if s == nil {
-		return
-	}
-	s.graph = s.tr.graphs.intern(fp)
-}
-
-// SetGraphID is SetGraph with a fingerprint id already interned via
-// Tracer.InternGraph — the hot-path form for callers that cache the id
-// alongside the graph.
+// SetGraphID attributes the span (and, at snapshot time, its whole
+// trace) to the graph fingerprint interned as id by
+// Tracer.InternGraph. Callers cache the id alongside the graph, so
+// attribution moves one integer.
 func (s *Span) SetGraphID(id uint32) {
 	if s == nil {
 		return
@@ -249,16 +246,8 @@ func (s *Span) SetGraphID(id uint32) {
 	s.graph = id
 }
 
-// SetTier records which answer tier the span took (e.g. "fast-path",
+// SetTierN records which answer tier the span took (e.g. "fast-path",
 // "cached-row", "lambda-only", "full").
-func (s *Span) SetTier(tier string) {
-	if s == nil {
-		return
-	}
-	s.tier = Intern(tier)
-}
-
-// SetTierN is SetTier with a pre-interned tier — the hot-path form.
 func (s *Span) SetTierN(tier Name) {
 	if s == nil {
 		return
@@ -266,17 +255,9 @@ func (s *Span) SetTierN(tier Name) {
 	s.tier = uint32(tier)
 }
 
-// Annotate attaches up to two numeric key=value annotations (e.g.
+// AnnotateN attaches up to two numeric key=value annotations (e.g.
 // dirty-cone size, flood count, sample count). Extra keys beyond two
 // are dropped.
-func (s *Span) Annotate(key string, v uint64) {
-	if s == nil {
-		return
-	}
-	s.AnnotateN(Name(Intern(key)), v)
-}
-
-// AnnotateN is Annotate with a pre-interned key — the hot-path form.
 func (s *Span) AnnotateN(key Name, v uint64) {
 	if s == nil {
 		return

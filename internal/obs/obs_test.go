@@ -9,17 +9,17 @@ import (
 
 func TestNilSpanIsNoOp(t *testing.T) {
 	ctx := context.Background()
-	ctx2, sp := Start(ctx, "anything")
+	ctx2, sp := StartN(ctx, N("anything"))
 	if sp != nil {
-		t.Fatal("Start without tracer should return nil span")
+		t.Fatal("StartN without tracer should return nil span")
 	}
 	if ctx2 != ctx {
-		t.Fatal("Start without tracer should return the same context")
+		t.Fatal("StartN without tracer should return the same context")
 	}
 	// All methods must be safe on nil.
-	sp.SetGraph("fp")
-	sp.SetTier("full")
-	sp.Annotate("k", 1)
+	sp.SetGraphID(1)
+	sp.SetTierN(N("full"))
+	sp.AnnotateN(N("k"), 1)
 	sp.End()
 	if FromContext(ctx) != nil {
 		t.Fatal("FromContext on bare context should be nil")
@@ -30,17 +30,17 @@ func TestSpanTreeStructure(t *testing.T) {
 	tr := NewTracer(256)
 	ctx := WithTracer(context.Background(), tr)
 
-	rctx, root := Start(ctx, "serve.analyze")
-	root.SetGraph("abc123")
-	c1ctx, c1 := Start(rctx, "admission.wait")
+	rctx, root := StartN(ctx, N("serve.analyze"))
+	root.SetGraphID(tr.InternGraph("abc123"))
+	c1ctx, c1 := StartN(rctx, N("admission.wait"))
 	c1.End()
-	c2ctx, c2 := Start(rctx, "engine.answer")
-	c2.SetTier("full")
-	_, g := Start(c2ctx, "engine.pass1")
-	g.SetTier("slab")
-	g.Annotate("events", 2000)
-	g.Annotate("arcs", 4000)
-	g.Annotate("dropped", 7) // third key is dropped
+	c2ctx, c2 := StartN(rctx, N("engine.answer"))
+	c2.SetTierN(N("full"))
+	_, g := StartN(c2ctx, N("engine.pass1"))
+	g.SetTierN(N("slab"))
+	g.AnnotateN(N("events"), 2000)
+	g.AnnotateN(N("arcs"), 4000)
+	g.AnnotateN(N("dropped"), 7) // third key is dropped
 	g.End()
 	c2.End()
 	root.End()
@@ -98,12 +98,12 @@ func TestSnapshotGraphFiltersWholeTraces(t *testing.T) {
 	tr := NewTracer(256)
 	ctx := WithTracer(context.Background(), tr)
 	for _, fp := range []string{"g1", "g2", "g1"} {
-		rctx, root := Start(ctx, "serve.analyze")
+		rctx, root := StartN(ctx, N("serve.analyze"))
 		// The engine child starts before attribution lands on it; the
 		// trace-level filter must still pick it up.
-		_, child := Start(rctx, "engine.answer")
+		_, child := StartN(rctx, N("engine.answer"))
 		child.End()
-		root.SetGraph(fp)
+		root.SetGraphID(tr.InternGraph(fp))
 		root.End()
 	}
 	all := tr.Snapshot()
@@ -128,7 +128,7 @@ func TestRingWrapKeepsRecentSpans(t *testing.T) {
 	tr := NewTracer(64)
 	ctx := WithTracer(context.Background(), tr)
 	for i := 0; i < 1000; i++ {
-		_, sp := Start(ctx, "wrap.span")
+		_, sp := StartN(ctx, N("wrap.span"))
 		sp.End()
 	}
 	if got := tr.Recorded(); got != 1000 {
@@ -161,10 +161,10 @@ func TestConcurrentTracing(t *testing.T) {
 		go func() {
 			defer writers.Done()
 			for i := 0; i < 2000; i++ {
-				rctx, root := Start(ctx, "root")
-				root.SetGraph("g")
-				_, c := Start(rctx, "child")
-				c.Annotate("i", uint64(i))
+				rctx, root := StartN(ctx, N("root"))
+				root.SetGraphID(tr.InternGraph("g"))
+				_, c := StartN(rctx, N("child"))
+				c.AnnotateN(N("i"), uint64(i))
 				c.End()
 				root.End()
 			}
@@ -237,7 +237,7 @@ func TestOnEndHookSeesDurations(t *testing.T) {
 	})
 	ctx := WithTracer(context.Background(), tr)
 	for i := 0; i < 3; i++ {
-		_, sp := Start(ctx, "hooked")
+		_, sp := StartN(ctx, N("hooked"))
 		sp.End()
 	}
 	if got["hooked"] != 3 {
@@ -252,7 +252,7 @@ func TestOnEndHookSeesDurations(t *testing.T) {
 func TestDetachOutlivesParent(t *testing.T) {
 	tr := NewTracer(256)
 	rctx, root := tr.StartRoot(context.Background(), N("router.analyze"))
-	root.SetGraph("g1")
+	root.SetGraphID(tr.InternGraph("g1"))
 	dctx := Detach(rctx)
 	rootID, traceID := root.id, root.trace
 	root.End()

@@ -96,26 +96,20 @@ func (s *Server) admit(ep int, h func(ctx context.Context, w http.ResponseWriter
 	return func(w http.ResponseWriter, r *http.Request) {
 		// Root span of the request tree: everything the request does —
 		// admission wait, cache lookup, WAL appends, engine phases —
-		// nests under serve.<endpoint>. With observability disabled
-		// (tel == nil) no tracer rides the context, so every span call
-		// below (and in the engine underneath) is a nil no-op.
-		tel := s.tel
-		ctx := r.Context()
-		var root *obs.Span
-		if tel != nil {
-			// Ending the root span also observes the per-endpoint request
-			// duration histogram, via the tracer's OnEnd routing — no
-			// separate clock reads on the unlimited fast path.
-			ctx, root = tel.tracer.StartRoot(ctx, tel.rootNames[ep])
-			defer root.End()
-		}
+		// nests under serve.<endpoint>, and ending it observes the
+		// per-endpoint request duration through the edge's OnEnd routes.
+		// With observability disabled (nil edge) no tracer rides the
+		// context, so every span call below (and in the engine
+		// underneath) is a nil no-op.
+		ctx, root := s.edge.StartRoot(r.Context(), ep)
+		defer root.End()
 		if lim := s.limits[ep]; lim != nil {
 			start := time.Now()
 			wait := obs.LeafN(ctx, nameAdmissionWait)
 			reason, ok := lim.acquire(ctx)
 			wait.End()
-			if tel != nil {
-				tel.admWaitEp[ep].Observe(time.Since(start).Seconds())
+			if h := s.admWait[ep]; h != nil {
+				h.Observe(time.Since(start).Seconds())
 			}
 			if !ok {
 				root.SetTierN(tierShed)

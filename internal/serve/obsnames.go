@@ -3,8 +3,8 @@ package serve
 import "tsg/internal/obs"
 
 // Pre-interned span names, tiers and annotation keys for the serving
-// layer's per-request spans (the serve.<endpoint> roots live on
-// telemetry.rootNames). Interning once at init keeps the request hot
+// layer's per-request spans (the serve.<endpoint> roots are the
+// obs.Edge's). Interning once at init keeps the request hot
 // path free of intern-table lookups.
 var (
 	nameAdmissionWait = obs.N("admission.wait")

@@ -56,10 +56,6 @@ type Config struct {
 	// 404. The OBS experiment uses this as the instrumentation-off
 	// baseline when measuring overhead.
 	DisableObs bool
-	// TraceBuffer sizes the span ring (records retained for
-	// /debug/trace); 0 selects the default (8192), rounded up to a
-	// power of two.
-	TraceBuffer int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: profiling endpoints on a production daemon are opt-in.
 	EnablePprof bool
@@ -103,9 +99,11 @@ type Server struct {
 	warmGraphs atomic.Int64
 	warmEdits  atomic.Int64
 
-	// Observability (nil tel = Config.DisableObs; every span call is a
-	// cheap nil no-op then).
-	tel *telemetry
+	// Observability (nil edge = Config.DisableObs; every span call is a
+	// cheap nil no-op then). admWait is each endpoint's admission-wait
+	// histogram, nil with observability off.
+	edge    *obs.Edge
+	admWait [endpoints]*obs.Histogram
 }
 
 // endpoint indices for the per-endpoint query counters.
@@ -158,10 +156,11 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/edit", s.admit(epEdit, s.handleEdit))
 	s.mux.HandleFunc("POST /v1/fingerprint", s.admit(epFingerprint, s.handleFingerprint))
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if !cfg.DisableObs {
-		s.tel = newTelemetry(s, cfg)
+		s.installTelemetry(cfg.Version)
 	}
+	s.mux.HandleFunc("GET /metrics", s.edge.ServeMetrics)
+	s.mux.HandleFunc("GET /debug/trace", s.edge.ServeTrace)
 	s.installDebug(cfg.EnablePprof)
 	return s
 }
@@ -257,18 +256,29 @@ func (s *Server) writeErrorStatus(w http.ResponseWriter, status int, msg string)
 	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: msg})
 }
 
-// decode parses a JSON request body.
-func decode(r *http.Request, v interface{}) error {
-	dec := json.NewDecoder(r.Body)
+// Decode reads a JSON request body into v under the protocol's decode
+// contract, which tsgserved and tsgrouter share: unknown fields and
+// data after the JSON value are refused. A body over its size cap
+// fails with the *http.MaxBytesError (413); every other failure is the
+// request's fault (400).
+func Decode(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return err
+	err := dec.Decode(v)
+	if err == nil {
+		// Only whitespace may follow the value.
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
 		}
-		return badRequest("decoding request: %v", err)
+		if err == nil {
+			err = errors.New("data after the JSON value")
+		}
 	}
-	return nil
+	var maxErr *http.MaxBytesError
+	if errors.As(err, &maxErr) {
+		return err
+	}
+	return badRequest("decoding request: %v", err)
 }
 
 // resolve turns a GraphRef into the cached entry serving it, compiling
@@ -278,10 +288,10 @@ func decode(r *http.Request, v interface{}) error {
 func (s *Server) resolve(ctx context.Context, ref GraphRef) (*Entry, bool, error) {
 	ent, hit, err := s.resolveInner(ctx, ref)
 	if err == nil {
-		if tel := s.tel; tel != nil {
+		if s.edge != nil {
 			id := ent.obsGraph.Load()
 			if id == 0 {
-				id = tel.tracer.InternGraph(ent.Key)
+				id = s.edge.Tracer.InternGraph(ent.Key)
 				ent.obsGraph.Store(id)
 			}
 			obs.FromContext(ctx).SetGraphID(id)
@@ -395,7 +405,7 @@ func readGraphBody(r *http.Request) (string, error) {
 		var req struct {
 			Graph string `json:"graph"`
 		}
-		if err := decode(r, &req); err != nil {
+		if err := Decode(r.Body, &req); err != nil {
 			return "", err
 		}
 		text = req.Graph
@@ -448,7 +458,7 @@ func (s *Server) handleFingerprint(ctx context.Context, w http.ResponseWriter, r
 func (s *Server) handleAnalyze(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	s.queries[epAnalyze].Add(1)
 	var req AnalyzeRequest
-	if err := decode(r, &req); err != nil {
+	if err := Decode(r.Body, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -485,7 +495,7 @@ func (s *Server) handleAnalyze(ctx context.Context, w http.ResponseWriter, r *ht
 func (s *Server) handleSlacks(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	s.queries[epSlacks].Add(1)
 	var req SlacksRequest
-	if err := decode(r, &req); err != nil {
+	if err := Decode(r.Body, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -522,7 +532,7 @@ func (s *Server) handleSlacks(ctx context.Context, w http.ResponseWriter, r *htt
 func (s *Server) handleWhatIf(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	s.queries[epWhatIf].Add(1)
 	var req WhatIfRequest
-	if err := decode(r, &req); err != nil {
+	if err := Decode(r.Body, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -592,7 +602,7 @@ func (s *Server) handleEdit(ctx context.Context, w http.ResponseWriter, r *http.
 		return
 	}
 	var req EditRequest
-	if err := decode(r, &req); err != nil {
+	if err := Decode(r.Body, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -747,7 +757,7 @@ func (s *Server) commitEdit(ctx context.Context, ent *Entry, req *EditRequest) (
 func (s *Server) handleMC(ctx context.Context, w http.ResponseWriter, r *http.Request) {
 	s.queries[epMC].Add(1)
 	var req MCRequest
-	if err := decode(r, &req); err != nil {
+	if err := Decode(r.Body, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}

@@ -4,236 +4,164 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"sort"
-	"strings"
-	"time"
 
 	"tsg/internal/obs"
 )
 
-// telemetry is the server's observability surface: the span ring every
-// request traces into, the metrics registry /metrics renders from, and
-// the live-introspection handlers under /debug. The pre-existing atomic
-// counters on Server/Cache stay the single source of truth — the
-// registry reads them through obs.Func collectors at scrape time — so
-// instrumentation adds histograms and spans without duplicating any
-// bookkeeping.
-type telemetry struct {
-	tracer *obs.Tracer
-	reg    *obs.Registry
-
-	reqDur   *obs.HistogramVec // request latency by endpoint
-	admWait  *obs.HistogramVec // admission queue wait by endpoint
-	phaseDur *obs.HistogramVec // engine phase durations, fed by span ends
-	walDur   *obs.Histogram    // WAL append+fsync latency
-	walBytes *obs.Counter      // WAL bytes appended
-
-	// Hot-path lookups resolved once at construction so admit() observes
-	// per-request metrics without a label→series map hit, and roots its
-	// span with a pre-interned name.
-	rootNames [endpoints]obs.Name
-	reqDurEp  [endpoints]*obs.Histogram
-	admWaitEp [endpoints]*obs.Histogram
-}
-
 // enginePhases is the closed set of engine span names feeding the
-// tsgserve_engine_phase_seconds histogram (via the tracer's OnEnd
-// hook). A new engine.* span name must be added here to be observed —
-// the hook matches pre-interned ids, not string prefixes, to stay off
+// tsgserve_engine_phase_seconds histogram (through the edge's OnEnd
+// routes). A new engine.* span name must be added here to be observed —
+// the routes match pre-interned ids, not string prefixes, to stay off
 // the allocation path.
 var enginePhases = []string{
 	"compile", "answer", "sweep", "pass1", "pass2", "patch", "slackcert", "rows", "mc",
 }
 
-// defaultTraceBuffer is the span ring size when Config.TraceBuffer is
-// unset: enough for a few hundred request trees of interactive depth.
-const defaultTraceBuffer = 8192
-
-// newTelemetry wires the tracer, the histograms and every Func
-// collector bridging the server's existing counters into one registry.
-func newTelemetry(s *Server, cfg Config) *telemetry {
-	size := cfg.TraceBuffer
-	if size <= 0 {
-		size = defaultTraceBuffer
-	}
-	t := &telemetry{
-		tracer:   obs.NewTracer(size),
-		reg:      obs.NewRegistry(),
-		reqDur:   obs.NewHistogramVec("tsgserve_http_request_duration_seconds", "Request latency from admission decision to response, by endpoint.", obs.LatencyBuckets, "endpoint"),
-		admWait:  obs.NewHistogramVec("tsgserve_admission_wait_seconds", "Time requests spent queued at the admission gate, by endpoint (admitted requests only).", obs.LatencyBuckets, "endpoint"),
-		phaseDur: obs.NewHistogramVec("tsgserve_engine_phase_seconds", "Engine phase durations observed through the span tracer, by phase (pass1, pass2, patch, slackcert, rows, compile, mc, answer, sweep).", obs.PhaseBuckets, "phase"),
-		walDur:   obs.NewHistogram("tsgserve_wal_append_seconds", "Write-ahead-log append latency including the fsync, per durable record.", obs.LatencyBuckets),
-		walBytes: obs.NewCounter("tsgserve_wal_appended_bytes_total", "Bytes appended to the write-ahead log (framed records)."),
-	}
+// installTelemetry builds the server's observability edge and registers
+// the families that are the server's own: the pre-existing atomic
+// counters on Server/Cache stay the single source of truth — the
+// registry reads them through obs.Func collectors at scrape time — so
+// instrumentation adds histograms and spans without duplicating any
+// bookkeeping.
+func (s *Server) installTelemetry(version string) {
+	e := obs.NewEdge("tsgserve", "serve", endpointNames[:], version)
+	admWait := obs.NewHistogramVec("tsgserve_admission_wait_seconds", "Time requests spent queued at the admission gate, by endpoint (admitted requests only).", obs.LatencyBuckets, "endpoint")
+	phaseDur := obs.NewHistogramVec("tsgserve_engine_phase_seconds", "Engine phase durations observed through the span tracer, by phase (pass1, pass2, patch, slackcert, rows, compile, mc, answer, sweep).", obs.PhaseBuckets, "phase")
 	for ep, name := range endpointNames {
-		t.rootNames[ep] = obs.N("serve." + name)
-		t.reqDurEp[ep] = t.reqDur.With(name)
-		t.admWaitEp[ep] = t.admWait.With(name)
+		s.admWait[ep] = admWait.With(name)
 	}
-	// Span ends feed the duration histograms: engine phase spans route to
-	// the phase histogram and serve.<endpoint> roots to the per-endpoint
-	// request histogram, so every duration metric rides the clock reads
-	// the tracer already pays — admit() never calls time.Now itself. The
-	// id→histogram map is built once here and only read afterwards,
-	// keeping the per-span-End cost to one map hit.
-	durHist := make(map[uint32]*obs.Histogram, len(enginePhases)+endpoints)
 	for _, ph := range enginePhases {
-		durHist[uint32(obs.N("engine."+ph))] = t.phaseDur.With(ph)
+		e.Route(obs.N("engine."+ph), phaseDur.With(ph))
 	}
-	for ep := range endpointNames {
-		durHist[uint32(t.rootNames[ep])] = t.reqDurEp[ep]
-	}
-	t.tracer.OnEnd(func(name uint32, seconds float64) {
-		if h := durHist[name]; h != nil {
-			h.Observe(seconds)
-		}
-	})
-
-	version := cfg.Version
-	if version == "" {
-		version = "dev"
-	}
-	gauge := func(name, help string, labels []string, fn func(emit func([]string, float64))) obs.Func {
-		return obs.Func{D: obs.Desc{Name: name, Help: help, Type: "gauge", Labels: labels}, Fn: fn}
-	}
-	counter := func(name, help string, labels []string, fn func(emit func([]string, float64))) obs.Func {
-		return obs.Func{D: obs.Desc{Name: name, Help: help, Type: "counter", Labels: labels}, Fn: fn}
-	}
-	t.reg.MustRegister(
-		counter("tsgserve_http_requests_total", "Requests received, by endpoint.", []string{"endpoint"}, func(emit func([]string, float64)) {
+	s.edge = e
+	e.Registry.MustRegister(
+		obs.CounterFunc("tsgserve_http_requests_total", "Requests received, by endpoint.", []string{"endpoint"}, func(emit func([]string, float64)) {
 			for i, name := range endpointNames {
 				emit([]string{name}, float64(s.queries[i].Load()))
 			}
 		}),
-		counter("tsgserve_http_request_failures_total", "Requests answered with a non-2xx status.", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgserve_http_request_failures_total", "Requests answered with a non-2xx status.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.failures.Load()))
 		}),
-		t.reqDur,
-		gauge("tsgserve_http_in_flight_requests", "Requests currently executing (admitted, handler not yet returned), by endpoint.", []string{"endpoint"}, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgserve_http_in_flight_requests", "Requests currently executing (admitted, handler not yet returned), by endpoint.", []string{"endpoint"}, func(emit func([]string, float64)) {
 			// Derived, not maintained: started (queries, bumped at handler
 			// entry) minus finished (request-duration observations, made
 			// when the root span ends) — no per-request gauge updates on
 			// the hot path. Clamped against the benign race of a scrape
 			// landing between the two counter reads.
 			for i, name := range endpointNames {
-				v := float64(s.queries[i].Load()) - float64(t.reqDurEp[i].Count())
+				v := float64(s.queries[i].Load()) - float64(e.RequestDuration(i).Count())
 				if v < 0 {
 					v = 0
 				}
 				emit([]string{name}, v)
 			}
 		}),
-		counter("tsgserve_admission_sheds_total", "Requests shed by admission control with 503 + Retry-After, by endpoint and reason.", []string{"endpoint", "reason"}, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgserve_admission_sheds_total", "Requests shed by admission control with 503 + Retry-After, by endpoint and reason.", []string{"endpoint", "reason"}, func(emit func([]string, float64)) {
 			for ep, name := range endpointNames {
 				for rs, reason := range shedReasonNames {
 					emit([]string{name, reason}, float64(s.sheds[ep][rs].Load()))
 				}
 			}
 		}),
-		gauge("tsgserve_admission_queue_depth", "Requests currently waiting at the admission gate, by endpoint.", []string{"endpoint"}, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgserve_admission_queue_depth", "Requests currently waiting at the admission gate, by endpoint.", []string{"endpoint"}, func(emit func([]string, float64)) {
 			for ep, name := range endpointNames {
 				if lim := s.limits[ep]; lim != nil {
 					emit([]string{name}, float64(lim.waiters.Load()))
 				}
 			}
 		}),
-		t.admWait,
-		counter("tsgserve_engine_cache_hits_total", "Requests served by a resident engine.", nil, func(emit func([]string, float64)) {
+		admWait,
+		obs.CounterFunc("tsgserve_engine_cache_hits_total", "Requests served by a resident engine.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.cache.Stats().Hits))
 		}),
-		counter("tsgserve_engine_cache_misses_total", "Requests that had to compile (or join an in-flight compile).", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgserve_engine_cache_misses_total", "Requests that had to compile (or join an in-flight compile).", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.cache.Stats().Misses))
 		}),
-		counter("tsgserve_engine_compiles_total", "Engines compiled (singleflight dedups concurrent misses).", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgserve_engine_compiles_total", "Engines compiled (singleflight dedups concurrent misses).", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.cache.Stats().Compiles))
 		}),
-		counter("tsgserve_engine_flight_shared_total", "Misses that joined another request's in-flight compile.", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgserve_engine_flight_shared_total", "Misses that joined another request's in-flight compile.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.cache.Stats().FlightShared))
 		}),
-		counter("tsgserve_engine_cache_evictions_total", "Entries dropped to respect the cache byte budget.", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgserve_engine_cache_evictions_total", "Entries dropped to respect the cache byte budget.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.cache.Stats().Evictions))
 		}),
-		gauge("tsgserve_engine_cache_entries", "Graphs currently resident in the engine cache.", nil, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgserve_engine_cache_entries", "Graphs currently resident in the engine cache.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.cache.Stats().Entries))
 		}),
-		gauge("tsgserve_engine_cache_bytes", "Estimated bytes of resident engines.", nil, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgserve_engine_cache_bytes", "Estimated bytes of resident engines.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.cache.Stats().Bytes))
 		}),
-		gauge("tsgserve_engine_analyses", "Analyses run by resident engines, split by mode: full re-simulation vs incremental dirty-cone patching after a committed edit. Gauge: evicted engines leave the aggregate.", []string{"mode"}, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgserve_engine_analyses", "Analyses run by resident engines, split by mode: full re-simulation vs incremental dirty-cone patching after a committed edit. Gauge: evicted engines leave the aggregate.", []string{"mode"}, func(emit func([]string, float64)) {
 			es := s.cache.AggregateEngineStats()
 			emit([]string{"full"}, float64(es.Analyses))
 			emit([]string{"incremental"}, float64(es.IncrementalAnalyses))
 		}),
-		gauge("tsgserve_engine_fast_path_answers", "What-if queries answered without re-analysis, by kind. Gauge: evicted engines leave the aggregate.", []string{"kind"}, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgserve_engine_fast_path_answers", "What-if queries answered without re-analysis, by kind. Gauge: evicted engines leave the aggregate.", []string{"kind"}, func(emit func([]string, float64)) {
 			es := s.cache.AggregateEngineStats()
 			emit([]string{"certificate"}, float64(es.FastPathHits))
 			emit([]string{"whatif_row"}, float64(es.TableAnswers))
 		}),
-		gauge("tsgserve_engine_pass1_kernel", "Pass-1 runs by resident engines, split by kernel: two-row window (every pass 1 of a fresh session) vs full trace slabs (sessions that have committed an edit retain them for incremental patching). Gauge: evicted engines leave the aggregate.", []string{"kernel"}, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgserve_engine_pass1_kernel", "Pass-1 runs by resident engines, split by kernel: two-row window (every pass 1 of a fresh session) vs full trace slabs (sessions that have committed an edit retain them for incremental patching). Gauge: evicted engines leave the aggregate.", []string{"kernel"}, func(emit func([]string, float64)) {
 			es := s.cache.AggregateEngineStats()
 			emit([]string{"window"}, float64(es.WindowedPass1))
 			emit([]string{"slab"}, float64(es.SlabPass1))
 		}),
-		gauge("tsgserve_engine_patch_floods", "Incremental patches whose dirty cone hit the flood bail-out, across resident engines. Gauge: evicted engines leave the aggregate.", nil, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgserve_engine_patch_floods", "Incremental patches whose dirty cone hit the flood bail-out, across resident engines. Gauge: evicted engines leave the aggregate.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.cache.AggregateEngineStats().PatchFloods))
 		}),
-		gauge("tsgserve_engine_lazy_pass2", "Pass-2 outcomes across resident engines: runs that extracted critical cycles vs certificates dropped by an edit before pass 2 ever ran. Gauge: evicted engines leave the aggregate.", []string{"outcome"}, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgserve_engine_lazy_pass2", "Pass-2 outcomes across resident engines: runs that extracted critical cycles vs certificates dropped by an edit before pass 2 ever ran. Gauge: evicted engines leave the aggregate.", []string{"outcome"}, func(emit func([]string, float64)) {
 			es := s.cache.AggregateEngineStats()
 			emit([]string{"ran"}, float64(es.Pass2Runs))
 			emit([]string{"skipped"}, float64(es.LazyPass2Skips))
 		}),
-		t.phaseDur,
-		gauge("tsgserve_graph_requests", "Requests served per resident graph, by fingerprint. Gauge: evicted graphs leave.", []string{"graph"}, func(emit func([]string, float64)) {
+		phaseDur,
+		obs.GaugeFunc("tsgserve_graph_requests", "Requests served per resident graph, by fingerprint. Gauge: evicted graphs leave.", []string{"graph"}, func(emit func([]string, float64)) {
 			for _, ent := range s.cache.Resident() {
 				emit([]string{ent.Key}, float64(ent.Requests()))
 			}
 		}),
-		gauge("tsgserve_hot_arc_touches", "What-if and edit arc touches per resident graph (summed over arcs; per-arc detail at /debug/hotarcs). Gauge: evicted graphs leave.", []string{"graph"}, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgserve_hot_arc_touches", "What-if and edit arc touches per resident graph (summed over arcs; per-arc detail at /debug/hotarcs). Gauge: evicted graphs leave.", []string{"graph"}, func(emit func([]string, float64)) {
 			for _, ent := range s.cache.Resident() {
 				_, total := ent.hotSummary()
 				emit([]string{ent.Key}, float64(total))
 			}
 		}),
-		counter("tsgserve_panics_total", "Handler panics recovered to a 500 instead of killing the daemon.", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgserve_panics_total", "Handler panics recovered to a 500 instead of killing the daemon.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.panics.Load()))
 		}),
-		counter("tsgserve_warm_restart_graphs_total", "Engines recompiled from the write-ahead log on boot (counted separately from request-driven compiles).", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgserve_warm_restart_graphs_total", "Engines recompiled from the write-ahead log on boot (counted separately from request-driven compiles).", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.warmGraphs.Load()))
 		}),
-		counter("tsgserve_warm_restart_edits_total", "Edit records re-applied from the write-ahead log on boot.", nil, func(emit func([]string, float64)) {
+		obs.CounterFunc("tsgserve_warm_restart_edits_total", "Edit records re-applied from the write-ahead log on boot.", nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.warmEdits.Load()))
-		}),
-		gauge("tsgserve_build_info", "Build metadata; the value is always 1.", []string{"version", "goversion"}, func(emit func([]string, float64)) {
-			emit([]string{version, runtime.Version()}, 1)
-		}),
-		gauge("tsgserve_uptime_seconds", "Seconds since the server started.", nil, func(emit func([]string, float64)) {
-			emit(nil, time.Since(s.start).Seconds())
 		}),
 	)
 	if s.store != nil {
-		t.reg.MustRegister(
-			gauge("tsgserve_wal_bytes", "Current write-ahead log size on disk.", nil, func(emit func([]string, float64)) {
+		walDur := obs.NewHistogram("tsgserve_wal_append_seconds", "Write-ahead-log append latency including the fsync, per durable record.", obs.LatencyBuckets)
+		walBytes := obs.NewCounter("tsgserve_wal_appended_bytes_total", "Bytes appended to the write-ahead log (framed records).")
+		e.Registry.MustRegister(
+			obs.GaugeFunc("tsgserve_wal_bytes", "Current write-ahead log size on disk.", nil, func(emit func([]string, float64)) {
 				emit(nil, float64(s.store.Size()))
 			}),
-			counter("tsgserve_wal_compaction_runs_total", "Write-ahead log compactions.", nil, func(emit func([]string, float64)) {
+			obs.CounterFunc("tsgserve_wal_compaction_runs_total", "Write-ahead log compactions.", nil, func(emit func([]string, float64)) {
 				emit(nil, float64(s.store.Compactions()))
 			}),
-			t.walDur, t.walBytes,
+			walDur, walBytes,
 		)
 		s.store.SetSyncObserver(func(bytes int, seconds float64) {
-			t.walDur.Observe(seconds)
-			t.walBytes.Add(uint64(bytes))
+			walDur.Observe(seconds)
+			walBytes.Add(uint64(bytes))
 		})
 	}
-	return t
 }
 
 // installDebug mounts the live-introspection endpoints. pprof is opt-in
 // (Config.EnablePprof): heap and CPU profiles of a production daemon
 // are a deliberate decision, not a default.
 func (s *Server) installDebug(enablePprof bool) {
-	s.mux.HandleFunc("GET /debug/trace", s.handleDebugTrace)
 	s.mux.HandleFunc("GET /debug/cache", s.handleDebugCache)
 	s.mux.HandleFunc("GET /debug/hotarcs", s.handleDebugHotArcs)
 	if enablePprof {
@@ -243,33 +171,6 @@ func (s *Server) installDebug(enablePprof bool) {
 		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
-}
-
-// handleDebugTrace serves the span ring: the most recent request trees,
-// newest data the ring still holds, as JSON span records (parents link
-// trees together; obs.BuildTrees reassembles them client-side).
-// ?graph=<fingerprint> keeps only traces that touched that graph;
-// ?format=tree renders an indented text tree instead of JSON.
-func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	if s.tel == nil {
-		s.writeErrorStatus(w, http.StatusNotFound, "tracing disabled on this server (Config.DisableObs)")
-		return
-	}
-	var spans []obs.SpanRecord
-	if fp := r.URL.Query().Get("graph"); fp != "" {
-		spans = s.tel.tracer.SnapshotGraph(fp)
-	} else {
-		spans = s.tel.tracer.Snapshot()
-	}
-	if r.URL.Query().Get("format") == "tree" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		obs.WriteTree(w, spans)
-		return
-	}
-	s.writeJSON(w, struct {
-		Recorded uint64           `json:"recorded_total"`
-		Spans    []obs.SpanRecord `json:"spans"`
-	}{Recorded: s.tel.tracer.Recorded(), Spans: spans})
 }
 
 // debugCacheEntry is one resident graph in the /debug/cache reply.
@@ -353,22 +254,4 @@ func (s *Server) handleDebugHotArcs(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, struct {
 		Graphs []hotArcReport `json:"graphs"`
 	}{Graphs: reports})
-}
-
-// handleMetrics renders every registered family in Prometheus text
-// exposition format — HELP/TYPE on all of them, counters suffixed
-// _total, histograms with cumulative le buckets (the promlint command
-// and the CI smoke step parse this output back).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	if s.tel == nil {
-		s.writeErrorStatus(w, http.StatusNotFound, "metrics disabled on this server (Config.DisableObs)")
-		return
-	}
-	var b strings.Builder
-	if err := s.tel.reg.WritePrometheus(&b); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	_, _ = w.Write([]byte(b.String()))
 }
