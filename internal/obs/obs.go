@@ -18,8 +18,8 @@
 //     are pooled, so the hot path neither allocates nor pays an
 //     atomic store per field.
 //   - Span names, answer tiers and annotation keys are interned to
-//     Names once, at package init of the instrumented code; the hot
-//     path moves only integers.
+//     Names once, up front (package-level vars, NewEdge); the hot path
+//     moves only integers.
 //   - Graph fingerprints are interned per tracer; callers cache the id
 //     alongside the graph, so per-graph attribution is one store.
 //   - When no tracer rides the context, StartN and LeafN return a nil
