@@ -989,12 +989,12 @@ func (r *Router) handleUpload(ctx context.Context, w http.ResponseWriter, req *h
 	// Fan the body out to every replica OUTSIDE the journal lock: a
 	// slow compile on one replica must not stall this graph's readers.
 	replicas := r.replicaSet(ctx, fp)
-	sp := obs.LeafN(ctx, nameFanout)
+	fctx, sp := obs.StartN(ctx, nameFanout)
 	sp.AnnotateN(keyReplicas, uint64(len(replicas)))
 	okCount := 0
 	var lastErr error
 	for _, n := range replicas {
-		err := r.sync(ctx, n, gs)
+		err := r.sync(fctx, n, gs)
 		if err == nil {
 			r.noteSuccess(n)
 			okCount++
@@ -1230,13 +1230,13 @@ func (r *Router) handleEdit(ctx context.Context, w http.ResponseWriter, req *htt
 	// the journal from each node's watermark in journal order, so a
 	// slow replica stalls neither this graph's readers nor its next
 	// writer.
-	sp := obs.LeafN(ctx, nameFanout)
+	fctx, sp := obs.StartN(ctx, nameFanout)
 	sp.AnnotateN(keyReplicas, uint64(len(replicas)))
 	for _, n := range replicas {
 		if n == committed {
 			continue
 		}
-		if err := r.sync(ctx, n, gs); err != nil {
+		if err := r.sync(fctx, n, gs); err != nil {
 			r.replFail.Add(1)
 			r.noteFailure(n)
 			continue

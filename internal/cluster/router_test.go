@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -702,5 +703,45 @@ func TestRouterTracesAttributedToGraph(t *testing.T) {
 	}
 	if spans := trace("?graph=deadbeef"); len(spans) != 0 {
 		t.Fatalf("unknown-graph filter returned %d spans", len(spans))
+	}
+}
+
+// TestRouterUploadSyncsUnderFanout checks the shape of an upload's
+// tree in /debug/trace?format=tree: every router.sync the fan-out runs
+// is a child of router.fanout, one per replica.
+func TestRouterUploadSyncsUnderFanout(t *testing.T) {
+	tc := newTestCluster(t)
+	up, err := tc.cl.UploadText(context.Background(), pipelineText(t, 4))
+	if err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	resp, err := http.Get(tc.front.URL + "/debug/trace?format=tree&graph=" + up.Fingerprint)
+	if err != nil {
+		t.Fatalf("GET /debug/trace: %v", err)
+	}
+	defer resp.Body.Close()
+	var text strings.Builder
+	if _, err := io.Copy(&text, resp.Body); err != nil {
+		t.Fatalf("reading /debug/trace: %v", err)
+	}
+	// path[d] is the span name of the current line's ancestor at depth
+	// d; WriteTree indents each depth by two spaces.
+	var path []string
+	syncs := 0
+	for _, line := range strings.Split(strings.TrimSpace(text.String()), "\n") {
+		name := strings.TrimLeft(line, " ")
+		depth := (len(line) - len(name)) / 2
+		name, _, _ = strings.Cut(name, " ")
+		path = append(path[:depth], name)
+		if name != "router.sync" {
+			continue
+		}
+		syncs++
+		if depth == 0 || path[depth-1] != "router.fanout" {
+			t.Errorf("router.sync at depth %d under %v, want a child of router.fanout\n%s", depth, path[:depth], text.String())
+		}
+	}
+	if syncs != 2 {
+		t.Fatalf("upload tree has %d router.sync spans, want one per replica (2)\n%s", syncs, text.String())
 	}
 }

@@ -10,7 +10,8 @@ import (
 // trees. The root is router.<endpoint>; router.route is the placement
 // decision, router.hop one forwarded backend call, router.fanout the
 // write-replication / upload fan-out stage, router.sync a journal
-// replay bringing a replica up to date.
+// replay bringing a replica up to date (a child of router.fanout when
+// the fan-out runs it).
 var (
 	nameRoute  = obs.N("router.route")
 	nameHop    = obs.N("router.hop")

@@ -55,9 +55,10 @@ import (
 //     in O(periods) arithmetic. Only uncertified delay DECREASES pay
 //     one λ-only analysis each: b windowed simulations at a private
 //     delay column set that differs from the session's in the one arc
-//     (timesim.BatchDelays), split one job per (candidate, cut event)
-//     over the bounded worker pool — never a rebuild, a recompile or
-//     a write to the session's own delays;
+//     (timesim.BatchDelays), run as origin lanes and split one job per
+//     (candidate, chunk of up to four cut events) over the bounded
+//     worker pool — never a rebuild, a recompile or a write to the
+//     session's own delays;
 //   - AnalyzeBounds and Monte-Carlo: every run at delays other than
 //     the session's reads them from private columns over the session's
 //     one compiled schedule, plus a private overlay where pass 2 or the
@@ -167,10 +168,11 @@ type EngineStats struct {
 	// simulation per distinct arc head) instead of a full O(b²m)
 	// re-analysis.
 	TableAnswers int64
-	// WindowedPass1 counts pass-1 runs on the two-row window kernel —
-	// every pass 1 that does not retain its traces, at the session's
-	// delays or at private ones, except the Monte-Carlo samples, which
-	// run the batch kernel; SlabPass1 counts the runs that do retain
+	// WindowedPass1 counts pass-1 runs on the rolling window, as
+	// origin lanes (timesim.RunFromOrigins) — every pass 1 that does
+	// not retain its traces, at the session's delays or at private
+	// ones, except the Monte-Carlo samples, which run the batch
+	// kernel; SlabPass1 counts the runs that do retain
 	// them (sessions that have committed an edit keep full trace slabs
 	// for incremental patching).
 	WindowedPass1 int64
@@ -292,7 +294,8 @@ func (e *Engine) Delay(arc int) float64 {
 
 // SizeHint estimates the resident heap bytes of the compiled session:
 // the delay overlay, the compiled schedule's record columns, one pooled
-// simulation slab or window (times only, 8 B per instantiation), the
+// simulation slab or origin-lane window (times only, 8 B per
+// instantiation and lane), the
 // cached certificate (slacks and what-if rows) and the retained
 // committed traces. Queries at other delays (what-if decreases,
 // bounds, Monte-Carlo) keep nothing once they return, so they add
@@ -310,10 +313,10 @@ func (e *Engine) SizeHint() int64 {
 	if e.incr {
 		sz += e.sched.SlabBytes(e.periods + 2) // one pooled slab: 8 B per instantiation
 	} else {
-		// Pass 1 holds two rows, not a slab. Pass 2 slabs
-		// transiently, k+1 periods per distinct critical cycle;
-		// steady state is the window.
-		sz += e.sched.WindowBytes()
+		// Pass 1 holds one origin-lane window, not a slab. Pass 2
+		// slabs transiently, k+1 periods per distinct critical
+		// cycle; steady state is the lane window.
+		sz += e.sched.LaneWindowBytes(min(len(e.cut), originLanes))
 	}
 	if c := e.cert; c != nil {
 		sz += int64(len(c.slacks))*24 + m*9 // slackByArc + onAllCrit
@@ -737,12 +740,13 @@ func (e *Engine) validateCands(cands []WhatIf) error {
 
 // whatIfDecreases answers the uncertified decreases cands[i], i in full:
 // each is the λ-only pass 1 at the session's delays with the one arc
-// changed. The work is one job per (candidate, cut event) pair on the
-// bounded worker pool. Each worker owns a width-1 private column set at
-// the session's delays and moves the job's arc in and back out, so no
-// job writes the session's delays. Each candidate's per-event bests are
-// then folded in cut order, as pass 1 folds them. Callers hold the
-// session lock, shared or exclusive.
+// changed. The work is one job per (candidate, chunk of originLanes
+// cut events) on the bounded worker pool, each job one origin-lane
+// run. Each worker owns a width-1 private column set at the session's
+// delays and moves the job's arc in and back out, so no job writes the
+// session's delays. Each candidate's per-event bests are then folded
+// in cut order, as pass 1 folds them. Callers hold the session lock,
+// shared or exclusive.
 func (e *Engine) whatIfDecreases(ctx context.Context, cands []WhatIf, full []int, out []stat.Ratio) error {
 	e.counters.analyses.Add(int64(len(full)))
 	e.counters.windowedP1.Add(int64(len(full)))
@@ -750,36 +754,44 @@ func (e *Engine) whatIfDecreases(ctx context.Context, cands []WhatIf, full []int
 	sp.AnnotateN(keyCands, uint64(len(full)))
 	defer sp.End()
 	b := len(e.cut)
-	jobs := len(full) * b
+	lanes := min(b, originLanes)
+	chunks := (b + originLanes - 1) / originLanes
+	jobs := len(full) * chunks
 	type worker struct {
 		cols *timesim.BatchDelays
 		out  [][]float64
 		err  error
 	}
-	ws := make([]worker, e.poolSize(jobs, 1))
+	ws := make([]worker, e.poolSize(jobs, lanes))
 	for i := range ws {
-		ws[i] = worker{cols: e.sched.NewBatchDelays(1), out: [][]float64{make([]float64, e.periods)}}
+		ws[i] = worker{cols: e.sched.NewBatchDelays(1), out: make([][]float64, lanes)}
+		for l := range ws[i].out {
+			ws[i].out[l] = make([]float64, e.periods)
+		}
 	}
-	series := make([]BorderSeries, jobs) // per job: the Best of its series
+	series := make([]BorderSeries, len(full)*b) // per candidate and cut event: the Best of its series
 	runWorkers(jobs, len(ws), func(wi, j int) {
 		w := &ws[wi]
 		// Cooperative cancellation: a cancelled sweep stops within one
-		// simulation per worker.
+		// origin-lane run per worker.
 		if w.err != nil {
 			return
 		}
 		if w.err = ctx.Err(); w.err != nil {
 			return
 		}
-		cd, ev := cands[full[j/b]], e.cut[j%b]
+		k, lo := j/chunks, j%chunks*originLanes
+		cd, origins := cands[full[k]], e.cut[lo:min(lo+originLanes, b)]
 		w.cols.SetArc(e.sched, 0, cd.Arc, cd.Delay)
-		w.err = e.sched.RunFromBatch(ev, w.cols, e.periods, w.out)
+		w.err = e.sched.RunFromOrigins(origins, w.cols, e.periods, w.out)
 		w.cols.SetArc(e.sched, 0, cd.Arc, e.overlay.Delay(cd.Arc))
 		if w.err != nil {
-			w.err = fmt.Errorf("cycletime: simulating from %q: %w", e.g.Event(ev).Name, w.err)
+			w.err = e.laneErr(origins, w.err)
 			return
 		}
-		series[j].Best = seriesFromTimes(ev, w.out[0]).Best
+		for l, ev := range origins {
+			series[k*b+lo+l].Best = seriesFromTimes(ev, w.out[l]).Best
+		}
 	})
 	for _, w := range ws {
 		if w.err != nil {
@@ -1416,35 +1428,47 @@ func (e *Engine) pass1Analysis(ctx context.Context, retain bool) (*Result, error
 	return res, nil
 }
 
+// originLanes is the most cut events one pass-1 walk carries as
+// origin lanes (timesim.RunFromOrigins). Four lanes halve pass 1 on
+// the batch graphs against scalar windows, in the 3.2 MB a 10^5-event
+// graph's two pooled scalar windows held. The lane window grows with
+// the width: eight lanes on a two-row window ran pass 1 faster still,
+// but their 12.8 MB raised the batch workload's peak RSS by about 7%.
+const originLanes = 4
+
 // pass1At is the windowed pass 1 at the delay columns cols (nil: the
-// session's own): the two-row kernel materialises no slab and writes
-// each origin series straight into the result. It writes no session
-// state, so the session's own λ and the analyses at private delays
-// (bounds, the Monte-Carlo support-maximum bound) share it.
+// session's own): the cut runs as origin lanes, originLanes at a time,
+// serially, on the lane window, which materialises no slab, and each
+// origin series is written straight into the result. It writes no
+// session state, so the session's own λ and the analyses at private
+// delays (bounds, the Monte-Carlo support-maximum bound) share it.
 func (e *Engine) pass1At(ctx context.Context, cols *timesim.BatchDelays) (*Result, error) {
 	e.counters.analyses.Add(1)
 	e.counters.windowedP1.Add(1)
 	sp := e.pass1Span(ctx, tierWindow)
 	defer sp.End()
 	cut := e.cut
-	simErrs := make([]error, len(cut))
 	series := make([]BorderSeries, len(cut))
 	distSlab := make([]float64, len(cut)*e.periods)
-	runIndexed(len(cut), e.poolSize(len(cut), 1), func(i int) {
-		dist := distSlab[i*e.periods : (i+1)*e.periods : (i+1)*e.periods]
-		if cols == nil {
-			simErrs[i] = e.sched.RunFromWindow(cut[i], e.periods, dist)
-		} else {
-			simErrs[i] = e.sched.RunFromBatch(cut[i], cols, e.periods, [][]float64{dist})
+	out := make([][]float64, min(len(cut), originLanes))
+	for lo := 0; lo < len(cut); lo += originLanes {
+		hi := min(lo+originLanes, len(cut))
+		for i := lo; i < hi; i++ {
+			out[i-lo] = distSlab[i*e.periods : (i+1)*e.periods : (i+1)*e.periods]
 		}
-		if simErrs[i] == nil {
-			series[i] = seriesFromTimes(cut[i], dist)
+		if err := e.sched.RunFromOrigins(cut[lo:hi], cols, e.periods, out); err != nil {
+			return nil, e.laneErr(cut[lo:hi], err)
 		}
-	})
-	if err := e.simErr(simErrs); err != nil {
-		return nil, err
+		for i := lo; i < hi; i++ {
+			series[i] = seriesFromTimes(cut[i], out[i-lo])
+		}
 	}
 	return e.assembleSeries(series)
+}
+
+// laneErr wraps a failed origin-lane run over origins.
+func (e *Engine) laneErr(origins []sg.EventID, err error) error {
+	return fmt.Errorf("cycletime: simulating from %v: %w", e.g.EventNames(origins), err)
 }
 
 // pass1Span opens the engine.pass1 span of a pass 1 on the given

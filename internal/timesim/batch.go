@@ -30,6 +30,14 @@ import (
 // Per-sample results are bit-identical to RunFromWindow with the same
 // delays: the record order, and hence every float add and max, is the
 // same.
+//
+// A BatchDelays is also the private delay column of every run at
+// delays other than the schedule's own: at width 1 it feeds the scalar
+// window (RunFromBatch), slab traces (RunWith) and the pass-1
+// origin-lane kernel (RunFromOrigins, origins.go), whose lanes are
+// origins at one delay column rather than delay samples at one origin.
+// The engine's what-if decreases, bounds and Monte-Carlo support bound
+// run that kernel; only the Monte-Carlo λ blocks run walkLanes.
 
 // BatchDelays is a private set of delay columns, S lanes per record of
 // each record class, laid out record-major ([record*S + lane]) so the
@@ -108,7 +116,7 @@ func (sch *Schedule) RunFromBatch(origin sg.EventID, bd *BatchDelays, periods in
 	if len(bd.times) != 2*sch.n*S {
 		bd.times = make([]float64, 2*sch.n*S)
 	}
-	return sch.roll(origin, periods, bd.times, S, bd, func(p int, c *class, rw rows) {
+	return sch.roll([]sg.EventID{origin}, periods, bd.times, S, sch.n*S, bd, func(p int, c *class, rw rows) {
 		c.walkLanes(&rw)
 		if p > 0 {
 			for s := 0; s < S; s++ {

@@ -59,8 +59,14 @@ type Schedule struct {
 	// during evaluation).
 	rowInit []float64
 
+	// carry lays out the carry row of the one-row origin-lane window
+	// (origins.go): the slot of every source of a marked record of
+	// periods >= 1, -1 elsewhere; carried lists those sources by slot.
+	carry   []int32
+	carried []sg.EventID
+
 	pool    memPool[slab]
-	winPool memPool[window] // the two-row memory-bounded kernel
+	winPool memPool[window] // the rolling-window kernels
 }
 
 // class is the in-arc record table of one period class: CSR over the
@@ -198,6 +204,19 @@ func Compile(g *sg.Graph) (*Schedule, error) {
 		}
 	}
 
+	s.carry = make([]int32, n)
+	for i := range s.carry {
+		s.carry[i] = -1
+	}
+	for _, c := range []*class{&s.c1, &s.cS} {
+		for r, mk := range c.mark {
+			if e := c.src[r]; mk != 0 && s.carry[e] < 0 {
+				s.carry[e] = int32(len(s.carried))
+				s.carried = append(s.carried, e)
+			}
+		}
+	}
+
 	s.arcTo = make([]sg.EventID, m)
 	s.arcMark = make([]int32, m)
 	for i := 0; i < m; i++ {
@@ -233,16 +252,16 @@ func (s *Schedule) Graph() *sg.Graph { return s.g }
 // excluding the graph, which the schedule shares with its compiler,
 // and excluding pooled working memory, whose size depends on the
 // simulation shape — full slabs scale with the period count
-// (SlabBytes), two-row windows with n alone (WindowBytes). The session
-// layer accounts for whichever layout it runs; see
-// cycletime.Engine.SizeHint.
+// (SlabBytes), two-row windows with n and the lane count alone
+// (WindowBytes per lane). The session layer accounts for whichever
+// layout it runs; see cycletime.Engine.SizeHint.
 func (s *Schedule) MemEstimate() int64 {
 	var sz int64
 	for _, c := range s.classes() {
 		sz += int64(len(c.src)) * 28 // src+del+mark+arc columns
 		sz += int64(len(c.off)+len(c.rec)) * 4
 	}
-	sz += int64(len(s.c0.pos)+len(s.c1.pos)+len(s.arcMark))*4 + int64(len(s.arcTo))*8
+	sz += int64(len(s.c0.pos)+len(s.c1.pos)+len(s.arcMark)+len(s.carry))*4 + int64(len(s.arcTo)+len(s.carried))*8
 	sz += int64(len(s.c0.order)+len(s.c1.order)+len(s.rowInit)) * 8
 	return sz
 }

@@ -26,10 +26,15 @@
 // trace slabs, the two-row window of RunFromWindow and
 // RunFromWindowEvents, and the in-place re-evaluation of Patch — so
 // they agree by construction. Simulations that keep no trace run on
-// one driver, the rolling two-row window (roll, window.go): the
-// scalar ones with one lane, the Monte-Carlo batch kernel RunFromBatch
-// with one lane per delay sample. Reachedness rides in the times (−∞)
-// and is the same in every lane, because no delay is −∞ or NaN.
+// one driver, the rolling window (roll, window.go): the scalar ones
+// with one lane on two rows; the origin-lane kernel RunFromOrigins
+// (origins.go) with one lane per origin on one row and a carry row,
+// which the engine's λ-only pass 1 runs in chunks of up to four cut
+// events; and the Monte-Carlo batch kernel RunFromBatch with one lane
+// per delay sample on two rows.
+// Reachedness rides in the times (−∞): it is the same in every sample
+// lane, because no delay is −∞ or NaN, and differs between origin
+// lanes, whose walk therefore skips no record.
 // ReferenceRun and ReferenceRunFrom walk the graph's adjacency lists
 // directly; they are retained as the executable specification the
 // compiled kernel is differentially tested against.

@@ -7,53 +7,70 @@ import (
 	"tsg/internal/sg"
 )
 
-// The rolling two-row window: the one driver of every simulation that
-// reads times period by period and keeps no trace. The existence rules
-// of §IV.A only ever reference the current period (unmarked in-arcs)
-// and the previous one (marked in-arcs), so two rows suffice: O(n)
-// working state per lane regardless of the period count. Three kernels
-// run on it:
+// The rolling window: the one driver of every simulation that reads
+// times period by period and keeps no trace. The existence rules of
+// §IV.A only ever reference the current period (unmarked in-arcs) and
+// the previous one (marked in-arcs), so two rows suffice: O(n) working
+// state per lane regardless of the period count. Four kernels run on
+// it:
 //
-//   - RunFromWindow, the λ-only pass 1: one lane, the schedule's own
-//     delay columns, the origin's occurrence time per period (the
-//     distance series of Prop. 7);
+//   - RunFromOrigins (origins.go), the λ-only pass 1: one lane per
+//     origin, the distance series of Prop. 7 for up to four cut events
+//     per walk at one delay column (the schedule's own or a width-1
+//     BatchDelays), on one row plus a carry row of the sources of
+//     marked records. The engine's pass 1 at the session's delays and
+//     at private ones (bounds, the Monte-Carlo support bound,
+//     uncertified what-if decreases) runs it;
+//   - RunFromWindow, the scalar form: one lane, one origin, two rows.
+//     A single origin of RunFromOrigins, RunFromBatch at width 1 and
+//     the repository benchmark's kernel layer run it;
 //   - RunFromBatch (batch.go): one lane per delay sample of a
-//     BatchDelays — the Monte-Carlo kernel at S lanes, and
-//     RunFromWindow at private delays at one lane;
-//   - RunFromWindowEvents, the what-if rows: one lane, the times of a
-//     few chosen events in every period 0..periods.
+//     BatchDelays, one origin, two rows — the Monte-Carlo kernel;
+//   - RunFromWindowEvents, the what-if rows: one lane, two rows, the
+//     times of a few chosen events in every period 0..periods.
 //
-// They share roll — validation, row alternation, the origin pin, the
-// row layout and −∞ reachedness — and differ only in the record walk
-// (class.walk, or class.walkLanes over S lanes) and in what they read
-// back. Results are bit-identical to RunFrom + Trace.Time/Reached:
-// every walk performs the same float adds and comparisons in the same
-// record order; only the row storage differs. The engine's pass 1 runs
-// RunFromWindow whenever it does not retain traces; pass 2, which
-// backtracks through every period of a trace, re-simulates only the
-// handful of λ-winning origins with full traces.
+// They share roll — validation, row alternation, the origin pin of a
+// run from one origin, the row layout and −∞ reachedness — and differ
+// only in the record walk (class.walk; class.walkLanes over S sample
+// lanes; class.walkOrigins over W origin lanes, which pins each lane's
+// own origin) and in what they read back. Results are bit-identical to
+// RunFrom + Trace.Time/Reached: every walk performs the same float adds
+// and comparisons in the same record order; only the row storage
+// differs. The engine's pass 1 runs on the window whenever it does not
+// retain traces; pass 2, which backtracks through every period of a
+// trace, re-simulates only the handful of λ-winning origins with full
+// traces.
 
-// window is the pooled working set of one single-lane windowed
-// simulation: two times rows back to back (row A at [0,n), row B at
-// [n,2n)). Like a slab, an instantiation the origin does not precede
-// holds -Inf (see rows.unreached).
+// window is the pooled working set of one windowed simulation: two
+// times rows back to back (row A at [0,n·lanes), row B after it), or
+// the origin lanes' row and carry row. Like a slab, an instantiation
+// the origin does not precede holds -Inf (see rows.unreached).
 type window struct {
 	times []float64
 }
 
-// acquireWindow draws a two-row window from the schedule's pool.
-func (s *Schedule) acquireWindow() *window {
+// acquireWindow draws a window of need floats from the schedule's
+// pool, reusing pooled memory where the capacity suffices.
+func (s *Schedule) acquireWindow(need int) *window {
 	w := s.winPool.get()
-	if w == nil || len(w.times) != 2*s.n {
-		w = &window{times: make([]float64, 2*s.n)}
+	if w == nil || cap(w.times) < need {
+		return &window{times: make([]float64, need)}
 	}
+	w.times = w.times[:need]
 	return w
 }
 
 // WindowBytes returns the approximate heap bytes of one pooled
-// two-row window: the per-simulation working set of the windowed
-// kernel (two float64 rows).
+// single-lane two-row window: the per-simulation working set of the
+// scalar windowed kernel (two float64 rows).
 func (s *Schedule) WindowBytes() int64 { return int64(s.n) * 2 * 8 }
+
+// LaneWindowBytes returns the approximate heap bytes of one pooled
+// origin-lane window of the given lanes (RunFromOrigins): one float64
+// row and the carry row, each lanes wide.
+func (s *Schedule) LaneWindowBytes(lanes int) int64 {
+	return int64(s.n+len(s.carried)) * int64(lanes) * 8
+}
 
 // SlabBytes returns the approximate heap bytes of one pooled full
 // trace slab for the given period count: 8 B of time per
@@ -64,28 +81,37 @@ func (s *Schedule) SlabBytes(periods int) int64 {
 }
 
 // roll is the period driver of the rolling window. It validates the
-// run, lays rows of width lanes per event over times (two rows of
-// n·width floats), and evaluates the event-initiated simulation from
-// origin over periods 0..periods at the delay columns d (nil: the
-// schedule's own): period 0 with the origin pinned to 0, then each
-// later period into the row its predecessor does not occupy. For each
-// period, step(p, c, rw) walks class c into rw and reads what it
-// needs; rw.cur is the start of period p's row and rw.del the period's
-// delay column. An instantiation with no live in-record is -Inf in
-// every lane.
-func (s *Schedule) roll(origin sg.EventID, periods int, times []float64, width int, d *BatchDelays, step func(p int, c *class, rw rows)) error {
-	if origin < 0 || int(origin) >= s.n {
-		return fmt.Errorf("timesim: origin event %d out of range", origin)
+// run, lays rows of width lanes per event over times, and evaluates
+// the event-initiated simulations from origins over periods
+// 0..periods at the delay columns d (nil: the schedule's own): period
+// 0 with the origin pinned to 0, then each later period into the row
+// its predecessor does not occupy. stride is where the second row
+// starts: n·width for two rows, or 0 for one row that every period
+// overwrites in place, whose walk keeps the previous period's values
+// elsewhere (walkOrigins' carry row). origins holds one origin, which
+// roll pins in every lane (rw.pin), or one origin per lane, which the
+// origin-lane walk pins itself. For each period, step(p, c, rw) walks
+// class c into rw and reads what it needs; rw.cur is the start of
+// period p's row and rw.del the period's delay column. An
+// instantiation with no live in-record is -Inf in every lane.
+func (s *Schedule) roll(origins []sg.EventID, periods int, times []float64, width, stride int, d *BatchDelays, step func(p int, c *class, rw rows)) error {
+	for _, o := range origins {
+		if o < 0 || int(o) >= s.n {
+			return fmt.Errorf("timesim: origin event %d out of range", o)
+		}
 	}
 	if periods < 1 {
 		return fmt.Errorf("timesim: periods must be >= 1, got %d", periods)
 	}
-	rw := rows{times: times, del: s.column(d, 0), width: width, pin: origin, unreached: math.Inf(-1)}
+	rw := rows{times: times, del: s.column(d, 0), width: width, pin: sg.None, unreached: math.Inf(-1)}
+	if len(origins) == 1 {
+		rw.pin = origins[0]
+	}
 	step(0, &s.c0, rw)
 	rw.pin = sg.None
 	for p := 1; p <= periods; p++ {
 		prev := rw.cur
-		rw.cur = s.n*width - prev
+		rw.cur = stride - prev
 		rw.back = rw.cur - prev
 		rw.del = s.column(d, p)
 		step(p, s.class(p), rw)
@@ -123,8 +149,8 @@ func (s *Schedule) window(origin sg.EventID, periods int, out []float64, d *Batc
 	if len(out) < periods {
 		return fmt.Errorf("timesim: window output has %d entries, need %d", len(out), periods)
 	}
-	w := s.acquireWindow()
-	err := s.roll(origin, periods, w.times, 1, d, func(p int, c *class, rw rows) {
+	w := s.acquireWindow(2 * s.n)
+	err := s.roll([]sg.EventID{origin}, periods, w.times, 1, s.n, d, func(p int, c *class, rw rows) {
 		c.walk(0, len(c.order), &rw)
 		if p > 0 {
 			out[p-1] = s.time(&rw, origin, p, 0)
@@ -153,8 +179,8 @@ func (s *Schedule) RunFromWindowEvents(origin sg.EventID, periods int, events []
 			return fmt.Errorf("timesim: window output row %d has %d entries, need %d", k, len(out[k]), periods+1)
 		}
 	}
-	w := s.acquireWindow()
-	err := s.roll(origin, periods, w.times, 1, nil, func(p int, c *class, rw rows) {
+	w := s.acquireWindow(2 * s.n)
+	err := s.roll([]sg.EventID{origin}, periods, w.times, 1, s.n, nil, func(p int, c *class, rw rows) {
 		c.walk(0, len(c.order), &rw)
 		for k, e := range events {
 			out[k][p] = s.time(&rw, e, p, 0)
