@@ -665,7 +665,7 @@ func BenchmarkVerifySemimodularity(b *testing.B) {
 // --- PR 7: hierarchical compression + the memory-bounded kernel ----------
 
 // BenchmarkFlatPipeGrid100k compares the two pass-1 layouts on a
-// 10^5-event pipegrid: the two-row rolling window a fresh session runs
+// 10^5-event pipegrid: the rolling window a fresh session runs
 // against the full per-period trace slabs of a session that has
 // committed an edit (it retains them for incremental patching; the
 // edit is reverted, so both answer the same λ). Each op is a new

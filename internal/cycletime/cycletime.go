@@ -182,9 +182,9 @@ func AnalyzeOpts(g *sg.Graph, opts Options) (*Result, error) {
 
 // runWorkers invokes fn(worker, 0..n-1), distributing the indices over
 // `workers` goroutines (sized by Engine.poolSize) pulling from a shared
-// atomic counter; the worker id lets callers hand each goroutine
-// private state (a what-if worker's delay columns). With one worker
-// it runs inline with no goroutine overhead.
+// atomic counter; the worker id keys each goroutine's private state.
+// Worker 0 is the calling goroutine, so one worker runs inline with no
+// goroutine overhead and w workers start w−1 goroutines.
 func runWorkers(n, workers int, fn func(worker, i int)) {
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
@@ -193,20 +193,20 @@ func runWorkers(n, workers int, fn func(worker, i int)) {
 		return
 	}
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
+	work := func(w int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(w, i)
+		}
 	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
 	wg.Wait()
 }
 

@@ -53,12 +53,10 @@ import (
 //     from the per-arc what-if rows — one initiated simulation per
 //     distinct arc head, shared across all queries of the session —
 //     in O(periods) arithmetic. Only uncertified delay DECREASES pay
-//     one λ-only analysis each: b windowed simulations at a private
-//     delay column set that differs from the session's in the one arc
-//     (timesim.BatchDelays), run as origin lanes and split one job per
-//     (candidate, chunk of up to four cut events) over the bounded
-//     worker pool — never a rebuild, a recompile or a write to the
-//     session's own delays;
+//     one λ-only analysis each, at a private delay column set that
+//     differs from the session's in the one arc (timesim.BatchDelays)
+//     — never a rebuild, a recompile or a write to the session's own
+//     delays;
 //   - AnalyzeBounds and Monte-Carlo: every run at delays other than
 //     the session's reads them from private columns over the session's
 //     one compiled schedule, plus a private overlay where pass 2 or the
@@ -168,13 +166,11 @@ type EngineStats struct {
 	// simulation per distinct arc head) instead of a full O(b²m)
 	// re-analysis.
 	TableAnswers int64
-	// WindowedPass1 counts pass-1 runs on the rolling window, as
-	// origin lanes (timesim.RunFromOrigins) — every pass 1 that does
-	// not retain its traces, at the session's delays or at private
-	// ones, except the Monte-Carlo samples, which run the batch
-	// kernel; SlabPass1 counts the runs that do retain
-	// them (sessions that have committed an edit keep full trace slabs
-	// for incremental patching).
+	// WindowedPass1 counts the pass-1 runs that keep no traces (origin
+	// lanes, at the session's delays or at private ones; Monte-Carlo
+	// samples aside); SlabPass1 counts the runs that do retain them
+	// (sessions that have committed an edit keep full trace slabs for
+	// incremental patching).
 	WindowedPass1 int64
 	SlabPass1     int64
 	// PatchFloods counts per-trace incremental patches whose dirty
@@ -293,11 +289,11 @@ func (e *Engine) Delay(arc int) float64 {
 }
 
 // SizeHint estimates the resident heap bytes of the compiled session:
-// the delay overlay, the compiled schedule's record columns, one pooled
-// simulation slab or origin-lane window (times only, 8 B per
-// instantiation and lane), the
-// cached certificate (slacks and what-if rows) and the retained
-// committed traces. Queries at other delays (what-if decreases,
+// the delay overlay, the compiled schedule's record columns, the pooled
+// simulation memory of pass 1 (one slab, or one origin-lane window per
+// worker of the chunk runner; times only, 8 B per instantiation and
+// lane), the cached certificate (slacks and what-if rows) and the
+// retained committed traces. Queries at other delays (what-if decreases,
 // bounds, Monte-Carlo) keep nothing once they return, so they add
 // nothing. It deliberately excludes the immutable graph, which the
 // engine shares with its builder. Serving caches use the hint as the
@@ -313,10 +309,10 @@ func (e *Engine) SizeHint() int64 {
 	if e.incr {
 		sz += e.sched.SlabBytes(e.periods + 2) // one pooled slab: 8 B per instantiation
 	} else {
-		// Pass 1 holds one origin-lane window, not a slab. Pass 2
-		// slabs transiently, k+1 periods per distinct critical
-		// cycle; steady state is the lane window.
-		sz += e.sched.LaneWindowBytes(min(len(e.cut), originLanes))
+		// Pass 1 holds one origin-lane window per worker, not a slab;
+		// pass 2 slabs transiently, k+1 periods per critical cycle.
+		lanes := min(len(e.cut), originLanes)
+		sz += int64(e.poolSize((len(e.cut)+originLanes-1)/originLanes, lanes)) * e.sched.LaneWindowBytes(lanes)
 	}
 	if c := e.cert; c != nil {
 		sz += int64(len(c.slacks))*24 + m*9 // slackByArc + onAllCrit
@@ -740,63 +736,35 @@ func (e *Engine) validateCands(cands []WhatIf) error {
 
 // whatIfDecreases answers the uncertified decreases cands[i], i in full:
 // each is the λ-only pass 1 at the session's delays with the one arc
-// changed. The work is one job per (candidate, chunk of originLanes
-// cut events) on the bounded worker pool, each job one origin-lane
-// run. Each worker owns a width-1 private column set at the session's
-// delays and moves the job's arc in and back out, so no job writes the
-// session's delays. Each candidate's per-event bests are then folded
-// in cut order, as pass 1 folds them. Callers hold the session lock,
-// shared or exclusive.
+// changed, one chunk-runner job per (candidate, chunk of cut events).
+// Each job moves its arc into the worker's private columns and back
+// out, so no job writes the session's delays. Each candidate's
+// per-event bests are then folded in cut order, as pass 1 folds them.
+// Callers hold the session lock, shared or exclusive.
 func (e *Engine) whatIfDecreases(ctx context.Context, cands []WhatIf, full []int, out []stat.Ratio) error {
 	e.counters.analyses.Add(int64(len(full)))
 	e.counters.windowedP1.Add(int64(len(full)))
 	sp := e.pass1Span(ctx, tierWindow)
 	sp.AnnotateN(keyCands, uint64(len(full)))
 	defer sp.End()
-	b := len(e.cut)
-	lanes := min(b, originLanes)
-	chunks := (b + originLanes - 1) / originLanes
-	jobs := len(full) * chunks
-	type worker struct {
-		cols *timesim.BatchDelays
-		out  [][]float64
-		err  error
-	}
-	ws := make([]worker, e.poolSize(jobs, lanes))
-	for i := range ws {
-		ws[i] = worker{cols: e.sched.NewBatchDelays(1), out: make([][]float64, lanes)}
-		for l := range ws[i].out {
-			ws[i].out[l] = make([]float64, e.periods)
-		}
-	}
+	b, P := len(e.cut), e.periods+1
 	series := make([]BorderSeries, len(full)*b) // per candidate and cut event: the Best of its series
-	runWorkers(jobs, len(ws), func(wi, j int) {
-		w := &ws[wi]
-		// Cooperative cancellation: a cancelled sweep stops within one
-		// origin-lane run per worker.
-		if w.err != nil {
-			return
+	err := e.runLanes(ctx, e.cut, len(full), func(w *laneWorker, j laneJob) (*timesim.BatchDelays, []timesim.Read) {
+		if w.cols == nil {
+			w.cols, w.buf = e.sched.NewBatchDelays(1), make([]float64, originLanes*P)
 		}
-		if w.err = ctx.Err(); w.err != nil {
-			return
-		}
-		k, lo := j/chunks, j%chunks*originLanes
-		cd, origins := cands[full[k]], e.cut[lo:min(lo+originLanes, b)]
+		cd := cands[full[j.rep]]
 		w.cols.SetArc(e.sched, 0, cd.Arc, cd.Delay)
-		w.err = e.sched.RunFromOrigins(origins, w.cols, e.periods, w.out)
-		w.cols.SetArc(e.sched, 0, cd.Arc, e.overlay.Delay(cd.Arc))
-		if w.err != nil {
-			w.err = e.laneErr(origins, w.err)
-			return
-		}
-		for l, ev := range origins {
-			series[k*b+lo+l].Best = seriesFromTimes(ev, w.out[l]).Best
+		return w.cols, w.series(j.chunk, P, w.buf)
+	}, func(w *laneWorker, j laneJob) {
+		arc := cands[full[j.rep]].Arc
+		w.cols.SetArc(e.sched, 0, arc, e.overlay.Delay(arc))
+		for _, r := range w.reads {
+			series[j.rep*b+j.lo+r.Lane].Best = seriesFromTimes(r.Event, r.Out[1:]).Best
 		}
 	})
-	for _, w := range ws {
-		if w.err != nil {
-			return w.err
-		}
+	if err != nil {
+		return err
 	}
 	for k, i := range full {
 		res, err := e.assembleSeries(series[k*b : (k+1)*b])
@@ -1256,14 +1224,14 @@ func fastAnswer(c *certificate, current float64, arc int, newDelay float64) (sta
 }
 
 // ensureRows builds the what-if rows for the given arcs: the arcs are
-// grouped by head event, one event-initiated simulation per distinct
-// head — on the two-row window (timesim.RunFromWindowEvents), never a
-// full trace slab — reads the head→tail path-weight rows for every
-// requested in-arc of that head, and the simulations run on the
-// bounded worker pool. Rows already built are skipped, so a session
-// sweeping repeatedly amortises the simulations across sweeps — and
-// across commits: a commit invalidates only the rows inside the edit's
-// forward cone (see invalidateRows).
+// grouped by head event, and one event-initiated simulation per
+// distinct head — an origin lane of the chunk runner, up to
+// originLanes heads per walk, never a full trace slab — reads back the
+// head→tail path-weight rows of every requested in-arc of that head.
+// Rows already built are skipped, so a session sweeping repeatedly
+// amortises the simulations across sweeps — and across commits: a
+// commit invalidates only the rows inside the edit's forward cone (see
+// invalidateRows).
 //
 // rows[arc][j] is the maximum weight of an unfolded path covering j
 // periods from the arc's head back to its tail (NaN when none),
@@ -1278,51 +1246,44 @@ func fastAnswer(c *certificate, current float64, arc int, newDelay float64) (sta
 // repetitive -> non-repetitive arcs), and any non-simple closed walk
 // the rows include decomposes into simple cycles whose best ratio
 // bounds it. nil per arc until built; one simulation per distinct head
-// serves all arcs entering it.
+// serves all arcs entering it. Like pass 1, the rows are session state
+// and are built to the end once started.
 func (e *Engine) ensureRows(ctx context.Context, arcs []int) error {
 	if e.rows == nil {
 		e.rows = make([][]float64, e.g.NumArcs())
 	}
 	byHead := map[sg.EventID][]int{}
+	var heads []sg.EventID // in order of first request
 	for _, ai := range arcs {
-		if e.rows[ai] == nil {
-			byHead[e.g.Arc(ai).To] = append(byHead[e.g.Arc(ai).To], ai)
+		if e.rows[ai] != nil {
+			continue
 		}
-	}
-	if len(byHead) == 0 {
-		return nil
-	}
-	heads := make([]sg.EventID, 0, len(byHead))
-	for v := range byHead {
-		heads = append(heads, v)
+		v := e.g.Arc(ai).To
+		if byHead[v] == nil {
+			heads = append(heads, v)
+		}
+		byHead[v] = append(byHead[v], ai)
 	}
 	sp := obs.LeafN(ctx, spanRows)
 	sp.AnnotateN(keyHeads, uint64(len(heads)))
 	defer sp.End()
-	errs := make([]error, len(heads))
-	runIndexed(len(heads), e.poolSize(len(heads), 1), func(i int) {
-		v := heads[i]
-		arcs := byHead[v]
-		tails := make([]sg.EventID, len(arcs))
-		rows := make([][]float64, len(arcs))
-		for k, ai := range arcs {
-			tails[k] = e.g.Arc(ai).From
-			rows[k] = make([]float64, e.periods+1)
+	return e.runLanes(context.Background(), heads, 1, func(w *laneWorker, j laneJob) (*timesim.BatchDelays, []timesim.Read) {
+		w.reads = w.reads[:0]
+		for l, v := range j.chunk {
+			for _, ai := range byHead[v] {
+				w.reads = append(w.reads, timesim.Read{Lane: l, Event: e.g.Arc(ai).From, Out: make([]float64, e.periods+1)})
+			}
 		}
-		if err := e.sched.RunFromWindowEvents(v, e.periods, tails, rows); err != nil {
-			errs[i] = fmt.Errorf("cycletime: what-if row simulation from %q: %w", e.g.Event(v).Name, err)
-			return
-		}
-		for k, ai := range arcs {
-			e.rows[ai] = rows[k]
+		return nil, w.reads
+	}, func(w *laneWorker, j laneJob) {
+		k := 0
+		for _, v := range j.chunk {
+			for _, ai := range byHead[v] {
+				e.rows[ai] = w.reads[k].Out
+				k++
+			}
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // answerFromRow evaluates λ after raising one arc's delay to newDelay
@@ -1428,47 +1389,103 @@ func (e *Engine) pass1Analysis(ctx context.Context, retain bool) (*Result, error
 	return res, nil
 }
 
-// originLanes is the most cut events one pass-1 walk carries as
-// origin lanes (timesim.RunFromOrigins). Four lanes halve pass 1 on
-// the batch graphs against scalar windows, in the 3.2 MB a 10^5-event
-// graph's two pooled scalar windows held. The lane window grows with
-// the width: eight lanes on a two-row window ran pass 1 faster still,
-// but their 12.8 MB raised the batch workload's peak RSS by about 7%.
+// originLanes is the most origins one walk carries as origin lanes
+// (timesim.RunFromOrigins). Four lanes halve pass 1 on the batch
+// graphs against scalar windows, in the 3.2 MB a 10^5-event graph's
+// two pooled scalar windows held. The lane window grows with the
+// width: eight lanes on a two-row window ran pass 1 faster still, but
+// their 12.8 MB raised the batch workload's peak RSS by about 7%.
 const originLanes = 4
 
+// laneJob is one walk of runLanes: origins[lo:lo+len(chunk)] for rep.
+type laneJob struct {
+	rep, lo int
+	chunk   []sg.EventID
+}
+
+// laneWorker is one chunk-runner worker's state: its job's reads and,
+// for jobs at private delays, width-1 columns and an output buffer.
+type laneWorker struct {
+	reads []timesim.Read
+	cols  *timesim.BatchDelays
+	buf   []float64
+}
+
+// series sets the worker's reads to each lane's own origin, lane l
+// into out[l*P:(l+1)*P], and returns them.
+func (w *laneWorker) series(chunk []sg.EventID, P int, out []float64) []timesim.Read {
+	w.reads = w.reads[:0]
+	for l, o := range chunk {
+		w.reads = append(w.reads, timesim.Read{Lane: l, Event: o, Out: out[l*P : (l+1)*P : (l+1)*P]})
+	}
+	return w.reads
+}
+
+// runLanes is the engine's one origin-lane chunk runner: origins in
+// chunks of up to originLanes, each chunk once per repetition, as
+// reps × chunks walks (timesim.RunFromOrigins) on the bounded worker
+// pool. setup(w, j) prepares job j in worker w's state and returns its
+// delay columns (nil: the session's own) and reads; after the walk,
+// done(w, j) consumes w.reads. Each worker checks ctx before every job
+// and stops at its first error, which runLanes returns.
+func (e *Engine) runLanes(ctx context.Context, origins []sg.EventID, reps int,
+	setup func(w *laneWorker, j laneJob) (*timesim.BatchDelays, []timesim.Read),
+	done func(w *laneWorker, j laneJob)) error {
+	chunks := (len(origins) + originLanes - 1) / originLanes
+	jobs := reps * chunks
+	ws := make([]laneWorker, e.poolSize(jobs, min(len(origins), originLanes)))
+	errs := make([]error, len(ws))
+	runWorkers(jobs, len(ws), func(wi, i int) {
+		if errs[wi] != nil {
+			return
+		}
+		if errs[wi] = ctx.Err(); errs[wi] != nil {
+			return
+		}
+		lo := i % chunks * originLanes
+		j := laneJob{rep: i / chunks, lo: lo, chunk: origins[lo:min(lo+originLanes, len(origins))]}
+		w := &ws[wi]
+		cols, reads := setup(w, j)
+		if err := e.sched.RunFromOrigins(j.chunk, cols, e.periods, reads); err != nil {
+			errs[wi] = fmt.Errorf("cycletime: simulating from %v: %w", e.g.EventNames(j.chunk), err)
+			return
+		}
+		done(w, j)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // pass1At is the windowed pass 1 at the delay columns cols (nil: the
-// session's own): the cut runs as origin lanes, originLanes at a time,
-// serially, on the lane window, which materialises no slab, and each
-// origin series is written straight into the result. It writes no
-// session state, so the session's own λ and the analyses at private
-// delays (bounds, the Monte-Carlo support-maximum bound) share it.
+// session's own): the cut runs as origin lanes on the chunk runner,
+// which materialises no slab, and each origin series is written
+// straight into the result. It writes no session state, so the
+// session's own λ and the analyses at private delays (bounds, the
+// Monte-Carlo support-maximum bound) share it. Once started it runs to
+// the end: its result is what the session caches.
 func (e *Engine) pass1At(ctx context.Context, cols *timesim.BatchDelays) (*Result, error) {
 	e.counters.analyses.Add(1)
 	e.counters.windowedP1.Add(1)
 	sp := e.pass1Span(ctx, tierWindow)
 	defer sp.End()
-	cut := e.cut
+	cut, P := e.cut, e.periods+1
 	series := make([]BorderSeries, len(cut))
-	distSlab := make([]float64, len(cut)*e.periods)
-	out := make([][]float64, min(len(cut), originLanes))
-	for lo := 0; lo < len(cut); lo += originLanes {
-		hi := min(lo+originLanes, len(cut))
-		for i := lo; i < hi; i++ {
-			out[i-lo] = distSlab[i*e.periods : (i+1)*e.periods : (i+1)*e.periods]
+	times := make([]float64, len(cut)*P)
+	err := e.runLanes(context.Background(), cut, 1, func(w *laneWorker, j laneJob) (*timesim.BatchDelays, []timesim.Read) {
+		return cols, w.series(j.chunk, P, times[j.lo*P:])
+	}, func(w *laneWorker, j laneJob) {
+		for _, r := range w.reads {
+			series[j.lo+r.Lane] = seriesFromTimes(r.Event, r.Out[1:])
 		}
-		if err := e.sched.RunFromOrigins(cut[lo:hi], cols, e.periods, out); err != nil {
-			return nil, e.laneErr(cut[lo:hi], err)
-		}
-		for i := lo; i < hi; i++ {
-			series[i] = seriesFromTimes(cut[i], out[i-lo])
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return e.assembleSeries(series)
-}
-
-// laneErr wraps a failed origin-lane run over origins.
-func (e *Engine) laneErr(origins []sg.EventID, err error) error {
-	return fmt.Errorf("cycletime: simulating from %v: %w", e.g.EventNames(origins), err)
 }
 
 // pass1Span opens the engine.pass1 span of a pass 1 on the given

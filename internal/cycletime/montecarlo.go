@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"tsg/internal/dist"
 	"tsg/internal/obs"
@@ -333,9 +332,7 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 	if workers < 1 {
 		return nil, fmt.Errorf("cycletime: MC workers must be >= 1, got %d", workers)
 	}
-	if workers > nBlocks {
-		workers = nBlocks
-	}
+	workers = min(workers, nBlocks)
 	// Force the model's sampling plan to compile before workers call
 	// SampleInto concurrently (the plan is built lazily after edits).
 	m.Deterministic()
@@ -551,24 +548,8 @@ func (e *Engine) runMC(ctx context.Context, m *dist.Model, opts MCOptions, needC
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		cnt := nBlocks - waveStart
-		if cnt > workers {
-			cnt = workers
-		}
-		if cnt == 1 {
-			runBlock(0, waveStart)
-		} else {
-			var wg sync.WaitGroup
-			for k := 1; k < cnt; k++ {
-				wg.Add(1)
-				go func(k int) {
-					defer wg.Done()
-					runBlock(k, waveStart+k)
-				}(k)
-			}
-			runBlock(0, waveStart)
-			wg.Wait()
-		}
+		cnt := min(workers, nBlocks-waveStart)
+		runIndexed(cnt, cnt, func(k int) { runBlock(k, waveStart+k) })
 		for k := 0; k < cnt; k++ {
 			if ws[k].err != nil {
 				return nil, ws[k].err

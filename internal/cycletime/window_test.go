@@ -122,7 +122,7 @@ func diffReference(t *testing.T, g *sg.Graph, res *cycletime.Result) {
 }
 
 // TestAnalyzeWindowedMatchesSlab runs a fresh session (pass 1 on the
-// two-row window) against a retaining session (pass 1 on full trace
+// rolling window) against a retaining session (pass 1 on full trace
 // slabs) and requires the full Result — λ, series distances bit for
 // bit, and critical cycles — to be identical, and the series to match
 // the reference kernel.
@@ -184,8 +184,8 @@ func TestEngineWindowedSizeHint(t *testing.T) {
 	diffResults(t, analyzeKernel(t, we, true), analyzeKernel(t, se, false))
 }
 
-// TestEnsureRowsMatchesSlab: the what-if rows, read off the two-row
-// window, equal the rows a full (periods+1)-period trace slab yields
+// TestEnsureRowsMatchesSlab: the what-if rows, read off origin lanes,
+// equal the rows a full (periods+1)-period trace slab yields
 // through Time/Reached — every arc of the mode fixtures, bit for bit,
 // NaN pattern included. The oscillator's non-repetitive heads and
 // tails exercise the rule that an instantiation past period 0 of a

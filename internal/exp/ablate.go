@@ -107,7 +107,7 @@ func runABLATE(w io.Writer) error {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		return cycletime.Analyze(stack)
 	}
-	ts, err := timeRuns(
+	ts, err := timeRuns(wallSeconds,
 		func() error { _, err := serial(); return err },
 		func() error { _, err := cycletime.Analyze(stack); return err },
 	)

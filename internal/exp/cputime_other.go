@@ -2,6 +2,6 @@
 
 package exp
 
-// cpuSeconds reports 0 where rusage is unavailable; callers fall back
-// to wall-clock timing.
-func cpuSeconds() float64 { return 0 }
+// cpuSeconds falls back to wall-clock seconds where rusage is
+// unavailable.
+func cpuSeconds() float64 { return wallSeconds() }

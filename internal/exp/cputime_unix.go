@@ -13,7 +13,9 @@ import (
 // throughput inherits multi-percent noise from CPU steal and
 // descheduling, while the CPU seconds actually charged to the process
 // stay comparable — and instrumentation overhead is CPU work, which is
-// exactly what the gates bound.
+// exactly what the gates bound. The timing gates of COMPLX and INCR
+// use it for the same reason: the work they bound is CPU work, and a
+// loaded host stretches wall time far more than CPU time.
 func cpuSeconds() float64 {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {

@@ -65,27 +65,35 @@ func runPERF8B(w io.Writer) error {
 	return nil
 }
 
-// timeRuns measures each f in seconds: after a GC, so no earlier
-// garbage is collected during the runs, the fastest of three
-// consecutive runs. The fits need each point's undisturbed cost, and on
-// a shared 2-vCPU host the fastest run estimates it best: a median of
-// five failed COMPLX's R² bounds in about a third of uncached
-// `go test ./...` runs, with other packages' tests on the second core.
-func timeRuns(fs ...func() error) ([]float64, error) {
+// timeRuns measures each f in seconds of clock (wallSeconds or
+// cpuSeconds): after a GC, so no earlier garbage is collected during
+// the runs, the fastest of three consecutive runs. The fits need each
+// point's undisturbed cost, and on a shared 2-vCPU host the fastest
+// run estimates it best: a median of five failed COMPLX's R² bounds in
+// about a third of uncached `go test ./...` runs, with other packages'
+// tests on the second core.
+func timeRuns(clock func() float64, fs ...func() error) ([]float64, error) {
 	secs := make([]float64, len(fs))
 	for i, f := range fs {
 		runtime.GC()
 		secs[i] = math.Inf(1)
 		for r := 0; r < 3; r++ {
-			start := time.Now()
+			start := clock()
 			if err := f(); err != nil {
 				return nil, err
 			}
-			secs[i] = min(secs[i], time.Since(start).Seconds())
+			secs[i] = min(secs[i], clock()-start)
 		}
 	}
 	return secs, nil
 }
+
+// clockStart anchors wallSeconds.
+var clockStart = time.Now()
+
+// wallSeconds returns the monotonic wall-clock seconds since the
+// package was initialised.
+func wallSeconds() float64 { return time.Since(clockStart).Seconds() }
 
 // analyzeRuns returns one Analyze run per graph, for timeRuns.
 func analyzeRuns(gs []*sg.Graph) []func() error {
@@ -96,11 +104,15 @@ func analyzeRuns(gs []*sg.Graph) []func() error {
 	return fs
 }
 
+// runCOMPLX fits the analysis time against m and b. Times are process
+// CPU seconds: the fits bound the work the analysis does, which a
+// loaded host does not change, while its wall time swings with what
+// else runs; CPU time also charges every worker of a pooled pass 1.
 func runCOMPLX(w io.Writer) error {
 	rng := rand.New(rand.NewSource(7))
 
 	// Sweep 1: m grows at fixed b -> runtime must be linear in m.
-	tabM := textio.New("runtime vs m at fixed b = 4 (random live graphs)", "events", "arcs m", "time")
+	tabM := textio.New("CPU time vs m at fixed b = 4 (random live graphs)", "events", "arcs m", "time")
 	var gm []*sg.Graph
 	for _, n := range []int{500, 1000, 2000, 4000, 8000} {
 		g, err := gen.RandomLive(rng, gen.RandomOptions{Events: n, Border: 4, ExtraArcs: n, MaxDelay: 16})
@@ -109,7 +121,7 @@ func runCOMPLX(w io.Writer) error {
 		}
 		gm = append(gm, g)
 	}
-	ts, err := timeRuns(analyzeRuns(gm)...)
+	ts, err := timeRuns(cpuSeconds, analyzeRuns(gm)...)
 	if err != nil {
 		return err
 	}
@@ -129,7 +141,7 @@ func runCOMPLX(w io.Writer) error {
 	}
 
 	// Sweep 2: b grows at fixed n, m -> runtime must be quadratic in b.
-	tabB := textio.New("runtime vs b at fixed n = 3000, m = 6000", "border b", "time", "time/b²")
+	tabB := textio.New("CPU time vs b at fixed n = 3000, m = 6000", "border b", "time", "time/b²")
 	var gb []*sg.Graph
 	bs := []float64{2, 4, 8, 16, 32}
 	for _, b := range bs {
@@ -139,7 +151,7 @@ func runCOMPLX(w io.Writer) error {
 		}
 		gb = append(gb, g)
 	}
-	tb, err := timeRuns(analyzeRuns(gb)...)
+	tb, err := timeRuns(cpuSeconds, analyzeRuns(gb)...)
 	if err != nil {
 		return err
 	}
@@ -173,7 +185,7 @@ func runBASE(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		ts, err := timeRuns(
+		ts, err := timeRuns(wallSeconds,
 			func() error { _, err := cycletime.Analyze(g); return err },
 			func() error { _, err := mcr.Karp(g); return err },
 			func() error { _, err := mcr.Howard(g); return err },

@@ -104,7 +104,7 @@ func (s *Server) installTelemetry(version string) {
 			emit([]string{"certificate"}, float64(es.FastPathHits))
 			emit([]string{"whatif_row"}, float64(es.TableAnswers))
 		}),
-		obs.GaugeFunc("tsgserve_engine_pass1_kernel", "Pass-1 runs by resident engines, split by kernel: two-row window (every pass 1 of a fresh session) vs full trace slabs (sessions that have committed an edit retain them for incremental patching). Gauge: evicted engines leave the aggregate.", []string{"kernel"}, func(emit func([]string, float64)) {
+		obs.GaugeFunc("tsgserve_engine_pass1_kernel", "Pass-1 runs by resident engines, split by kernel: rolling window (origin lanes, every pass 1 of a fresh session) vs full trace slabs (sessions that have committed an edit retain them for incremental patching). Gauge: evicted engines leave the aggregate.", []string{"kernel"}, func(emit func([]string, float64)) {
 			es := s.cache.AggregateEngineStats()
 			emit([]string{"window"}, float64(es.WindowedPass1))
 			emit([]string{"slab"}, float64(es.SlabPass1))

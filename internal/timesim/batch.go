@@ -18,39 +18,34 @@ import (
 // overhead over the whole batch, which is where the Monte-Carlo
 // subsystem's throughput comes from (see cycletime.AnalyzeMC).
 //
-// The batch kernel is the rolling window of window.go with S lanes per
-// event: the same driver (roll), the same −∞ reachedness, only the
-// record walk runs over lanes (walkLanes). Reachedness is the same in
+// The batch kernel is the rolling window of window.go with S sample
+// lanes per event, on the one row and carry row of the origin lanes:
+// only the record walk differs (walkLanes). Reachedness is the same in
 // every lane, because no delay is −∞ or NaN, so a record whose source
-// is −∞ in lane 0 is skipped whole. Memory is O(n·S), independent of
-// the period count. Only the origin's occurrence times are exposed:
-// they are exactly what the cycle-time analysis's distance series needs
-// (Prop. 7).
+// is −∞ in lane 0 is skipped whole. Memory is (n + carried)·S floats
+// from the schedule's window pool, independent of the period count.
+// Only the origin's occurrence times are exposed: they are exactly
+// what the distance series needs (Prop. 7). Per-sample results are
+// bit-identical to RunFromWindow with the same delays: the record
+// order, and hence every float add and max, is the same.
 //
-// Per-sample results are bit-identical to RunFromWindow with the same
-// delays: the record order, and hence every float add and max, is the
-// same.
-//
-// A BatchDelays is also the private delay column of every run at
-// delays other than the schedule's own: at width 1 it feeds the scalar
-// window (RunFromBatch), slab traces (RunWith) and the pass-1
-// origin-lane kernel (RunFromOrigins, origins.go), whose lanes are
-// origins at one delay column rather than delay samples at one origin.
-// The engine's what-if decreases, bounds and Monte-Carlo support bound
-// run that kernel; only the Monte-Carlo λ blocks run walkLanes.
+// At width 1 a BatchDelays is also the private delay column of every
+// run at delays other than the schedule's own: the scalar window
+// (RunFromBatch), slab traces (RunWith) and the origin lanes
+// (RunFromOrigins), which the engine's what-if decreases, bounds and
+// Monte-Carlo support bound run.
 
 // BatchDelays is a private set of delay columns, S lanes per record of
 // each record class, laid out record-major ([record*S + lane]) so the
 // kernel's inner loop over lanes is contiguous. A run reads it instead
-// of the schedule's own columns (RunFromBatch, RunWith), so any number
-// of delay assignments share one compiled schedule. It is tied to the
-// schedule that created it (NewBatchDelays).
+// of the schedule's own columns, so any number of delay assignments
+// share one compiled schedule. It holds delays only — runs draw their
+// windows from the schedule's pool — so concurrent runs may share a
+// set none of them writes. It is tied to the schedule that created it
+// (NewBatchDelays).
 type BatchDelays struct {
 	s   int
 	del [3][]float64 // per record class: period 0, period 1, periods >= 2
-	// times is the two-row window of S-lane runs, reused across calls
-	// (such a set belongs to one worker); width-1 runs use the pool's.
-	times []float64
 }
 
 // NewBatchDelays allocates delay columns for batches of s samples,
@@ -99,7 +94,8 @@ func (b *BatchDelays) SetArc(sch *Schedule, sample, arc int, delay float64) {
 // instantiation origin_j (matching Trace.Time/Reached semantics — the
 // inputs of the distance series δ). out must hold at least bd.Samples()
 // rows of at least `periods` entries. A width-1 set runs RunFromWindow's
-// scalar walk on a pooled window, so concurrent runs may share it.
+// scalar walk; a wider one walks its lanes on one row and the carry
+// row. Either window comes from the schedule's pool.
 func (sch *Schedule) RunFromBatch(origin sg.EventID, bd *BatchDelays, periods int, out [][]float64) error {
 	S := bd.s
 	if len(out) < S {
@@ -113,11 +109,8 @@ func (sch *Schedule) RunFromBatch(origin sg.EventID, bd *BatchDelays, periods in
 	if S == 1 {
 		return sch.window(origin, periods, out[0], bd)
 	}
-	if len(bd.times) != 2*sch.n*S {
-		bd.times = make([]float64, 2*sch.n*S)
-	}
-	return sch.roll([]sg.EventID{origin}, periods, bd.times, S, sch.n*S, bd, func(p int, c *class, rw rows) {
-		c.walkLanes(&rw)
+	return sch.roll([]sg.EventID{origin}, periods, S, bd, func(p int, c *class, rw rows) {
+		c.walkLanes(&rw, sch.carry)
 		if p > 0 {
 			for s := 0; s < S; s++ {
 				out[s][p-1] = sch.time(&rw, origin, p, s)
@@ -126,20 +119,23 @@ func (sch *Schedule) RunFromBatch(origin sg.EventID, bd *BatchDelays, periods in
 	})
 }
 
-// walkLanes is walk over rw.width lanes: lane l of every row and of
-// the delay column rw.del is a separate delay sample. A record whose
-// source is −∞ in lane 0 is unreached in every lane and skipped whole.
+// walkLanes is walk over the rw.width lanes of the one-row window:
+// lane l of the row and of the delay column rw.del is a separate delay
+// sample. An unmarked record reads its source from the row, a marked
+// one from its carry slot (carry[src] slots behind the row), as
+// walkOrigins does. A record whose source is −∞ in lane 0 is
+// unreached in every lane and skipped whole.
 // The first live record sets the instantiation's lanes to source +
 // delay, each later one keeps the larger — the values and comparisons
 // walk makes, so every lane is bit-identical to a scalar walk over
 // that lane's delays. The batchWidth case runs on fixed-size arrays,
 // which lets the compiler drop the bounds checks of the lane loops.
-func (c *class) walkLanes(rw *rows) {
+func (c *class) walkLanes(rw *rows, carry []int32) {
 	times, del, pin, S := rw.times, rw.del, rw.pin, rw.width
-	cur, back := rw.cur, rw.back
 	off, src, mark := c.off, c.src, c.mark
+	n := len(carry)
 	for idx, f := range c.order {
-		fi := cur + int(f)*S
+		fi := int(f) * S
 		dst := times[fi : fi+S : fi+S]
 		if f == pin {
 			clear(dst)
@@ -147,7 +143,11 @@ func (c *class) walkLanes(rw *rows) {
 		}
 		live := false
 		for r := off[idx]; r < off[idx+1]; r++ {
-			si := cur - int(mark[r])*back + int(src[r])*S
+			sl := int(src[r])
+			if mark[r] != 0 {
+				sl = n + int(carry[sl])
+			}
+			si := sl * S
 			if math.IsInf(times[si], -1) {
 				continue
 			}

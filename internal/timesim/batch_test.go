@@ -131,8 +131,9 @@ func TestRunFromBatchValidation(t *testing.T) {
 	}
 }
 
-// TestRunFromBatchAllocFree: after the first call on a BatchDelays has
-// sized its window, a batch run allocates nothing.
+// TestRunFromBatchAllocFree: after the first call has put a window of
+// the batch's width in the schedule's pool, a batch run allocates
+// nothing.
 func TestRunFromBatchAllocFree(t *testing.T) {
 	g, err := gen.MullerRing(7)
 	if err != nil {
@@ -164,6 +165,78 @@ func TestRunFromBatchAllocFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("width %d: batch run allocates %.1f objects/run, want 0", S, allocs)
+		}
+	}
+}
+
+// TestRunFromBatchConcurrentSets: two delay sets on one schedule run
+// RunFromBatch at the same time, each drawing its window from the
+// schedule's pool, and every run reads exactly what the same set reads
+// alone. Under -race this also checks that no window is shared.
+func TestRunFromBatchConcurrentSets(t *testing.T) {
+	g, err := gen.RandomLive(rand.New(rand.NewSource(9)), gen.RandomOptions{
+		Events: 120, Border: 6, ExtraArcs: 150, MaxDelay: 9,
+	})
+	if err != nil {
+		t.Fatalf("RandomLive: %v", err)
+	}
+	sched, err := timesim.Compile(g)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	const S, periods, rounds = 16, 8, 20
+	border := g.BorderEvents()
+	sets := make([]*timesim.BatchDelays, 2)
+	want := make([][][][]float64, len(sets)) // per set, origin, lane
+	for k := range sets {
+		sets[k] = sched.NewBatchDelays(S)
+		delays := make([]float64, g.NumArcs())
+		for l := 0; l < S; l++ {
+			for a := range delays {
+				delays[a] = float64((a*7+l*3+k*5)%11) / 2
+			}
+			sets[k].Set(sched, l, delays)
+		}
+		want[k] = make([][][]float64, len(border))
+		for i, o := range border {
+			want[k][i] = make([][]float64, S)
+			for l := range want[k][i] {
+				want[k][i][l] = make([]float64, periods)
+			}
+			if err := sched.RunFromBatch(o, sets[k], periods, want[k][i]); err != nil {
+				t.Fatalf("RunFromBatch: %v", err)
+			}
+		}
+	}
+	errs := make(chan error, len(sets))
+	for k := range sets {
+		go func() {
+			out := make([][]float64, S)
+			for l := range out {
+				out[l] = make([]float64, periods)
+			}
+			for r := 0; r < rounds; r++ {
+				for i, o := range border {
+					if err := sched.RunFromBatch(o, sets[k], periods, out); err != nil {
+						errs <- err
+						return
+					}
+					for l := range out {
+						for j, v := range out[l] {
+							if math.Float64bits(v) != math.Float64bits(want[k][i][l][j]) {
+								errs <- fmt.Errorf("set %d origin %d lane %d period %d: %v concurrently, %v alone", k, o, l, j+1, v, want[k][i][l][j])
+								return
+							}
+						}
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range sets {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -211,7 +284,11 @@ func BenchmarkRunFromBatch(b *testing.B) {
 // fuzzGraph builds a small live graph from a seed: a random strongly
 // connected core (gen.RandomLive) plus a chain of up to three
 // non-repetitive events, each feeding the next and, once, a core
-// event — so origins of both kinds occur.
+// event — so origins of both kinds occur. A negative seed links each
+// chain event into the core by a marked arc instead: a graph Validate
+// refuses (a plain arc from a non-repetitive event), which the
+// schedule still runs, and the only one in which a non-repetitive
+// event feeds period 1 and sits in the carry row of a lane window.
 func fuzzGraph(seed int64) (*sg.Graph, error) {
 	rng := rand.New(rand.NewSource(seed))
 	n := 2 + rng.Intn(9)
@@ -240,8 +317,15 @@ func fuzzGraph(seed int64) (*sg.Graph, error) {
 		if prev != "" {
 			bld.Arc(prev, name, float64(rng.Intn(5)))
 		}
-		bld.Arc(name, core.Event(sg.EventID(rng.Intn(n))).Name, float64(rng.Intn(5)), sg.Once())
+		link := sg.Once()
+		if seed < 0 {
+			link = sg.Marked()
+		}
+		bld.Arc(name, core.Event(sg.EventID(rng.Intn(n))).Name, float64(rng.Intn(5)), link)
 		prev = name
+	}
+	if seed < 0 {
+		return bld.BuildUnchecked()
 	}
 	return bld.Build()
 }

@@ -7,38 +7,48 @@ import (
 	"tsg/internal/sg"
 )
 
-// Origin lanes: the pass-1 kernel. The b event-initiated simulations
-// of one cycle-time analysis (Prop. 7) run over one compiled structure
-// at one delay column and differ only in which instantiation is pinned
-// to 0 in period 0. So W origins share one record walk on the rolling
-// window, lane l of every event being the simulation from origins[l]:
-// the record indices, marking offsets and delays are loaded once per
-// record instead of once per origin. Reachedness rides in the times as
-// −∞ and is no longer the same in every lane, so unlike walkLanes no
-// record is skipped: an unreached source sums to −∞ (or NaN on a +Inf
-// delay) and never wins a max, exactly as in the scalar walk.
+// Origin lanes: the kernel of every λ and what-if row the engine
+// computes. The b event-initiated simulations of Prop. 7 run over one
+// compiled structure at one delay column and differ only in which
+// instantiation is pinned to 0 in period 0. So W origins share one
+// record walk, lane l of every event being the simulation from
+// origins[l]: each record is loaded once per walk instead of once per
+// origin. Reachedness rides in the times as −∞ and differs between
+// lanes, so unlike walkLanes no record is skipped: an unreached source
+// sums to −∞ (or NaN on a +Inf delay) and never wins a max, exactly as
+// in the scalar walk.
 //
-// The window is one row, not two: every period overwrites it in place
-// in topological order, so an unmarked record finds its source's
-// current value in the row. A marked record needs the source's value
-// of the previous period, which the row may already have overwritten;
-// so after each period the sources of marked records
-// (Schedule.carried: 64 of the 10^5 events of the benchmark's
-// pipegrid, 8 of random-2000's 2000) are copied into a carry row
-// behind the main one, where marked records read them. The lane
-// window is then (n + carried)·W floats, about half of two rows: it is
-// the part of pass 1's memory that grows with the lane count.
+// The window is one row, overwritten in place in topological order,
+// so an unmarked record finds its source's current value in the row. A
+// marked record needs the previous period's value, which the row may
+// have overwritten; so before each period roll copies the sources of
+// marked records (Schedule.carried: 64 of the benchmark pipegrid's
+// 10^5 events) into a carry row behind the row, where marked records
+// read them. The window is then (n + carried)·W floats, about half of
+// two rows. The Monte-Carlo sample lanes (batch.go) use the same
+// layout.
+
+// Read asks an origin-lane run for the times of one event in one
+// lane: Out[j] = t_o(Event_j) for j = 0..periods, o being the lane's
+// origin — NaN where the unfolding has no o-preceded instantiation
+// Event_j. Out must hold at least periods+1 entries.
+type Read struct {
+	Lane  int
+	Event sg.EventID
+	Out   []float64
+}
 
 // RunFromOrigins executes the event-initiated simulation t_o of §IV.B
 // for every origin o = origins[l] in one walk over periods
-// 0..periods, writing out[l][j-1] = t_o(o_j) for j = 1..periods — NaN
-// when the unfolding has no o-preceded instantiation o_j. d is nil
-// (the schedule's own delay columns) or a width-1 private set; every
-// lane runs at it. Origins may repeat. Each lane is bit-identical,
-// NaN pattern included, to RunFromWindow from its origin at the same
-// delays: the walk makes the same adds and comparisons in the same
-// record order. A single origin runs RunFromWindow's scalar walk.
-func (s *Schedule) RunFromOrigins(origins []sg.EventID, d *BatchDelays, periods int, out [][]float64) error {
+// 0..periods, filling every read. Lane l's read of its own origin is
+// the distance series of Prop. 7 (Out[1:]); reads of the tails of a
+// head's in-arcs, in the lane at that head, are the engine's what-if
+// rows. d is nil (the schedule's own delay columns) or a width-1
+// private set. Origins may repeat. Each read is bit-identical, NaN
+// pattern included, to a RunFrom trace from its lane's origin at the
+// same delays read through Time/Reached. A single origin runs
+// RunFromWindow's scalar walk.
+func (s *Schedule) RunFromOrigins(origins []sg.EventID, d *BatchDelays, periods int, reads []Read) error {
 	W := len(origins)
 	if W == 0 {
 		return fmt.Errorf("timesim: no origins")
@@ -46,33 +56,43 @@ func (s *Schedule) RunFromOrigins(origins []sg.EventID, d *BatchDelays, periods 
 	if d != nil && d.s != 1 {
 		return fmt.Errorf("timesim: origin lanes run at one delay column, got %d", d.s)
 	}
-	if len(out) < W {
-		return fmt.Errorf("timesim: origin output has %d rows, need %d", len(out), W)
-	}
-	for l, row := range out[:W] {
-		if len(row) < periods {
-			return fmt.Errorf("timesim: origin output row %d has %d entries, need %d", l, len(row), periods)
+	for _, r := range reads {
+		if r.Lane < 0 || r.Lane >= W {
+			return fmt.Errorf("timesim: read lane %d of %d", r.Lane, W)
+		}
+		if r.Event < 0 || int(r.Event) >= s.n {
+			return fmt.Errorf("timesim: read event %d out of range", r.Event)
+		}
+		if len(r.Out) <= periods {
+			return fmt.Errorf("timesim: read output has %d entries, need %d", len(r.Out), periods+1)
 		}
 	}
-	if W == 1 {
-		return s.window(origins[0], periods, out[0], d)
+	return s.lanes(origins, d, periods, func(p int, rw rows) {
+		for _, r := range reads {
+			r.Out[p] = s.time(&rw, r.Event, p, r.Lane)
+		}
+	})
+}
+
+// lanes is the one runner of origin lanes: the simulations from
+// origins at the delay columns d (nil: the schedule's own), handing
+// each period's rows to read once walked. One origin walks class.walk
+// on two rows, more walk walkOrigins on one row and the carry row.
+func (s *Schedule) lanes(origins []sg.EventID, d *BatchDelays, periods int, read func(p int, rw rows)) error {
+	if len(origins) == 1 {
+		return s.roll(origins, periods, 1, d, func(p int, c *class, rw rows) {
+			c.walk(0, len(c.order), &rw)
+			read(p, rw)
+		})
 	}
-	w := s.acquireWindow((s.n + len(s.carried)) * W)
-	err := s.roll(origins, periods, w.times, W, 0, d, func(p int, c *class, rw rows) {
+	return s.roll(origins, periods, len(origins), d, func(p int, c *class, rw rows) {
 		pins := origins
 		if p > 0 {
 			pins = nil
 		}
 		c.walkOrigins(&rw, pins, s.carry)
-		s.fillCarry(w.times, W)
-		if p > 0 {
-			for l, o := range origins {
-				out[l][p-1] = s.time(&rw, o, p, l)
-			}
-		}
+		read(p, rw)
 	})
-	s.winPool.put(w)
-	return err
 }
 
 // walkOrigins is walk over the rw.width origin lanes of the one-row
@@ -140,18 +160,5 @@ func (c *class) walkOrigins(rw *rows, pins []sg.EventID, carry []int32) {
 				times[fi+l] = 0
 			}
 		}
-	}
-}
-
-// fillCarry copies the W lanes of every carried event from the row of
-// times into its carry slot, for the next period's marked records.
-func (s *Schedule) fillCarry(times []float64, W int) {
-	carry := times[s.n*W:]
-	for k, e := range s.carried {
-		if W == 4 {
-			*(*[4]float64)(carry[k*4:]) = *(*[4]float64)(times[int(e)*4:])
-			continue
-		}
-		copy(carry[k*W:(k+1)*W], times[int(e)*W:])
 	}
 }

@@ -10,18 +10,34 @@ import (
 	"tsg/internal/timesim"
 )
 
-// diffOrigins runs RunFromOrigins over origins at d and checks every
-// lane, bit for bit and NaN pattern included, against RunFromWindow
-// from that lane's origin at the same delays. It returns the lane rows.
-func diffOrigins(t *testing.T, s *timesim.Schedule, origins []sg.EventID, d *timesim.BatchDelays, periods int) [][]float64 {
+// laneReads runs RunFromOrigins over origins at d, reading every event
+// of every lane, and returns got[l][e][j] = t_{origins[l]}(e_j) for
+// j = 0..periods.
+func laneReads(t *testing.T, s *timesim.Schedule, origins []sg.EventID, d *timesim.BatchDelays, periods int) [][][]float64 {
 	t.Helper()
-	out := make([][]float64, len(origins))
-	for l := range out {
-		out[l] = make([]float64, periods)
+	n := s.Graph().NumEvents()
+	got := make([][][]float64, len(origins))
+	var reads []timesim.Read
+	for l := range got {
+		got[l] = make([][]float64, n)
+		for e := range got[l] {
+			got[l][e] = make([]float64, periods+1)
+			reads = append(reads, timesim.Read{Lane: l, Event: sg.EventID(e), Out: got[l][e]})
+		}
 	}
-	if err := s.RunFromOrigins(origins, d, periods, out); err != nil {
+	if err := s.RunFromOrigins(origins, d, periods, reads); err != nil {
 		t.Fatalf("RunFromOrigins(%v): %v", origins, err)
 	}
+	return got
+}
+
+// diffOrigins runs RunFromOrigins over origins at d and checks every
+// lane's series of its own origin, bit for bit and NaN pattern
+// included, against RunFromWindow from that origin at the same delays.
+// It returns every read of every lane (laneReads).
+func diffOrigins(t *testing.T, s *timesim.Schedule, origins []sg.EventID, d *timesim.BatchDelays, periods int) [][][]float64 {
+	t.Helper()
+	got := laneReads(t, s, origins, d, periods)
 	want := make([]float64, periods)
 	rows := [][]float64{want}
 	for l, o := range origins {
@@ -35,12 +51,40 @@ func diffOrigins(t *testing.T, s *timesim.Schedule, origins []sg.EventID, d *tim
 			t.Fatalf("scalar run from %d: %v", o, err)
 		}
 		for j := range want {
-			if math.Float64bits(out[l][j]) != math.Float64bits(want[j]) {
-				t.Fatalf("origin %d lane %d/%d period %d: lanes %v, scalar %v", o, l, len(origins), j+1, out[l][j], want[j])
+			if v := got[l][o][j+1]; math.Float64bits(v) != math.Float64bits(want[j]) {
+				t.Fatalf("origin %d lane %d/%d period %d: lanes %v, scalar %v", o, l, len(origins), j+1, v, want[j])
 			}
 		}
 	}
-	return out
+	return got
+}
+
+// diffReadsTrace checks every read of every lane, bit for bit and NaN
+// pattern included, against a full RunWith trace from the lane's
+// origin at d over periods+1 periods, read through Time/Reached.
+func diffReadsTrace(t *testing.T, s *timesim.Schedule, origins []sg.EventID, d *timesim.BatchDelays, got [][][]float64) {
+	t.Helper()
+	g := s.Graph()
+	for l, o := range origins {
+		periods := len(got[l][0]) - 1
+		tr, err := s.RunWith(o, d, timesim.Options{Periods: periods + 1})
+		if err != nil {
+			t.Fatalf("RunWith(%s): %v", g.Event(o).Name, err)
+		}
+		for e := range got[l] {
+			for j, v := range got[l][e] {
+				want := math.NaN()
+				if tv, ok := tr.Time(sg.EventID(e), j); ok && tr.Reached(sg.EventID(e), j) {
+					want = tv
+				}
+				if math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("origin %s lane %d/%d: %s period %d: lanes %v, trace %v",
+						g.Event(o).Name, l, len(origins), g.Event(sg.EventID(e)).Name, j, v, want)
+				}
+			}
+		}
+		tr.Release()
+	}
 }
 
 // TestRunFromOriginsMatchesWindow runs every fixture's events as origin
@@ -62,6 +106,41 @@ func TestRunFromOriginsMatchesWindow(t *testing.T) {
 						origins[l] = sg.EventID((start + l) % n)
 					}
 					diffOrigins(t, s, origins, nil, periods)
+				}
+			}
+		})
+	}
+}
+
+// TestRunFromOriginsReadsMatchTrace is the what-if rows' readback
+// checked directly: every fixture's events as origin lanes, at one
+// lane (the scalar walk) and at the widths the engine chunks into,
+// read back at every event in every period 0..periods and compared bit
+// for bit, NaN pattern included, with a full trace — at the schedule's
+// own delays and at a private set with zero, fractional and +Inf
+// delays.
+func TestRunFromOriginsReadsMatchTrace(t *testing.T) {
+	for name, g := range fixtures(t) {
+		t.Run(name, func(t *testing.T) {
+			s, err := timesim.Compile(g)
+			if err != nil {
+				t.Fatalf("Compile: %v", err)
+			}
+			cols := s.NewBatchDelays(1)
+			for a := 0; a < g.NumArcs(); a++ {
+				cols.SetArc(s, 0, a, []float64{0, 0.5, math.Inf(1), 3}[a%4])
+			}
+			n := g.NumEvents()
+			periods := len(g.BorderEvents()) + 1
+			for _, d := range []*timesim.BatchDelays{nil, cols} {
+				for _, w := range []int{1, 2, 3, 4} {
+					origins := make([]sg.EventID, w)
+					for start := 0; start < n; start += w {
+						for l := range origins {
+							origins[l] = sg.EventID((start + l) % n)
+						}
+						diffReadsTrace(t, s, origins, d, laneReads(t, s, origins, d, periods))
+					}
 				}
 			}
 		})
@@ -102,28 +181,37 @@ func TestRunFromOriginsArgs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	out := [][]float64{make([]float64, 4), make([]float64, 4)}
+	reads := []timesim.Read{{Lane: 0, Event: 0, Out: make([]float64, 5)}, {Lane: 1, Event: 1, Out: make([]float64, 5)}}
 	two := []sg.EventID{0, 1}
-	if err := s.RunFromOrigins(nil, nil, 4, out); err == nil {
+	if err := s.RunFromOrigins(nil, nil, 4, reads); err == nil {
 		t.Fatal("no origins accepted")
 	}
-	if err := s.RunFromOrigins([]sg.EventID{0, -1}, nil, 4, out); err == nil {
+	if err := s.RunFromOrigins([]sg.EventID{0, -1}, nil, 4, reads); err == nil {
 		t.Fatal("negative origin accepted")
 	}
-	if err := s.RunFromOrigins([]sg.EventID{sg.EventID(g.NumEvents()), 0}, nil, 4, out); err == nil {
+	if err := s.RunFromOrigins([]sg.EventID{sg.EventID(g.NumEvents()), 0}, nil, 4, reads); err == nil {
 		t.Fatal("out-of-range origin accepted")
 	}
-	if err := s.RunFromOrigins(two, nil, 0, out); err == nil {
+	if err := s.RunFromOrigins(two, nil, 0, reads); err == nil {
 		t.Fatal("zero periods accepted")
 	}
-	if err := s.RunFromOrigins(two, nil, 5, out); err == nil {
-		t.Fatal("short output row accepted")
+	if err := s.RunFromOrigins(two, nil, 5, reads); err == nil {
+		t.Fatal("short read output accepted")
 	}
-	if err := s.RunFromOrigins([]sg.EventID{0, 1, 2}, nil, 4, out); err == nil {
-		t.Fatal("too few output rows accepted")
+	if err := s.RunFromOrigins([]sg.EventID{0}, nil, 4, reads); err == nil {
+		t.Fatal("read of a lane past the origins accepted")
 	}
-	if err := s.RunFromOrigins(two, s.NewBatchDelays(2), 4, out); err == nil {
+	if err := s.RunFromOrigins(two, nil, 4, []timesim.Read{{Lane: -1, Event: 0, Out: reads[0].Out}}); err == nil {
+		t.Fatal("negative read lane accepted")
+	}
+	if err := s.RunFromOrigins(two, nil, 4, []timesim.Read{{Lane: 0, Event: sg.EventID(g.NumEvents()), Out: reads[0].Out}}); err == nil {
+		t.Fatal("out-of-range read event accepted")
+	}
+	if err := s.RunFromOrigins(two, s.NewBatchDelays(2), 4, reads); err == nil {
 		t.Fatal("a two-lane delay set accepted")
+	}
+	if err := s.RunFromOrigins(two, nil, 4, reads); err != nil {
+		t.Fatalf("valid run: %v", err)
 	}
 }
 
@@ -142,18 +230,18 @@ func TestRunFromOriginsAllocs(t *testing.T) {
 	const periods = 40
 	border := g.BorderEvents()
 	cols := s.NewBatchDelays(1)
-	for _, w := range []int{8, 4, 3} {
+	for _, w := range []int{8, 4, 3, 1} {
 		origins := border[:w]
-		out := make([][]float64, w)
-		for l := range out {
-			out[l] = make([]float64, periods)
+		reads := make([]timesim.Read, w)
+		for l := range reads {
+			reads[l] = timesim.Read{Lane: l, Event: origins[l], Out: make([]float64, periods+1)}
 		}
 		for _, d := range []*timesim.BatchDelays{nil, cols} {
-			if err := s.RunFromOrigins(origins, d, periods, out); err != nil {
+			if err := s.RunFromOrigins(origins, d, periods, reads); err != nil {
 				t.Fatalf("warmup: %v", err)
 			}
 			allocs := testing.AllocsPerRun(20, func() {
-				if err := s.RunFromOrigins(origins, d, periods, out); err != nil {
+				if err := s.RunFromOrigins(origins, d, periods, reads); err != nil {
 					t.Fatalf("RunFromOrigins: %v", err)
 				}
 			})
@@ -172,9 +260,11 @@ func TestRunFromOriginsAllocs(t *testing.T) {
 // graph, 1..20 origins drawn from the input bytes (repeats and
 // non-repetitive events included) and either the schedule's own
 // columns or a width-1 private set with zero, fractional, integral and
-// +Inf delays, every lane of RunFromOrigins must be bit-identical, NaN
-// pattern included, to RunFromWindow from its origin at those delays,
-// and that to a full RunFrom trace read through Time/Reached.
+// +Inf delays, every lane's series of its own origin must be
+// bit-identical, NaN pattern included, to RunFromWindow from its
+// origin at those delays; and every lane's read of every event in
+// every period 0..periods — the what-if rows' readback — to a full
+// RunFrom trace read through Time/Reached.
 func FuzzRunFromOrigins(f *testing.F) {
 	f.Add(int64(1), uint8(7), false, []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(int64(7), uint8(2), true, []byte{9, 17, 33})
@@ -227,23 +317,8 @@ func FuzzRunFromOrigins(f *testing.F) {
 			}
 			sched.RefreshDelays()
 		}
-		out := diffOrigins(t, sched, origins, cols, periods)
-		for l, o := range origins {
-			tr, err := sched.RunFrom(o, timesim.Options{Periods: periods + 1})
-			if err != nil {
-				t.Fatalf("RunFrom(%s): %v", g.Event(o).Name, err)
-			}
-			for j := 1; j <= periods; j++ {
-				want := math.NaN()
-				if v, ok := tr.Time(o, j); ok && tr.Reached(o, j) {
-					want = v
-				}
-				if math.Float64bits(out[l][j-1]) != math.Float64bits(want) {
-					t.Fatalf("origin %s lane %d period %d: lanes %v, trace %v", g.Event(o).Name, l, j, out[l][j-1], want)
-				}
-			}
-			tr.Release()
-		}
+		got := diffOrigins(t, sched, origins, cols, periods)
+		diffReadsTrace(t, sched, origins, nil, got)
 	})
 }
 
@@ -276,14 +351,15 @@ func BenchmarkRunFromOrigins(b *testing.B) {
 		}
 		border := c.g.BorderEvents()
 		periods := len(border)
-		out := make([][]float64, 4)
-		for l := range out {
-			out[l] = make([]float64, periods)
+		reads := make([]timesim.Read, len(border))
+		for i, o := range border {
+			reads[i] = timesim.Read{Lane: i % 4, Event: o, Out: make([]float64, periods+1)}
 		}
 		b.Run(c.name+"/lanes4", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for lo := 0; lo < len(border); lo += 4 {
-					if err := s.RunFromOrigins(border[lo:min(lo+4, len(border))], nil, periods, out); err != nil {
+					hi := min(lo+4, len(border))
+					if err := s.RunFromOrigins(border[lo:hi], nil, periods, reads[lo:hi]); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -292,7 +368,7 @@ func BenchmarkRunFromOrigins(b *testing.B) {
 		b.Run(c.name+"/window", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, o := range border {
-					if err := s.RunFromWindow(o, periods, out[0]); err != nil {
+					if err := s.RunFromWindow(o, periods, reads[0].Out); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -252,8 +252,8 @@ func (s *Schedule) Graph() *sg.Graph { return s.g }
 // excluding the graph, which the schedule shares with its compiler,
 // and excluding pooled working memory, whose size depends on the
 // simulation shape — full slabs scale with the period count
-// (SlabBytes), two-row windows with n and the lane count alone
-// (WindowBytes per lane). The session layer accounts for whichever
+// (SlabBytes), windows with n and the lane count alone (WindowBytes,
+// LaneWindowBytes). The session layer accounts for whichever
 // layout it runs; see cycletime.Engine.SizeHint.
 func (s *Schedule) MemEstimate() int64 {
 	var sz int64
@@ -372,7 +372,8 @@ func (s *Schedule) column(d *BatchDelays, p int) []float64 {
 // evaluated period's row starts at cur, its predecessor's at cur-back,
 // and lane l of event e sits at row start + e·width + l. A full trace
 // slab lays every period out in turn (back = n, one lane); the rolling
-// window (roll) alternates two rows of one or more lanes.
+// window (roll) alternates two rows of one lane, or overwrites one row
+// of several (cur = back = 0) beside a carry row.
 type rows struct {
 	times []float64
 	del   []float64 // the walked class's delay column, width lanes per record

@@ -23,18 +23,16 @@
 // linear scan with no existence tests, and the b simulations of one
 // cycle-time analysis share the compiled form and a slab pool. One
 // walk over those records evaluates every scalar simulation — full
-// trace slabs, the two-row window of RunFromWindow and
-// RunFromWindowEvents, and the in-place re-evaluation of Patch — so
-// they agree by construction. Simulations that keep no trace run on
-// one driver, the rolling window (roll, window.go): the scalar ones
-// with one lane on two rows; the origin-lane kernel RunFromOrigins
-// (origins.go) with one lane per origin on one row and a carry row,
-// which the engine's λ-only pass 1 runs in chunks of up to four cut
-// events; and the Monte-Carlo batch kernel RunFromBatch with one lane
-// per delay sample on two rows.
-// Reachedness rides in the times (−∞): it is the same in every sample
-// lane, because no delay is −∞ or NaN, and differs between origin
-// lanes, whose walk therefore skips no record.
+// trace slabs, the two-row window of RunFromWindow and the in-place
+// re-evaluation of Patch — so they agree by construction. Simulations
+// that keep no trace run on one driver, the rolling window (roll,
+// window.go): one lane on two rows, and every wider walk on one row
+// plus a carry row — the origin lanes of RunFromOrigins (origins.go),
+// which give the engine's pass 1 and what-if rows up to four origins
+// per walk, and the Monte-Carlo sample lanes of RunFromBatch
+// (batch.go). Reachedness rides in the times (−∞): it is the same in
+// every sample lane, because no delay is −∞ or NaN, and differs
+// between origin lanes, whose walk therefore skips no record.
 // ReferenceRun and ReferenceRunFrom walk the graph's adjacency lists
 // directly; they are retained as the executable specification the
 // compiled kernel is differentially tested against.
