@@ -408,7 +408,7 @@ func BenchmarkWhatIfRandom2000(b *testing.B) {
 
 // BenchmarkEditAnalyzeRandom2000 measures one committed single-arc
 // edit plus λ re-analysis — the edit→analyze loop of the INCR
-// experiment: the incremental engine patches its retained traces
+// experiment: the incremental engine patches its retained lane traces
 // through the edit's dirty cone, the NoIncremental engine re-simulates
 // all b event-initiated runs.
 func BenchmarkEditAnalyzeRandom2000(b *testing.B) {
@@ -666,7 +666,7 @@ func BenchmarkVerifySemimodularity(b *testing.B) {
 
 // BenchmarkFlatPipeGrid100k compares the two pass-1 layouts on a
 // 10^5-event pipegrid: the rolling window a fresh session runs
-// against the full per-period trace slabs of a session that has
+// against the per-period lane traces of a session that has
 // committed an edit (it retains them for incremental patching; the
 // edit is reverted, so both answer the same λ). Each op is a new
 // session plus its first λ-only answer, the way the SCALE experiment

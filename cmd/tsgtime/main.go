@@ -45,7 +45,7 @@
 // -trace records every analysis of the run in an in-process span ring
 // and prints the resulting span tree — compile, pass 1 (tier=window,
 // or tier=slab once a committed -edit makes the session retain its
-// traces), lazy pass 2, dirty-cone patches, slack certificates, answer
+// lane traces), lazy pass 2, dirty-cone patches, slack certificates, answer
 // tiers — after the reports, so a slow run explains itself. It needs
 // the in-process engine and is rejected with -serve (the daemon has
 // /debug/trace for the same view).

@@ -991,22 +991,37 @@ func (r *Router) handleUpload(ctx context.Context, w http.ResponseWriter, req *h
 	replicas := r.replicaSet(ctx, fp)
 	fctx, sp := obs.StartN(ctx, nameFanout)
 	sp.AnnotateN(keyReplicas, uint64(len(replicas)))
+	// The replicas sync concurrently: sync is gated per (graph, node)
+	// and holds no journal lock across the network.
+	errs := make([]error, len(replicas))
+	var wg sync.WaitGroup
+	for i, n := range replicas {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = r.sync(fctx, n, gs)
+		}()
+	}
+	wg.Wait()
+	sp.End()
 	okCount := 0
 	var lastErr error
-	for _, n := range replicas {
-		err := r.sync(fctx, n, gs)
-		if err == nil {
-			r.noteSuccess(n)
+	for i, err := range errs {
+		switch {
+		case err == nil:
+			r.noteSuccess(replicas[i])
 			okCount++
-			continue
+		case clientError(err):
+			// A genuine answer: every replica would refuse the same
+			// text, so it outranks any other replica's fault.
+			lastErr = err
+		default:
+			r.noteFailure(replicas[i])
+			if !clientError(lastErr) {
+				lastErr = err
+			}
 		}
-		lastErr = err
-		if clientError(err) {
-			break // every replica would refuse the same text
-		}
-		r.noteFailure(n)
 	}
-	sp.End()
 	if okCount == 0 {
 		if lastErr == nil {
 			lastErr = errNoReplicas

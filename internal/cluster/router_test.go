@@ -706,6 +706,45 @@ func TestRouterTracesAttributedToGraph(t *testing.T) {
 	}
 }
 
+// TestRouterUploadFansOutConcurrently: an upload reaches its replicas
+// at once, not one after another. Each backend holds its upload until
+// the peer replica's upload has also arrived (or a bounded wait runs
+// out), so a serial fan-out never has both in flight.
+func TestRouterUploadFansOutConcurrently(t *testing.T) {
+	tc := newTestCluster(t)
+	var arrived, inFlight atomic.Int32
+	both := make(chan struct{})
+	var bothInFlight atomic.Bool
+	for _, g := range tc.gates {
+		inner := *g.h.Load()
+		var h http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/v1/graphs" {
+				arrived.Add(1)
+				if inFlight.Add(1) == 2 {
+					bothInFlight.Store(true)
+					close(both)
+				}
+				select {
+				case <-both:
+				case <-time.After(time.Second):
+				}
+				defer inFlight.Add(-1)
+			}
+			inner.ServeHTTP(w, r)
+		})
+		g.h.Store(&h)
+	}
+	if _, err := tc.cl.UploadText(context.Background(), pipelineText(t, 4)); err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	if n := arrived.Load(); n != 2 {
+		t.Fatalf("%d backend uploads, want one per replica (2)", n)
+	}
+	if !bothInFlight.Load() {
+		t.Fatal("the two replica uploads were never in flight at once")
+	}
+}
+
 // TestRouterUploadSyncsUnderFanout checks the shape of an upload's
 // tree in /debug/trace?format=tree: every router.sync the fan-out runs
 // is a child of router.fanout, one per replica.

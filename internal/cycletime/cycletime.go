@@ -63,7 +63,7 @@ type Options struct {
 	// which is available without any search (§VI.B).
 	CutSet []sg.EventID
 	// NoIncremental disables the incremental commit path of an Engine:
-	// the session never retains its simulation traces, and every
+	// the session never retains its lane traces, and every
 	// analysis after a SetDelay/ResetDelays commit re-simulates from
 	// scratch. Results are identical either way (the differential tests
 	// pin it); this exists as the ablation baseline of the INCR
@@ -214,24 +214,6 @@ func runWorkers(n, workers int, fn func(worker, i int)) {
 func runIndexed(n, workers int, fn func(int)) {
 	runWorkers(n, workers, func(_, i int) { fn(i) })
 }
-
-// extractSeries collects the average occurrence distances δ_{e_0}(e_j)
-// of one event-initiated trace (step 3 of the algorithm): it reads
-// t_e0(e_j), j = 1..periods, out of the trace into dist (NaN where e_j
-// is not instantiated or not reached) and folds them with
-// seriesFromTimes.
-func extractSeries(tr *timesim.Trace, ev sg.EventID, periods int, dist []float64) BorderSeries {
-	for j := 1; j <= periods; j++ {
-		if t, ok := tr.Time(ev, j); ok && tr.Reached(ev, j) {
-			dist[j-1] = t
-		} else {
-			dist[j-1] = nan()
-		}
-	}
-	return seriesFromTimes(ev, dist)
-}
-
-func nan() float64 { return math.NaN() }
 
 // seriesFromTimes turns dist, holding t_e0(e_j) at index j-1 (NaN where
 // e_j is not reached) as timesim.RunFromWindow writes it, and

@@ -34,17 +34,19 @@ import (
 //     pass 1, and the first Analyze/Summary/Slacks per committed
 //     baseline pays the extraction once;
 //   - SetDelay/ResetDelays (committed edits): O(1) at commit time.
-//     Once a session has committed an edit, its analyses retain the b
-//     committed traces, and every later post-commit analysis patches
-//     only the forward cone of the dirty arcs through them
-//     (timesim.Schedule.Patch) — a localized edit re-analyses λ with
-//     zero simulations, and a flooding edit is capped at about one
-//     plain re-simulation per trace by the patch bail-out. Disable
-//     with Options.NoIncremental;
+//     Once a session has committed an edit, its pass 1 keeps every
+//     row of its origin lanes (timesim.LaneTrace, one per chunk of
+//     originLanes cut events), and every later post-commit analysis
+//     patches only the forward cone of the dirty arcs through them,
+//     one worklist per chunk (timesim.Schedule.Patch) — a localized
+//     edit re-analyses λ with zero simulations. A flooding edit pays
+//     the flood budget's worklist work and then re-walks the rest of
+//     each chunk: on random-2000 (2 vCPUs) about 0.9–1.0× a lane
+//     pass 1. Disable with Options.NoIncremental;
 //   - Slacks: derived from the cached analysis plus one plain
-//     simulation that seeds the dual (Burns LP) solve, so the slack
-//     certificate costs O(b·m) on top of the analysis instead of an
-//     O(n·m) cold Bellman–Ford;
+//     simulation on the two-row window that seeds the dual (Burns LP)
+//     solve, so the slack certificate costs O(b·m) on top of the
+//     analysis instead of an O(n·m) cold Bellman–Ford;
 //   - Sensitivity/SensitivitySweep: a what-if whose perturbation stays
 //     within the certified slack of its arc (or shrinks an arc that
 //     some cached critical cycle avoids, or touches an arc outside the
@@ -89,27 +91,22 @@ type Engine struct {
 	counters engineCounters
 
 	// Incremental commit state. A committed delay edit (SetDelay /
-	// ResetDelays) drops the certificate but records the edited arcs in
-	// pendingDirty; once the session has seen a commit (incr), analyses
-	// retain their cut-event traces in simTraces, and every later
-	// post-commit analysis patches those traces through the dirty cone
+	// ResetDelays) drops the certificate; the overlay remembers the
+	// edited arcs until the next analysis drains them. Once the session
+	// has seen a commit (incr), pass 1 keeps its origin lanes in
+	// traces, one per chunk of the cut, and every later post-commit
+	// analysis patches them through the dirty cone
 	// (timesim.Schedule.Patch) instead of re-simulating — a localized
-	// edit re-analyses λ without running a single simulation. The
-	// traces are parentless (pass 2 is lazy and re-simulates only λ
-	// winners when critical cycles are requested). slackTrace is the
-	// committed plain simulation seeding the slack dual solve, patched
-	// alongside; rows are the per-arc what-if rows (previously
-	// certificate-owned), session-level so a commit can invalidate only
-	// the arcs inside the structural forward cone of the edit. All
-	// fields are guarded by the session lock.
-	incr         bool
-	pendingDirty []int
-	pendingSet   []bool
-	simTraces    []*timesim.Trace
-	slackTrace   *timesim.Trace
-	rows         [][]float64
-	reachMark    []bool       // scratch for the row-invalidation BFS
-	reachQueue   []sg.EventID // scratch for the row-invalidation BFS
+	// edit re-analyses λ without running a single simulation. Pass 2
+	// is lazy and re-simulates only λ winners when critical cycles are
+	// requested. rows are the per-arc what-if rows, session-level so a
+	// commit can invalidate only the arcs inside the structural forward
+	// cone of the edit. All fields are guarded by the session lock.
+	incr       bool
+	traces     []*timesim.LaneTrace
+	rows       [][]float64
+	reachMark  []bool       // scratch for the row-invalidation BFS
+	reachQueue []sg.EventID // scratch for the row-invalidation BFS
 }
 
 // certificate caches the analysis of the engine's current baseline
@@ -155,7 +152,7 @@ type EngineStats struct {
 	// support-maximum bound and one per Monte-Carlo sample.
 	Analyses int64
 	// IncrementalAnalyses counts post-commit analyses answered by
-	// patching the committed traces through the edit's dirty cone
+	// patching the retained lane traces through the edit's dirty cone
 	// instead of re-simulating (see SetDelay).
 	IncrementalAnalyses int64
 	// FastPathHits counts sensitivity queries answered from the slack
@@ -167,15 +164,17 @@ type EngineStats struct {
 	// re-analysis.
 	TableAnswers int64
 	// WindowedPass1 counts the pass-1 runs that keep no traces (origin
-	// lanes, at the session's delays or at private ones; Monte-Carlo
-	// samples aside); SlabPass1 counts the runs that do retain them
-	// (sessions that have committed an edit keep full trace slabs for
-	// incremental patching).
+	// lanes on the rolling window, at the session's delays or at
+	// private ones; Monte-Carlo samples aside); SlabPass1 counts the
+	// runs that keep every row of their origin lanes (sessions that
+	// have committed an edit retain one lane trace per chunk of the
+	// cut for incremental patching).
 	WindowedPass1 int64
 	SlabPass1     int64
-	// PatchFloods counts per-trace incremental patches whose dirty
-	// cone exceeded the flood budget and fell back to straight
-	// re-evaluation (timesim.PatchStats.Flooded).
+	// PatchFloods counts lane-trace patches — one per chunk of up to
+	// four cut events and commit — whose dirty cone exceeded the flood
+	// budget and fell back to re-walking the remaining rows
+	// (timesim.PatchStats.Flooded).
 	PatchFloods int64
 	// LazyPass2Skips counts certificates dropped by a delay commit
 	// before pass 2 (winner re-simulation and critical-cycle
@@ -289,13 +288,13 @@ func (e *Engine) Delay(arc int) float64 {
 }
 
 // SizeHint estimates the resident heap bytes of the compiled session:
-// the delay overlay, the compiled schedule's record columns, the pooled
-// simulation memory of pass 1 (one slab, or one origin-lane window per
-// worker of the chunk runner; times only, 8 B per instantiation and
-// lane), the cached certificate (slacks and what-if rows) and the
-// retained committed traces. Queries at other delays (what-if decreases,
-// bounds, Monte-Carlo) keep nothing once they return, so they add
-// nothing. It deliberately excludes the immutable graph, which the
+// the delay overlay, the compiled schedule's record columns, the lane
+// traces a session that has committed an edit retains (times only, 8 B
+// per instantiation and lane), and the cached certificate (slacks and
+// what-if rows). Simulation windows and pass 2's slabs are transient:
+// the schedule's pool holds them weakly, so a collection frees them
+// between queries. Queries at other delays (what-if decreases, bounds,
+// Monte-Carlo) keep nothing once they return, so they add nothing. It deliberately excludes the immutable graph, which the
 // engine shares with its builder. Serving caches use the hint as the
 // per-entry cost when bounding total engine memory
 // (internal/serve.Cache).
@@ -307,12 +306,9 @@ func (e *Engine) SizeHint() int64 {
 	sz += m * 72                // overlay: arc copies, delay column, nominal, dirty tracking
 	sz += e.sched.MemEstimate() // compiled record columns
 	if e.incr {
-		sz += e.sched.SlabBytes(e.periods + 2) // one pooled slab: 8 B per instantiation
-	} else {
-		// Pass 1 holds one origin-lane window per worker, not a slab;
-		// pass 2 slabs transiently, k+1 periods per critical cycle.
-		lanes := min(len(e.cut), originLanes)
-		sz += int64(e.poolSize((len(e.cut)+originLanes-1)/originLanes, lanes)) * e.sched.LaneWindowBytes(lanes)
+		// The lane traces pass 1 retains once the session has committed
+		// an edit: every row of every chunk, one lane window per period.
+		sz += int64(e.periods+1) * e.sched.LaneWindowBytes(len(e.cut))
 	}
 	if c := e.cert; c != nil {
 		sz += int64(len(c.slacks))*24 + m*9 // slackByArc + onAllCrit
@@ -323,23 +319,17 @@ func (e *Engine) SizeHint() int64 {
 	if e.rows != nil {
 		sz += m * 24 // row headers
 	}
-	for _, tr := range e.simTraces {
-		sz += tr.MemEstimate()
-	}
-	if e.slackTrace != nil {
-		sz += e.slackTrace.MemEstimate()
-	}
 	return sz
 }
 
 // SetDelay permanently edits the session baseline: subsequent analyses,
 // slacks, sensitivities and sweeps see the new delay. The cached
-// analysis certificate is invalidated, but the edit is remembered as a
-// dirty arc: once a session has committed an edit, its analyses retain
-// their simulation traces, and the first analysis after each commit
-// re-propagates only the forward cone of the dirty arcs through the
-// retained traces (bit-identical to a from-scratch analysis, typically
-// orders of magnitude cheaper for localized edits). A no-op edit (the
+// analysis certificate is invalidated, but the overlay remembers the
+// edit as a dirty arc: once a session has committed an edit, its
+// analyses retain their lane traces, and the first analysis after each
+// commit re-propagates only the forward cone of the dirty arcs through
+// them (bit-identical to a from-scratch analysis, typically orders of
+// magnitude cheaper for localized edits). A no-op edit (the
 // arc already has that delay) keeps the certificate. The compiled
 // schedule is refreshed in place (no recompile).
 func (e *Engine) SetDelay(arc int, delay float64) error {
@@ -351,30 +341,30 @@ func (e *Engine) SetDelay(arc int, delay float64) error {
 	if err := e.overlay.SetDelay(arc, delay); err != nil {
 		return err
 	}
-	e.commitArc(arc)
+	e.commit()
 	return nil
 }
 
 // ResetDelays restores every arc to the delay it had when the engine
 // was compiled. Like SetDelay it is an incremental commit: only the
-// arcs that actually change become dirty.
+// arcs that actually change become dirty (Overlay.Reset).
 func (e *Engine) ResetDelays() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for i := 0; i < e.overlay.NumArcs(); i++ {
 		if e.overlay.Delay(i) != e.overlay.Nominal(i) {
-			e.commitArc(i)
+			e.commit()
+			break
 		}
 	}
 	e.overlay.Reset()
 }
 
-// commitArc records one committed baseline edit: the certificate is
-// dropped, the arc joins the pending dirty set consumed by the next
-// analysis, and (unless the session opts out) incremental mode is
-// armed so that analysis retains its traces. Callers hold the session
-// lock and have validated the arc.
-func (e *Engine) commitArc(arc int) {
+// commit records a committed baseline edit, whose arcs the overlay
+// keeps dirty for the next analysis: the certificate is dropped and
+// (unless the session opts out) incremental mode is armed so that
+// analysis retains its lane traces. Callers hold the session lock.
+func (e *Engine) commit() {
 	if e.cert != nil && !e.cert.criticals {
 		// The certificate dies having never paid pass 2: the winner
 		// re-simulation the lazy split deferred is now skipped for good.
@@ -384,27 +374,6 @@ func (e *Engine) commitArc(arc int) {
 	if !e.opts.NoIncremental {
 		e.incr = true
 	}
-	if e.pendingSet == nil {
-		e.pendingSet = make([]bool, e.g.NumArcs())
-	}
-	if !e.pendingSet[arc] {
-		e.pendingSet[arc] = true
-		e.pendingDirty = append(e.pendingDirty, arc)
-	}
-}
-
-// drainPending consumes the committed dirty set accumulated since the
-// last analysis. Callers hold the session lock.
-func (e *Engine) drainPending() []int {
-	if len(e.pendingDirty) == 0 {
-		return nil
-	}
-	out := append([]int(nil), e.pendingDirty...)
-	for _, a := range out {
-		e.pendingSet[a] = false
-	}
-	e.pendingDirty = e.pendingDirty[:0]
-	return out
 }
 
 // Analyze runs the paper's two-pass analysis at the session's current
@@ -859,29 +828,37 @@ func (at delays) set(sch *timesim.Schedule, d []float64) error {
 
 // ensureResult returns the certificate holding the pass-1 analysis (λ
 // and the distance series) of the current baseline delays, running it
-// if needed. After a committed edit the retained traces, when present,
-// are patched through the dirty cone instead of re-simulating; a
-// session that has committed at least one edit starts retaining traces
-// here. Critical cycles are NOT guaranteed by this certificate —
-// callers that need them follow up with ensureCriticals.
+// if needed. The arcs committed since the last analysis are drained
+// from the overlay into the schedule; the retained lane traces, when
+// present, are patched through their dirty cone instead of
+// re-simulating; a session that has committed at least one edit starts
+// retaining lane traces here. Critical cycles are NOT guaranteed by
+// this certificate — callers that need them follow up with
+// ensureCriticals.
 func (e *Engine) ensureResult(ctx context.Context) (*certificate, error) {
 	if e.cert != nil {
 		return e.cert, nil
 	}
-	e.overlay.DrainDirty(e.sched.RefreshArcDelay)
-	dirty := e.drainPending()
+	var dirty []int
+	e.overlay.DrainDirty(func(arc int, delay float64) {
+		e.sched.RefreshArcDelay(arc, delay)
+		dirty = append(dirty, arc)
+	})
 	e.invalidateRows(dirty)
+	tier := tierLambdaOnly
+	if e.traces != nil {
+		tier = tierIncr
+	}
 	var (
 		res *Result
 		err error
 	)
-	if e.simTraces != nil {
-		res, err = e.patchedAnalysis(ctx, dirty)
-		obs.FromContext(ctx).SetTierN(tierIncr)
+	if e.incr {
+		res, err = e.retainedPass1(ctx, dirty)
 	} else {
-		res, err = e.pass1Analysis(ctx, e.incr)
-		obs.FromContext(ctx).SetTierN(tierLambdaOnly)
+		res, err = e.pass1At(ctx, nil)
 	}
+	obs.FromContext(ctx).SetTierN(tier)
 	if err != nil {
 		return nil, err
 	}
@@ -943,36 +920,48 @@ func (e *Engine) poolSize(jobs, simsPerJob int) int {
 	return min(jobs, runtime.GOMAXPROCS(0))
 }
 
-// patchedAnalysis re-analyses after a commit without simulating: the
-// retained cut-event traces (and the slack-seed trace, when built) are
-// patched through the forward cone of the dirty arcs — each trace
-// independently, on the bounded worker pool — and the result is
-// re-assembled from them. Bit-identical to a from-scratch analysis:
-// the patched traces equal fresh simulations (the Patch contract), and
-// result assembly is shared with the full path.
-func (e *Engine) patchedAnalysis(ctx context.Context, dirty []int) (*Result, error) {
-	e.counters.incremental.Add(1)
-	sp := obs.LeafN(ctx, spanPatch)
+// retainedPass1 is pass 1 on lane traces, one per chunk of the cut,
+// pooled by poolSize: a session without traces walks and keeps them,
+// one with traces patches them through the forward cone of the dirty
+// arcs (timesim.Schedule.Patch) instead of simulating. λ and the
+// series are then read off the traces — bit-identical to a
+// from-scratch pass 1, because the patched traces equal fresh ones.
+// Callers hold the session lock.
+func (e *Engine) retainedPass1(ctx context.Context, dirty []int) (*Result, error) {
+	patch := e.traces != nil
+	var sp *obs.Span
+	if patch {
+		e.counters.incremental.Add(1)
+		sp = obs.LeafN(ctx, spanPatch)
+		sp.AnnotateN(keyDirty, uint64(len(dirty)))
+	} else {
+		e.counters.analyses.Add(1)
+		e.counters.slabP1.Add(1)
+		sp = e.pass1Span(ctx, tierSlab)
+		e.traces = make([]*timesim.LaneTrace, (len(e.cut)+originLanes-1)/originLanes)
+	}
 	defer sp.End()
-	sp.AnnotateN(keyDirty, uint64(len(dirty)))
-	if len(dirty) > 0 {
-		traces := e.simTraces
-		if e.slackTrace != nil {
-			traces = append(append([]*timesim.Trace(nil), traces...), e.slackTrace)
+	errs := make([]error, len(e.traces))
+	stats := make([]timesim.PatchStats, len(e.traces))
+	runIndexed(len(e.traces), e.poolSize(len(e.traces), min(len(e.cut), originLanes)), func(i int) {
+		if patch {
+			stats[i], errs[i] = e.sched.Patch(e.traces[i], dirty)
+		} else {
+			e.traces[i], errs[i] = e.sched.RunLaneTrace(chunk(e.cut, i), e.periods)
 		}
-		errs := make([]error, len(traces))
-		stats := make([]timesim.PatchStats, len(traces))
-		runIndexed(len(traces), e.poolSize(len(traces), 1), func(i int) {
-			stats[i], errs[i] = e.sched.Patch(traces[i], dirty)
-		})
-		for _, err := range errs {
-			if err != nil {
-				// A patch failure (misuse-class only) leaves the trace set
-				// inconsistent; drop it so the next analysis re-simulates.
-				e.dropTraces()
-				return nil, fmt.Errorf("cycletime: patching committed traces: %w", err)
-			}
+	})
+	for i, err := range errs {
+		if err != nil {
+			// A failure (misuse-class only) leaves the trace set
+			// inconsistent; drop it so the next analysis re-simulates.
+			e.traces = nil
+			return nil, fmt.Errorf("cycletime: lane trace of %v: %w", e.g.EventNames(chunk(e.cut, i)), err)
 		}
+	}
+	if patch {
+		// cone is the total realized dirty-cone size across the
+		// chunks; floods counts the chunks that bailed out to
+		// re-walking their remaining rows.
 		var cone, floods uint64
 		for _, st := range stats {
 			cone += uint64(st.Recomputed)
@@ -981,28 +970,25 @@ func (e *Engine) patchedAnalysis(ctx context.Context, dirty []int) (*Result, err
 			}
 		}
 		e.counters.patchFloods.Add(int64(floods))
-		// cone is the total realized dirty-cone size across the patched
-		// traces; floods counts the per-trace bail-outs to straight
-		// re-evaluation.
 		sp.AnnotateN(keyCone, cone)
 		if floods > 0 {
 			sp.SetTierN(tierFlooded)
 		}
 	}
-	return e.resultFromTraces(e.simTraces)
-}
-
-// dropTraces releases the retained committed traces back to the
-// schedule pool. The next analysis re-simulates (and re-retains).
-func (e *Engine) dropTraces() {
-	for _, tr := range e.simTraces {
-		tr.Release()
+	P := e.periods + 1
+	series := make([]BorderSeries, len(e.cut))
+	times := make([]float64, len(e.cut)*P)
+	var w laneWorker
+	for i, lt := range e.traces {
+		lo := i * originLanes
+		if err := lt.Read(w.series(chunk(e.cut, i), P, times[lo*P:])); err != nil {
+			return nil, err
+		}
+		for _, r := range w.reads {
+			series[lo+r.Lane] = seriesFromTimes(r.Event, r.Out[1:])
+		}
 	}
-	e.simTraces = nil
-	if e.slackTrace != nil {
-		e.slackTrace.Release()
-		e.slackTrace = nil
-	}
+	return e.assembleSeries(series)
 }
 
 // invalidateRows drops the what-if rows of every arc inside the
@@ -1070,8 +1056,8 @@ func (e *Engine) ensureCert(ctx context.Context) (*certificate, error) {
 }
 
 // buildCertificate derives the slack certificate from the cached
-// analysis: one plain simulation seeds the dual solve with the primal
-// evidence the engine already holds (the λ-detrended occurrence maxima
+// analysis: one plain windowed simulation seeds the dual solve with
+// the primal evidence the engine already holds (the λ-detrended occurrence maxima
 // max_p (t(e_p) − λ·p) are unfolded-path weights, already feasible
 // along every simulated constraint), and the cached critical cycles are
 // intersected for the delay-decrease fast path.
@@ -1083,16 +1069,7 @@ func (e *Engine) buildCertificate(ctx context.Context, c *certificate) error {
 	}
 	sp := obs.LeafN(ctx, spanSlackcert)
 	defer sp.End()
-	lam := c.result.CycleTime.Float()
-	var (
-		slacks []ArcSlack
-		err    error
-	)
-	if e.incr {
-		slacks, err = e.certifySlacksSession(lam)
-	} else {
-		slacks, err = e.certifySlacksAt(e.session(), lam)
-	}
+	slacks, err := e.certifySlacksAt(e.session(), c.result.CycleTime.Float())
 	if err != nil {
 		return err
 	}
@@ -1123,61 +1100,32 @@ func (e *Engine) buildCertificate(ctx context.Context, c *certificate) error {
 	return nil
 }
 
-// certifySlacksAt runs one plain simulation at the delays at, seeds
-// the dual (Burns LP) solve from the λ-detrended occurrence maxima —
+// certifySlacksAt runs one plain simulation at the delays at on the
+// two-row window, seeds the dual (Burns LP) solve from the λ-detrended
+// occurrence maxima max_p (t(e_p) − λ·p) it folds period by period —
 // unfolded-path weights, already feasible along every simulated
 // constraint — and returns the per-arc slack certificate at λ. Besides
 // the session certificate, this is the per-sample slack evaluation of
 // the Monte-Carlo subsystem (SlacksMC), which is why it takes the
 // delays and λ as parameters instead of reading the cached result.
 func (e *Engine) certifySlacksAt(at delays, lam float64) ([]ArcSlack, error) {
-	tr, err := e.sched.RunWith(sg.None, at.cols, timesim.Options{Periods: e.periods + 1})
+	seed := make([]float64, at.g.NumEvents())
+	reps := at.g.RepetitiveEvents()
+	err := e.sched.RunPlainWindow(at.cols, e.periods, func(p int, row []float64) {
+		for _, ev := range reps {
+			if v := row[ev] - lam*float64(p); v > seed[ev] {
+				seed[ev] = v
+			}
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	slacks, err := e.certifySlacksFromTrace(at.g, tr, lam)
-	tr.Release()
-	return slacks, err
-}
-
-// certifySlacksSession is certifySlacksAt for incremental sessions: the
-// certifying plain simulation is retained as the session's committed
-// slack trace, and after a commit it is patched through the dirty cone
-// alongside the cut-event traces (patchedAnalysis) instead of being
-// re-run — the dual solve then reseeds from the patched times, so only
-// the cheap relaxation part of the certificate is rebuilt. Callers
-// hold the session lock.
-func (e *Engine) certifySlacksSession(lam float64) ([]ArcSlack, error) {
-	if e.slackTrace == nil {
-		tr, err := e.sched.Run(timesim.Options{Periods: e.periods + 1})
-		if err != nil {
-			return nil, err
-		}
-		e.slackTrace = tr
-	}
-	return e.certifySlacksFromTrace(e.g, e.slackTrace, lam)
-}
-
-// certifySlacksFromTrace seeds the dual solve from a plain simulation
-// of g's delays and returns the slack certificate.
-func (e *Engine) certifySlacksFromTrace(g *sg.Graph, tr *timesim.Trace, lam float64) ([]ArcSlack, error) {
-	seed := make([]float64, g.NumEvents())
-	for _, ev := range g.RepetitiveEvents() {
-		best := 0.0
-		for p := 0; p <= e.periods; p++ {
-			if t, ok := tr.Time(ev, p); ok {
-				if v := t - lam*float64(p); v > best {
-					best = v
-				}
-			}
-		}
-		seed[ev] = best
-	}
-	u, err := mcr.FeasiblePotentialSeeded(g, lam, seed)
+	u, err := mcr.FeasiblePotentialSeeded(at.g, lam, seed)
 	if err != nil {
 		return nil, fmt.Errorf("cycletime: certifying slacks at λ=%g: %w", lam, err)
 	}
-	return slacksFromPotential(g, lam, u), nil
+	return slacksFromPotential(at.g, lam, u), nil
 }
 
 // fastAnswer reports (λ, true) when the certificate proves the
@@ -1346,49 +1294,6 @@ func DedupeCycles(cycs []*CriticalCycle) []CriticalCycle {
 	return out
 }
 
-// pass1Analysis runs pass 1 of the session analysis (Prop. 7): the b
-// event-initiated simulations and their distance series, yielding λ.
-// With retain set the simulations are kept as the session's committed
-// traces, which later post-commit analyses patch in place; the lazy
-// pass 2 re-simulates only the λ winners when critical cycles are
-// actually requested. Without retain it is pass1At at the session's
-// delays. Callers hold the session lock.
-func (e *Engine) pass1Analysis(ctx context.Context, retain bool) (*Result, error) {
-	if !retain {
-		return e.pass1At(ctx, nil)
-	}
-	// Retaining sessions never window: incremental patching needs the
-	// materialised slabs.
-	e.counters.analyses.Add(1)
-	e.counters.slabP1.Add(1)
-	sp := e.pass1Span(ctx, tierSlab)
-	defer sp.End()
-	cut := e.cut
-	simErrs := make([]error, len(cut))
-	traces := make([]*timesim.Trace, len(cut))
-	runIndexed(len(cut), e.poolSize(len(cut), 1), func(i int) {
-		traces[i], simErrs[i] = e.sched.RunFrom(cut[i], timesim.Options{Periods: e.periods + 1})
-	})
-	release := func() {
-		for _, tr := range traces {
-			if tr != nil {
-				tr.Release()
-			}
-		}
-	}
-	if err := e.simErr(simErrs); err != nil {
-		release()
-		return nil, err
-	}
-	res, err := e.resultFromTraces(traces)
-	if err != nil {
-		release()
-		return nil, err
-	}
-	e.simTraces = traces
-	return res, nil
-}
-
 // originLanes is the most origins one walk carries as origin lanes
 // (timesim.RunFromOrigins). Four lanes halve pass 1 on the batch
 // graphs against scalar windows, in the 3.2 MB a 10^5-event graph's
@@ -1421,6 +1326,13 @@ func (w *laneWorker) series(chunk []sg.EventID, P int, out []float64) []timesim.
 	return w.reads
 }
 
+// chunk returns chunk i of origins: origins[i·originLanes:], at most
+// originLanes of them.
+func chunk(origins []sg.EventID, i int) []sg.EventID {
+	lo := i * originLanes
+	return origins[lo:min(lo+originLanes, len(origins))]
+}
+
 // runLanes is the engine's one origin-lane chunk runner: origins in
 // chunks of up to originLanes, each chunk once per repetition, as
 // reps × chunks walks (timesim.RunFromOrigins) on the bounded worker
@@ -1442,8 +1354,7 @@ func (e *Engine) runLanes(ctx context.Context, origins []sg.EventID, reps int,
 		if errs[wi] = ctx.Err(); errs[wi] != nil {
 			return
 		}
-		lo := i % chunks * originLanes
-		j := laneJob{rep: i / chunks, lo: lo, chunk: origins[lo:min(lo+originLanes, len(origins))]}
+		j := laneJob{rep: i / chunks, lo: i % chunks * originLanes, chunk: chunk(origins, i%chunks)}
 		w := &ws[wi]
 		cols, reads := setup(w, j)
 		if err := e.sched.RunFromOrigins(j.chunk, cols, e.periods, reads); err != nil {
@@ -1496,29 +1407,6 @@ func (e *Engine) pass1Span(ctx context.Context, tier obs.Name) *obs.Span {
 	sp.AnnotateN(keyCut, uint64(len(e.cut)))
 	sp.AnnotateN(keyPeriods, uint64(e.periods))
 	return sp
-}
-
-// simErr wraps the first failed pass-1 simulation, or returns nil.
-func (e *Engine) simErr(errs []error) error {
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("cycletime: simulating from %q: %w", e.g.Event(e.cut[i]).Name, err)
-		}
-	}
-	return nil
-}
-
-// resultFromTraces assembles the pass-1 Result from committed
-// cut-event traces without simulating: series extraction plus λ. The
-// traces are bit-identical to what a from-scratch pass 1 would
-// simulate, so the Result is too.
-func (e *Engine) resultFromTraces(traces []*timesim.Trace) (*Result, error) {
-	series := make([]BorderSeries, len(e.cut))
-	distSlab := make([]float64, len(e.cut)*e.periods)
-	for i, ev := range e.cut {
-		series[i] = extractSeries(traces[i], ev, e.periods, distSlab[i*e.periods:(i+1)*e.periods:(i+1)*e.periods])
-	}
-	return e.assembleSeries(series)
 }
 
 // assembleSeries folds the per-cut-event series into a pass-1 Result.

@@ -62,8 +62,8 @@ func windowFixtures(t *testing.T) map[string]*sg.Graph {
 }
 
 // retainingEngine returns a session that has committed an edit (and
-// reverted it), so its analyses run pass 1 on full trace slabs and
-// retain them for incremental patching — the only slab pass 1 left.
+// reverted it), so its analyses run pass 1 on lane traces that keep
+// every period's row, retained for incremental patching.
 func retainingEngine(t *testing.T, g *sg.Graph) *cycletime.Engine {
 	t.Helper()
 	e, err := cycletime.NewEngine(g)
@@ -122,8 +122,8 @@ func diffReference(t *testing.T, g *sg.Graph, res *cycletime.Result) {
 }
 
 // TestAnalyzeWindowedMatchesSlab runs a fresh session (pass 1 on the
-// rolling window) against a retaining session (pass 1 on full trace
-// slabs) and requires the full Result — λ, series distances bit for
+// rolling window) against a retaining session (pass 1 on retained lane
+// traces) and requires the full Result — λ, series distances bit for
 // bit, and critical cycles — to be identical, and the series to match
 // the reference kernel.
 func TestAnalyzeWindowedMatchesSlab(t *testing.T) {
@@ -144,7 +144,7 @@ func TestAnalyzeWindowedMatchesSlab(t *testing.T) {
 // TestAnalyzeFreshSessionWindows pins the kernel choice on the
 // benchmark's stack-66 graph: a fresh session's first analysis runs
 // pass 1 on the window, whatever the graph size, and only a session
-// that has committed an edit runs it on slabs. The one-shot
+// that has committed an edit retains lane traces. The one-shot
 // AnalyzeOpts path (also windowed) agrees bit for bit.
 func TestAnalyzeFreshSessionWindows(t *testing.T) {
 	g, err := gen.Stack(31)
@@ -165,8 +165,8 @@ func TestAnalyzeFreshSessionWindows(t *testing.T) {
 }
 
 // TestEngineWindowedSizeHint pins that a fresh (windowed) engine
-// advertises a smaller footprint than a retaining (slab) engine on a
-// graph big enough for the slab to dominate, and that both answer the
+// advertises a smaller footprint than a retaining (lane-trace) engine
+// on a graph big enough for the traces to dominate, and that both answer the
 // same.
 func TestEngineWindowedSizeHint(t *testing.T) {
 	g, err := gen.PipeGridSized(20000, 8, 4, 77)

@@ -31,9 +31,10 @@ import (
 //
 // At width 1 a BatchDelays is also the private delay column of every
 // run at delays other than the schedule's own: the scalar window
-// (RunFromBatch), slab traces (RunWith) and the origin lanes
-// (RunFromOrigins), which the engine's what-if decreases, bounds and
-// Monte-Carlo support bound run.
+// (RunFromBatch), slab traces (RunWith), the origin lanes
+// (RunFromOrigins) and the plain window (RunPlainWindow), which the
+// engine's what-if decreases, bounds, Monte-Carlo support bound and
+// per-sample slack certificates run.
 
 // BatchDelays is a private set of delay columns, S lanes per record of
 // each record class, laid out record-major ([record*S + lane]) so the

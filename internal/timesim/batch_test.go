@@ -289,9 +289,12 @@ func BenchmarkRunFromBatch(b *testing.B) {
 // refuses (a plain arc from a non-repetitive event), which the
 // schedule still runs, and the only one in which a non-repetitive
 // event feeds period 1 and sits in the carry row of a lane window.
-func fuzzGraph(seed int64) (*sg.Graph, error) {
+func fuzzGraph(seed int64) (*sg.Graph, error) { return fuzzGraphSized(seed, 0) }
+
+// fuzzGraphSized is fuzzGraph with extra more core events.
+func fuzzGraphSized(seed int64, extra int) (*sg.Graph, error) {
 	rng := rand.New(rand.NewSource(seed))
-	n := 2 + rng.Intn(9)
+	n := 2 + rng.Intn(9) + extra
 	core, err := gen.RandomLive(rng, gen.RandomOptions{
 		Events: n, Border: 1 + rng.Intn(min(3, n)), ExtraArcs: rng.Intn(n), MaxDelay: 9,
 	})

@@ -56,6 +56,19 @@ func (s *Schedule) RunFromOrigins(origins []sg.EventID, d *BatchDelays, periods 
 	if d != nil && d.s != 1 {
 		return fmt.Errorf("timesim: origin lanes run at one delay column, got %d", d.s)
 	}
+	if err := s.checkReads(reads, W, periods); err != nil {
+		return err
+	}
+	return s.lanes(origins, d, periods, func(p int, rw rows) {
+		for _, r := range reads {
+			r.Out[p] = s.time(&rw, r.Event, p, r.Lane)
+		}
+	})
+}
+
+// checkReads validates reads against a run of W lanes over periods
+// 0..periods.
+func (s *Schedule) checkReads(reads []Read, W, periods int) error {
 	for _, r := range reads {
 		if r.Lane < 0 || r.Lane >= W {
 			return fmt.Errorf("timesim: read lane %d of %d", r.Lane, W)
@@ -67,11 +80,7 @@ func (s *Schedule) RunFromOrigins(origins []sg.EventID, d *BatchDelays, periods 
 			return fmt.Errorf("timesim: read output has %d entries, need %d", len(r.Out), periods+1)
 		}
 	}
-	return s.lanes(origins, d, periods, func(p int, rw rows) {
-		for _, r := range reads {
-			r.Out[p] = s.time(&rw, r.Event, p, r.Lane)
-		}
-	})
+	return nil
 }
 
 // lanes is the one runner of origin lanes: the simulations from
@@ -81,41 +90,47 @@ func (s *Schedule) RunFromOrigins(origins []sg.EventID, d *BatchDelays, periods 
 func (s *Schedule) lanes(origins []sg.EventID, d *BatchDelays, periods int, read func(p int, rw rows)) error {
 	if len(origins) == 1 {
 		return s.roll(origins, periods, 1, d, func(p int, c *class, rw rows) {
-			c.walk(0, len(c.order), &rw)
+			c.walk(&rw)
 			read(p, rw)
 		})
 	}
 	return s.roll(origins, periods, len(origins), d, func(p int, c *class, rw rows) {
-		pins := origins
-		if p > 0 {
-			pins = nil
-		}
-		c.walkOrigins(&rw, pins, s.carry)
+		c.walkOrigins(&rw, pinned(origins, p), s.carry, 0, len(c.order))
 		read(p, rw)
 	})
 }
 
+// pinned returns the origins walkOrigins pins in period p: all of them
+// in period 0, none after.
+func pinned(origins []sg.EventID, p int) []sg.EventID {
+	if p > 0 {
+		return nil
+	}
+	return origins
+}
+
 // walkOrigins is walk over the rw.width origin lanes of the one-row
-// window at one delay per record: each instantiation starts at −∞ in
-// every lane, every record raises lane l to source + delay where that
-// is larger — an unmarked record's source read from the row, a marked
-// one's from its carry slot (carry[src] slots behind the row) — and in
-// period 0 (pins non-nil) lane l of pins[l] is then set to 0. A lane
+// window at one delay per record, at the positions [lo,hi) of the
+// class's order view: each instantiation starts at −∞ in every lane,
+// every record raises lane l to source + delay where that is larger —
+// an unmarked record's source read from the row, a marked one's from
+// its carry slot (carry[src] slots behind the row) — and in period 0
+// (pins non-nil) lane l of pins[l] is then set to 0. A lane
 // that no live record reaches stays −∞, walk's unreached. The width
 // the engine chunks pass 1 into has an unrolled case, which keeps the
 // lanes in registers.
-func (c *class) walkOrigins(rw *rows, pins []sg.EventID, carry []int32) {
+func (c *class) walkOrigins(rw *rows, pins []sg.EventID, carry []int32, lo, hi int) {
 	times, del, W := rw.times, rw.del, rw.width
-	off, src, mark := c.off, c.src, c.mark
+	off, src, mark := c.off[lo:], c.src, c.mark
 	n := len(carry)
 	ninf := math.Inf(-1)
-	for idx, f := range c.order {
+	for idx, f := range c.order[lo:hi] {
 		fi := int(f) * W
-		lo, hi := off[idx], off[idx+1]
+		rlo, rhi := off[idx], off[idx+1]
 		switch W {
 		case 4:
 			a0, a1, a2, a3 := ninf, ninf, ninf, ninf
-			for r := lo; r < hi; r++ {
+			for r := rlo; r < rhi; r++ {
 				sl := int(src[r])
 				if mark[r] != 0 {
 					sl = n + int(carry[sl])
@@ -141,7 +156,7 @@ func (c *class) walkOrigins(rw *rows, pins []sg.EventID, carry []int32) {
 			for l := range dst {
 				dst[l] = ninf
 			}
-			for r := lo; r < hi; r++ {
+			for r := rlo; r < rhi; r++ {
 				sl := int(src[r])
 				if mark[r] != 0 {
 					sl = n + int(carry[sl])

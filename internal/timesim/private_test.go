@@ -64,23 +64,13 @@ func TestRunWithPrivateColumns(t *testing.T) {
 	}
 }
 
-// TestPatchRejectsPrivateColumns: Patch brings a trace up to the
-// schedule's own columns, so it refuses a trace simulated at private
-// ones instead of mixing the two.
-func TestPatchRejectsPrivateColumns(t *testing.T) {
+// TestRunWithRejectsWideColumns: a trace runs at one delay column, so
+// RunWith refuses a set of two.
+func TestRunWithRejectsWideColumns(t *testing.T) {
 	g := fixtures(t)["oscillator"]
 	sched, err := timesim.Compile(g)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
-	}
-	cols := sched.NewBatchDelays(1)
-	cols.SetArc(sched, 0, 0, g.Arc(0).Delay+1)
-	tr, err := sched.RunWith(g.BorderEvents()[0], cols, timesim.Options{Periods: 3})
-	if err != nil {
-		t.Fatalf("RunWith: %v", err)
-	}
-	if _, err := sched.Patch(tr, []int{0}); err == nil {
-		t.Fatal("Patch accepted a trace simulated at private delay columns")
 	}
 	if _, err := sched.RunWith(0, sched.NewBatchDelays(2), timesim.Options{Periods: 3}); err == nil {
 		t.Fatal("RunWith accepted a two-lane column set")

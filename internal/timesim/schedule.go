@@ -250,11 +250,11 @@ func (s *Schedule) Graph() *sg.Graph { return s.g }
 // schedule's own arrays — the three per-class record tables, their
 // offset and inverse columns, the order views and the row template —
 // excluding the graph, which the schedule shares with its compiler,
-// and excluding pooled working memory, whose size depends on the
-// simulation shape — full slabs scale with the period count
-// (SlabBytes), windows with n and the lane count alone (WindowBytes,
-// LaneWindowBytes). The session layer accounts for whichever
-// layout it runs; see cycletime.Engine.SizeHint.
+// and excluding working memory, whose size depends on the simulation
+// shape — slabs and lane traces scale with the period count, windows
+// with n and the lane count alone (WindowBytes, LaneWindowBytes). The
+// session layer accounts for what it retains; see
+// cycletime.Engine.SizeHint.
 func (s *Schedule) MemEstimate() int64 {
 	var sz int64
 	for _, c := range s.classes() {
@@ -305,7 +305,7 @@ func (s *Schedule) RunFrom(origin sg.EventID, opts Options) (*Trace, error) {
 
 // RunWith is RunFrom (Run for origin sg.None) at the width-1 private
 // delay columns d, or the schedule's own for nil d. Parent rescans d,
-// so d must not change while the trace is in use; Patch refuses it.
+// so d must not change while the trace is in use.
 func (s *Schedule) RunWith(origin sg.EventID, d *BatchDelays, opts Options) (*Trace, error) {
 	if origin != sg.None && (origin < 0 || int(origin) >= s.n) {
 		return nil, fmt.Errorf("timesim: origin event %d out of range", origin)
@@ -342,21 +342,14 @@ func (s *Schedule) run(origin sg.EventID, d *BatchDelays, opts Options) (*Trace,
 		g: s.g, origin: origin, periods: opts.Periods, n: s.n, order: s.c0.order,
 		times: sl.times, sched: s, slab: sl, cols: d,
 	}
-	s.runPeriods(tr, 0)
-	return tr, nil
-}
-
-// runPeriods evaluates every period of a slab trace from period `from`
-// on, in place, with the straight walk.
-func (s *Schedule) runPeriods(tr *Trace, from int) {
-	for p := from; p < tr.periods; p++ {
-		c := s.class(p)
+	for p := 0; p < tr.periods; p++ {
 		rw := tr.rows(p)
 		if p > 0 {
 			copy(tr.times[rw.cur:rw.cur+s.n], s.rowInit)
 		}
-		c.walk(0, len(c.order), &rw)
+		s.class(p).walk(&rw)
 	}
+	return tr, nil
 }
 
 // column returns the delay column period p's walk reads from d (nil:
@@ -373,7 +366,8 @@ func (s *Schedule) column(d *BatchDelays, p int) []float64 {
 // and lane l of event e sits at row start + e·width + l. A full trace
 // slab lays every period out in turn (back = n, one lane); the rolling
 // window (roll) alternates two rows of one lane, or overwrites one row
-// of several (cur = back = 0) beside a carry row.
+// of several (cur = back = 0) beside a carry row; a lane trace keeps
+// one such row and carry row per period.
 type rows struct {
 	times []float64
 	del   []float64 // the walked class's delay column, width lanes per record
@@ -401,31 +395,29 @@ func (tr *Trace) rows(p int) rows {
 	return rw
 }
 
-// walk is the simulation kernel: it evaluates the instantiations at
-// positions [lo,hi) of the class's order view into rw under the MAX
-// rule, at the delay column rw.del. Each position keeps the maximum
-// over its records, so every
-// kernel built on it — full slab runs, the two-row window, the
-// incremental patch — performs the same float adds and comparisons as
-// the reference kernel.
+// walk is the scalar simulation kernel: it evaluates every
+// instantiation of the class's order view into rw under the MAX rule,
+// at the delay column rw.del. Each position keeps the maximum over its
+// records, so both kernels built on it — full slab runs and the
+// two-row window — perform the same float adds and comparisons as the
+// reference kernel.
 //
 // The initiating instantiation rw.pin is 0 by definition (§IV.B). An
 // instantiation with no live in-record is written as rw.unreached.
 // Delays are never NaN or -Inf (sg validates them), so a live source
 // always beats -Inf and "the max stayed -Inf" is exactly "no record was
 // live".
-func (c *class) walk(lo, hi int, rw *rows) {
+func (c *class) walk(rw *rows) {
 	times, pin, unreached := rw.times, rw.pin, rw.unreached
 	cur, back := rw.cur, rw.back
 	off, src, del, mark := c.off, c.src, rw.del, c.mark
-	for idx := lo; idx < hi; idx++ {
+	for idx, f := range c.order {
 		best := math.Inf(-1)
 		for r := off[idx]; r < off[idx+1]; r++ {
 			if v := times[cur-int(mark[r])*back+int(src[r])] + del[r]; v > best {
 				best = v
 			}
 		}
-		f := c.order[idx]
 		switch {
 		case f == pin:
 			best = 0

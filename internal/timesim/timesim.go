@@ -17,22 +17,34 @@
 // backtracking of §VI.B (Prop. 1) walks are derived from them on
 // demand (Trace.Parent), never stored.
 //
-// Two kernels produce traces. Run and RunFrom go through a compiled
-// Schedule (see Compile): the graph's in-arcs are specialised per
-// unfolding period into flat record arrays, so the inner loop is a
-// linear scan with no existence tests, and the b simulations of one
-// cycle-time analysis share the compiled form and a slab pool. One
-// walk over those records evaluates every scalar simulation — full
-// trace slabs, the two-row window of RunFromWindow and the in-place
-// re-evaluation of Patch — so they agree by construction. Simulations
-// that keep no trace run on one driver, the rolling window (roll,
-// window.go): one lane on two rows, and every wider walk on one row
-// plus a carry row — the origin lanes of RunFromOrigins (origins.go),
-// which give the engine's pass 1 and what-if rows up to four origins
-// per walk, and the Monte-Carlo sample lanes of RunFromBatch
-// (batch.go). Reachedness rides in the times (−∞): it is the same in
-// every sample lane, because no delay is −∞ or NaN, and differs
-// between origin lanes, whose walk therefore skips no record.
+// Every entry point runs on a compiled Schedule (see Compile): the
+// graph's in-arcs are specialised per unfolding period into flat
+// record arrays, so the inner loop is a linear scan with no existence
+// tests, and the simulations of one cycle-time analysis share the
+// compiled form. Two record walks serve them:
+//
+//   - the scalar walk (class.walk), one simulation at a time: Run,
+//     RunFrom and RunWith keep every period in a trace slab (pass 2
+//     backtracks through one, deriving parents); RunFromWindow and
+//     RunPlainWindow (the slack certificate's seed) keep two rows;
+//   - the origin-lane walk (class.walkOrigins), several event-
+//     initiated simulations per record load, one lane per origin (the
+//     engine runs four):
+//     RunFromOrigins keeps one row plus a carry row of the sources of
+//     marked records (the engine's pass 1, its what-if rows and
+//     decreases), RunLaneTrace keeps every period's row and carry row
+//     (the pass 1 of a session that edits its delays), and Patch
+//     re-walks the dirty cone of such a lane trace in place
+//     (incremental.go).
+//
+// The Monte-Carlo kernel RunFromBatch (batch.go) walks one lane per
+// delay sample (class.walkLanes) on the same one-row layout. Every
+// trace-less run goes through one period driver, the rolling window
+// (roll, window.go). Reachedness rides in the times (−∞): it is the
+// same in every sample lane, because no delay is −∞ or NaN, and
+// differs between origin lanes, whose walk therefore skips no record.
+// All walks perform the reference kernel's float adds and comparisons
+// in the same record order, so their times are bit-identical.
 // ReferenceRun and ReferenceRunFrom walk the graph's adjacency lists
 // directly; they are retained as the executable specification the
 // compiled kernel is differentially tested against.

@@ -14,25 +14,29 @@ import (
 // lane suffices regardless of the period count. One lane alternates
 // two rows; more lanes share one row, overwritten in place each
 // period, and a carry row of the sources of marked records
-// (origins.go). Three entry points run on it:
+// (origins.go). Four entry points run on it:
 //
 //   - RunFromOrigins (origins.go): one lane per origin at one delay
-//     column, reading back any event of any lane in every period. The
-//     engine's pass 1 (the series of Prop. 7) and its what-if rows
-//     run it, up to four origins per walk;
+//     column, reading back any event of any lane in every period. A
+//     fresh session's pass 1 (the series of Prop. 7) and the what-if
+//     rows run it, up to four origins per walk;
 //   - RunFromWindow, one origin's own times on the scalar walk. It
 //     shares its runner (lanes) with a single origin of
 //     RunFromOrigins; RunFromBatch at width 1 runs it too;
 //   - RunFromBatch (batch.go): one lane per delay sample of a
-//     BatchDelays — the Monte-Carlo kernel.
+//     BatchDelays — the Monte-Carlo kernel;
+//   - RunPlainWindow, the plain simulation t of §IV.A on the scalar
+//     walk, handing each period's row to a visitor: the seed of the
+//     engine's slack certificate.
 //
 // They differ only in the record walk (class.walk; walkOrigins, which
 // pins each lane's own origin; walkLanes) and in what they read back.
-// Results are bit-identical to RunFrom + Trace.Time/Reached: every
+// Results are bit-identical to Run/RunFrom + Trace.Time/Reached: every
 // walk performs the same float adds and comparisons in the same record
 // order; only the row storage differs. Pass 2, which backtracks
 // through every period, re-simulates its few λ-winning origins with
-// full traces.
+// full traces; a session that patches its pass 1 keeps every row of
+// its origin lanes (LaneTrace, incremental.go).
 
 // window is the pooled working set of one windowed simulation: two
 // rows back to back, or one row and the carry row. Like a slab, an
@@ -64,25 +68,8 @@ func (s *Schedule) LaneWindowBytes(lanes int) int64 {
 	return int64(s.n+len(s.carried)) * int64(lanes) * 8
 }
 
-// SlabBytes returns the approximate heap bytes of one pooled full
-// trace slab for the given period count: 8 B of time per
-// instantiation, the whole of a trace. This is the quantity the
-// windowed kernel avoids.
-func (s *Schedule) SlabBytes(periods int) int64 {
-	return int64(periods) * int64(s.n) * 8
-}
-
-// roll is the period driver of the rolling window. It validates the
-// run, draws a window of width lanes per event from the pool, and
-// evaluates the event-initiated simulations from origins over periods
-// 0..periods at the delay columns d (nil: the schedule's own). Width
-// 1 alternates two rows; a wider window is one row and the carry row,
-// which roll refills before every period after the first. origins
-// holds one origin, which roll pins in every lane (rw.pin), or one per
-// lane, which walkOrigins pins itself. For each period, step(p, c, rw)
-// walks class c into rw and reads what it needs; rw.cur is the start
-// of period p's row and rw.del the period's delay column.
-func (s *Schedule) roll(origins []sg.EventID, periods, width int, d *BatchDelays, step func(p int, c *class, rw rows)) error {
+// checkRun validates the origins and period count of a run.
+func (s *Schedule) checkRun(origins []sg.EventID, periods int) error {
 	for _, o := range origins {
 		if o < 0 || int(o) >= s.n {
 			return fmt.Errorf("timesim: origin event %d out of range", o)
@@ -91,20 +78,41 @@ func (s *Schedule) roll(origins []sg.EventID, periods, width int, d *BatchDelays
 	if periods < 1 {
 		return fmt.Errorf("timesim: periods must be >= 1, got %d", periods)
 	}
+	return nil
+}
+
+// roll is the period driver of the rolling window. It validates the
+// run, draws a window of width lanes per event from the pool, and
+// evaluates the simulations from origins over periods 0..periods at
+// the delay columns d (nil: the schedule's own). Width 1 alternates
+// two rows; a wider window is one row and the carry row, which roll
+// refills before every period after the first. origins holds no
+// origin (the plain simulation, where an unreached instantiation is
+// 0), one origin, which roll pins in every lane (rw.pin), or one per
+// lane, which walkOrigins pins itself. For each period, step(p, c, rw)
+// walks class c into rw and reads what it needs; rw.cur is the start
+// of period p's row and rw.del the period's delay column.
+func (s *Schedule) roll(origins []sg.EventID, periods, width int, d *BatchDelays, step func(p int, c *class, rw rows)) error {
+	if err := s.checkRun(origins, periods); err != nil {
+		return err
+	}
 	stride, need := s.n, 2*s.n // where the second row starts
 	if width > 1 {
 		stride, need = 0, (s.n+len(s.carried))*width
 	}
 	w := s.acquireWindow(need)
 	rw := rows{times: w.times, del: s.column(d, 0), width: width, pin: sg.None, unreached: math.Inf(-1)}
-	if len(origins) == 1 {
+	switch len(origins) {
+	case 0:
+		rw.unreached = 0
+	case 1:
 		rw.pin = origins[0]
 	}
 	step(0, &s.c0, rw)
 	rw.pin = sg.None
 	for p := 1; p <= periods; p++ {
 		if width > 1 {
-			s.fillCarry(w.times, width)
+			s.fillCarry(w.times, w.times, width)
 		}
 		prev := rw.cur
 		rw.cur = stride - prev
@@ -116,16 +124,17 @@ func (s *Schedule) roll(origins []sg.EventID, periods, width int, d *BatchDelays
 	return nil
 }
 
-// fillCarry copies the W lanes of every carried event from the row of
-// times into its carry slot, for the next period's marked records.
-func (s *Schedule) fillCarry(times []float64, W int) {
-	carry := times[s.n*W:]
+// fillCarry copies the W lanes of every carried event from the row src
+// into its carry slot behind the row dst, for the marked records of
+// dst's period. The rolling window passes its one row as both.
+func (s *Schedule) fillCarry(src, dst []float64, W int) {
+	carry := dst[s.n*W:]
 	for k, e := range s.carried {
 		if W == 4 {
-			*(*[4]float64)(carry[k*4:]) = *(*[4]float64)(times[int(e)*4:])
+			*(*[4]float64)(carry[k*4:]) = *(*[4]float64)(src[int(e)*4:])
 			continue
 		}
-		copy(carry[k*W:(k+1)*W], times[int(e)*W:])
+		copy(carry[k*W:(k+1)*W], src[int(e)*W:])
 	}
 }
 
@@ -163,5 +172,21 @@ func (s *Schedule) window(origin sg.EventID, periods int, out []float64, d *Batc
 		if p > 0 {
 			out[p-1] = s.time(&rw, origin, p, 0)
 		}
+	})
+}
+
+// RunPlainWindow executes the plain simulation t of §IV.A over periods
+// 0..periods on the two-row window at the width-1 delay columns d (nil:
+// the schedule's own), calling visit(p, row) once period p is walked:
+// row[e] is t(e_p) for every event with an instantiation in period p —
+// every event in period 0, the repetitive ones after it; other slots
+// hold stale values. The times are bit-identical to a Run trace's.
+func (s *Schedule) RunPlainWindow(d *BatchDelays, periods int, visit func(p int, row []float64)) error {
+	if d != nil && d.s != 1 {
+		return fmt.Errorf("timesim: a plain window runs at one delay column, got %d", d.s)
+	}
+	return s.roll(nil, periods, 1, d, func(p int, c *class, rw rows) {
+		c.walk(&rw)
+		visit(p, rw.times[rw.cur:rw.cur+s.n])
 	})
 }

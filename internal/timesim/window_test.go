@@ -144,9 +144,6 @@ func TestWindowBytesBounded(t *testing.T) {
 	if got, want := s.WindowBytes(), n*2*8; got != want {
 		t.Fatalf("WindowBytes = %d, want %d", got, want)
 	}
-	if s.SlabBytes(1000) <= 100*s.WindowBytes() {
-		t.Fatalf("SlabBytes(1000) = %d not >> WindowBytes = %d", s.SlabBytes(1000), s.WindowBytes())
-	}
 	// The pooled window is reused: steady-state allocations of a
 	// windowed run stay tiny (no slab, no per-period growth).
 	out := make([]float64, 600)
@@ -213,6 +210,61 @@ func BenchmarkRunFromWindow(b *testing.B) {
 					}
 					tr.Release()
 				}
+			}
+		})
+	}
+}
+
+// TestRunPlainWindowMatchesRun: the plain simulation on the two-row
+// window hands the visitor every period's times bit-identical to a
+// Run trace — every event in period 0, the repetitive ones after —
+// at the schedule's own columns and at a private width-1 set with
+// zero, fractional and +Inf delays.
+func TestRunPlainWindowMatchesRun(t *testing.T) {
+	for name, g := range fixtures(t) {
+		t.Run(name, func(t *testing.T) {
+			s, err := timesim.Compile(g)
+			if err != nil {
+				t.Fatalf("Compile: %v", err)
+			}
+			cols := s.NewBatchDelays(1)
+			delays := make([]float64, g.NumArcs())
+			for a := range delays {
+				delays[a] = []float64{0, 2.5, math.Inf(1), float64(a % 7)}[a%4]
+			}
+			cols.Set(s, 0, delays)
+			periods := len(g.BorderEvents()) + 2
+			for _, d := range []*timesim.BatchDelays{nil, cols} {
+				tr, err := s.RunWith(sg.None, d, timesim.Options{Periods: periods + 1})
+				if err != nil {
+					t.Fatalf("RunWith: %v", err)
+				}
+				visited := 0
+				err = s.RunPlainWindow(d, periods, func(p int, row []float64) {
+					if p != visited {
+						t.Fatalf("visited period %d, want %d", p, visited)
+					}
+					visited++
+					for e := range row {
+						want, ok := tr.Time(sg.EventID(e), p)
+						if ok && math.Float64bits(row[e]) != math.Float64bits(want) {
+							t.Fatalf("t(%s_%d): window %v, trace %v", g.Event(sg.EventID(e)).Name, p, row[e], want)
+						}
+					}
+				})
+				if err != nil {
+					t.Fatalf("RunPlainWindow: %v", err)
+				}
+				if visited != periods+1 {
+					t.Fatalf("visited %d periods, want %d", visited, periods+1)
+				}
+				tr.Release()
+			}
+			if err := s.RunPlainWindow(s.NewBatchDelays(2), periods, func(int, []float64) {}); err == nil {
+				t.Fatal("RunPlainWindow accepted a two-lane column set")
+			}
+			if err := s.RunPlainWindow(nil, 0, func(int, []float64) {}); err == nil {
+				t.Fatal("RunPlainWindow accepted zero periods")
 			}
 		})
 	}
