@@ -247,6 +247,12 @@ func TestLongLineIsParseError(t *testing.T) {
 	diffReaders(t, []byte(long))
 	// The same limit without a final newline, and in the other readers.
 	diffReaders(t, []byte(long[:len(long)-len("\narc a b 1\n")]))
+	// A line of tokens at the limit, one byte past it, and past it
+	// without a final newline: the tokenizer stops at the limit.
+	name := strings.Repeat("n", maxLine-1-len("event "))
+	for _, tail := range []string{"\n", "n\n", "n", " \t", "n # c\n"} {
+		diffReaders(t, []byte(head+"event "+name+tail))
+	}
 	for name, read := range map[string]func(string) error{
 		"ReadG":   func(s string) error { _, err := ReadG(strings.NewReader(s)); return err },
 		"ReadCKT": func(s string) error { _, err := ReadCKT(strings.NewReader(s)); return err },
@@ -282,6 +288,91 @@ func TestReaderMemoryFollowsGraph(t *testing.T) {
 	}
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*len(in)+64<<10); got > limit {
 		t.Fatalf("reading a 2-arc graph in %d bytes of text allocated %d bytes, want at most %d", len(in), got, limit)
+	}
+}
+
+// TestReaderHeapFollowsNames: the graph keeps the bytes of its event
+// names, not those of the lines they came on. Each event line of the
+// input carries a 1 KiB trailing comment; once the graph is read and a
+// collection has run, the heap it holds must be a small multiple of
+// its events, arcs and name bytes, far below the input's size.
+func TestReaderHeapFollowsNames(t *testing.T) {
+	const events = 2000
+	comment := " # " + strings.Repeat("event arc ", 100) + "\n"
+	var src strings.Builder
+	src.WriteString("tsg comments\n")
+	nameBytes := 0
+	for i := 0; i < events; i++ {
+		name := "e" + strconv.Itoa(i)
+		nameBytes += len(name)
+		src.WriteString("event " + name + comment)
+	}
+	for i := 0; i < events; i++ {
+		mark := ""
+		if i == events-1 {
+			mark = " marked"
+		}
+		src.WriteString("arc e" + strconv.Itoa(i) + " e" + strconv.Itoa((i+1)%events) + " 1" + mark + "\n")
+	}
+	in := []byte(src.String())
+	g, err := ReadTSG(bytes.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live, dead runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&live)
+	n, m := g.NumEvents(), g.NumArcs()
+	g = nil
+	runtime.GC()
+	runtime.ReadMemStats(&dead)
+	held := int64(live.HeapAlloc) - int64(dead.HeapAlloc)
+	// Per event and per arc the graph holds its record, CSR entries,
+	// name index slots and order entries: under 128 bytes.
+	limit := int64(128*(n+m) + 2*nameBytes + 64<<10)
+	if held > limit {
+		t.Fatalf("a graph of %d events (%d name bytes) read from %d bytes of text holds %d heap bytes, want at most %d",
+			n, nameBytes, len(in), held, limit)
+	}
+	if limit > int64(len(in))/2 {
+		t.Fatalf("limit %d does not separate the names from the %d bytes of text", limit, len(in))
+	}
+}
+
+// TestReadTSGAllocsPerGraph: reading a graph allocates a bounded number
+// of objects, whatever its number of events: no string per name, no
+// object per line. The bound holds for random-2000 and for a pipegrid
+// of 10⁴ events alike.
+func TestReadTSGAllocsPerGraph(t *testing.T) {
+	const limit = 64
+	for _, c := range []struct {
+		name  string
+		build func() (*sg.Graph, error)
+	}{
+		{"random2000", func() (*sg.Graph, error) {
+			return gen.RandomLive(rand.New(rand.NewSource(1)),
+				gen.RandomOptions{Events: 2000, Border: 8, ExtraArcs: 2000, MaxDelay: 16})
+		}},
+		{"pipegrid1e4", func() (*sg.Graph, error) { return gen.PipeGridSized(10_000, 16, 4, 1) }},
+	} {
+		g, err := c.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteTSG(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		text := buf.Bytes()
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := ReadTSG(bytes.NewReader(text)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > limit {
+			t.Errorf("%s: ReadTSG allocated %.0f times for %d events and %d arcs, want at most %d",
+				c.name, allocs, g.NumEvents(), g.NumArcs(), limit)
+		}
 	}
 }
 

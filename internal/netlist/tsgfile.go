@@ -10,9 +10,10 @@
 package netlist
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -136,47 +137,44 @@ func readTSG(r io.Reader) (*sg.DenseBuilder, []arcAnn, error) {
 	var anns []arcAnn
 	arcs := 0
 	for lx.scan() {
-		fields, line := lx.fields, lx.line
-		if len(fields) == 0 {
+		n, line := len(lx.fields), lx.line
+		if n == 0 {
 			continue
 		}
-		if d := string(fields[0]); b == nil && (d == "event" || d == "arc") {
-			return nil, nil, errf(line, "%s before tsg header", d)
+		dir := lx.field(0)
+		if b == nil && (string(dir) == "event" || string(dir) == "arc") {
+			return nil, nil, errf(line, "%s before tsg header", dir)
 		}
-		switch string(fields[0]) {
+		switch string(dir) {
 		case "tsg":
 			if b != nil {
 				return nil, nil, errf(line, "duplicate tsg header")
 			}
-			if len(fields) != 2 {
+			if n != 2 {
 				return nil, nil, errf(line, "usage: tsg <name>")
 			}
-			events, arcs := directiveLines(lx.rest)
-			b = sg.NewDenseBuilder(string(fields[1]), events, arcs)
+			events, arcs := directiveLines(lx.input[lx.pos:])
+			b = sg.NewDenseBuilder(string(lx.field(1)), events, arcs)
 		case "event":
-			if len(fields) < 2 || len(fields) > 3 {
+			if n < 2 || n > 3 {
 				return nil, nil, errf(line, "usage: event <name> [nonrepetitive]")
 			}
-			if len(fields) == 3 {
-				if string(fields[2]) != "nonrepetitive" {
-					return nil, nil, errf(line, "unknown event attribute %q", fields[2])
-				}
-				b.AddNonRepetitiveEvent(string(fields[1]))
-			} else {
-				b.AddEvent(string(fields[1]))
+			if n == 3 && string(lx.field(2)) != "nonrepetitive" {
+				return nil, nil, errf(line, "unknown event attribute %q", lx.field(2))
 			}
+			b.AddEventBytes(lx.field(1), n == 2)
 		case "arc":
-			if len(fields) < 4 {
+			if n < 4 {
 				return nil, nil, errf(line, "usage: arc <from> <to> <delay> [marked] [once] [~dist] [@group]")
 			}
-			delay, err := strconv.ParseFloat(string(fields[3]), 64)
+			delay, err := strconv.ParseFloat(string(lx.field(3)), 64)
 			if err != nil {
-				return nil, nil, errf(line, "bad delay %q: %v", fields[3], err)
+				return nil, nil, errf(line, "bad delay %q: %v", lx.field(3), err)
 			}
 			ann := arcAnn{arc: arcs, line: line}
 			var marked, once bool
-			for _, attr := range fields[4:] {
-				switch {
+			for k := 4; k < n; k++ {
+				switch attr := lx.field(k); {
 				case string(attr) == "marked":
 					marked = true
 				case string(attr) == "once":
@@ -202,13 +200,13 @@ func readTSG(r io.Reader) (*sg.DenseBuilder, []arcAnn, error) {
 					return nil, nil, errf(line, "unknown arc attribute %q", attr)
 				}
 			}
-			b.AddArcNamed(fields[1], fields[2], delay, marked, once)
+			b.AddArcNamed(lx.field(1), lx.field(2), delay, marked, once)
 			if ann.hasDist || ann.group != "" {
 				anns = append(anns, ann)
 			}
 			arcs++
 		default:
-			return nil, nil, errf(line, "unknown directive %q", fields[0])
+			return nil, nil, errf(line, "unknown directive %q", dir)
 		}
 		if err := b.Err(); err != nil {
 			return nil, nil, errf(line, "%v", err)
@@ -227,21 +225,45 @@ func readTSG(r io.Reader) (*sg.DenseBuilder, []arcAnn, error) {
 // with "arc". In an input that parses, each such line adds one event or
 // arc, so the counts never exceed the graph's, whatever its comments
 // and names contain; an indented directive is not counted, and the
-// builder grows past the counts for it.
+// builder grows past the counts for it. The newlines are found eight
+// bytes at a time.
 func directiveLines(text []byte) (events, arcs int) {
-	for len(text) > 0 {
-		if bytes.HasPrefix(text, []byte("event")) {
-			events++
-		} else if bytes.HasPrefix(text, []byte("arc")) {
-			arcs++
+	events, arcs = directive(text)
+	const ones, low7 = 0x0101010101010101, 0x7f7f7f7f7f7f7f7f
+	i := 0
+	for ; i+8 <= len(text); i += 8 {
+		// The top bit of a byte of nl is set where that byte of x is
+		// zero, which is where text has a newline.
+		x := binary.LittleEndian.Uint64(text[i:]) ^ '\n'*ones
+		for nl := ^(x&low7 + low7 | x | low7); nl != 0; nl &= nl - 1 {
+			e, a := directive(text[i+bits.TrailingZeros64(nl)/8+1:])
+			events, arcs = events+e, arcs+a
 		}
-		i := bytes.IndexByte(text, '\n')
-		if i < 0 {
-			break
+	}
+	for ; i < len(text); i++ {
+		if text[i] == '\n' {
+			e, a := directive(text[i+1:])
+			events, arcs = events+e, arcs+a
 		}
-		text = text[i+1:]
 	}
 	return events, arcs
+}
+
+// directive counts a line that starts with "event" or with "arc". It
+// looks at the first byte before comparing the rest.
+func directive(line []byte) (event, arc int) {
+	switch {
+	case len(line) < 3:
+	case line[0] == 'a':
+		if line[1] == 'r' && line[2] == 'c' {
+			return 0, 1
+		}
+	case line[0] == 'e':
+		if len(line) >= 5 && string(line[1:5]) == "vent" {
+			return 1, 0
+		}
+	}
+	return 0, 0
 }
 
 // WriteTSG serialises a graph in the format ReadTSG parses; the output

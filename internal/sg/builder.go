@@ -2,7 +2,6 @@ package sg
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 )
 
@@ -31,13 +30,14 @@ type Builder struct{ d DenseBuilder }
 
 // NewBuilder returns an empty Builder for a graph with the given name.
 func NewBuilder(name string) *Builder {
-	return &Builder{DenseBuilder{name: name, byName: make(map[string]EventID)}}
+	return &Builder{DenseBuilder{name: name, offs: []int32{0}, index: newNameIndex(0)}}
 }
 
 // Event adds an event. Names ending in '+'/'-' are parsed as rising or
 // falling transitions of the prefix signal. Duplicate names are an error.
+// The options see the event before Build names it.
 func (b *Builder) Event(name string, opts ...EventOption) *Builder {
-	if id := b.d.addEvent(name, true); id != None {
+	if id := b.d.AddEvent(name); id != None {
 		for _, o := range opts {
 			o(&b.d.events[id])
 		}
@@ -76,19 +76,24 @@ func (b *Builder) Build() (*Graph, error) { return validated(b.assemble()) }
 // fails on builder-level errors (unknown events, negative delays). It is
 // intended for tests that exercise Validate's failure paths and for tools
 // that want to load a graph in order to report its problems.
-func (b *Builder) BuildUnchecked() (*Graph, error) { return b.assemble() }
-
-func (b *Builder) assemble() (*Graph, error) {
-	if b.d.err != nil {
-		return nil, b.d.err
-	}
-	return assemble(b.d.name, slices.Clone(b.d.events), slices.Clone(b.d.arcs), maps.Clone(b.d.byName)), nil
+func (b *Builder) BuildUnchecked() (*Graph, error) {
+	g, _, err := b.assemble()
+	return g, err
 }
 
-// validated returns the assembled graph if it passes Validate.
-func validated(g *Graph, err error) (*Graph, error) {
+func (b *Builder) assemble() (*Graph, []int32, error) {
+	if b.d.err != nil {
+		return nil, nil, b.d.err
+	}
+	g, work := b.d.assemble(slices.Clone(b.d.events), slices.Clone(b.d.arcs), slices.Clone(b.d.index.slots))
+	return g, work, nil
+}
+
+// validated returns the assembled graph if it passes Validate, which
+// reuses the workspace of its assembly.
+func validated(g *Graph, work []int32, err error) (*Graph, error) {
 	if err == nil {
-		err = g.Validate()
+		err = g.validate(work)
 	}
 	if err != nil {
 		return nil, err
@@ -96,23 +101,58 @@ func validated(g *Graph, err error) (*Graph, error) {
 	return g, nil
 }
 
-// assemble derives a Graph's indexes (CSR adjacency, initial events,
-// repetitive and border sets, period order) from its elements. The
-// Graph takes ownership of all three arguments.
-func assemble(name string, events []Event, arcs []Arc, byName map[string]EventID) *Graph {
-	g := &Graph{name: name, events: events, arcs: arcs, byName: byName}
-	g.buildCSR()
+// assemble makes the Graph of events, arcs and name index slots, which
+// it takes over, under the builder's names: each Event.Name is a
+// substring of one string made of the arena. It derives the Graph's
+// indexes (CSR adjacency, initial events, repetitive and border sets,
+// period order) and returns the workspace the period order ran in, for
+// Validate to reuse.
+func (b *DenseBuilder) assemble(events []Event, arcs []Arc, slots []int32) (*Graph, []int32) {
+	names, nrep := string(b.text), 0
+	for i := range events {
+		ev := &events[i]
+		ev.Name = names[b.offs[i]:b.offs[i+1]]
+		ev.Signal, ev.Dir = splitName(ev.Name)
+		if ev.Repetitive {
+			nrep++
+		}
+	}
+	g := &Graph{name: b.name, events: events, arcs: arcs, index: nameIndex{seed: b.index.seed, slots: slots}}
+	work := make([]int32, 2*len(events)+len(arcs))
+	g.buildCSR(work[2*len(events):])
+	g.repetitive = make([]EventID, 0, nrep)
 	for i := range g.events {
 		ev := &g.events[i]
 		if ev.Repetitive {
 			g.repetitive = append(g.repetitive, EventID(i))
-		} else if len(g.InArcs(EventID(i))) == 0 {
+		} else if g.inOff[i] == g.inOff[i+1] {
 			ev.Initial = true
 		}
 	}
 	g.border = g.computeBorder()
-	g.topo, g.topoErr = g.computePeriodOrder()
-	return g
+	g.topo, g.topoErr = g.computePeriodOrder(work)
+	return g, work
+}
+
+// workspace returns the int32 scratch of the period order and of
+// Validate for g: 2n words for the algorithms, then the target of each
+// out-arc record (outPacked order), complemented when the arc is
+// marked, so that both read their out-arcs from one array.
+func (g *Graph) workspace() []int32 {
+	n := len(g.events)
+	work := make([]int32, 2*n+len(g.arcs))
+	for q, ai := range g.outPacked {
+		work[2*n+q] = outTarget(g.arcs[ai])
+	}
+	return work
+}
+
+// outTarget is arc a's entry in a workspace.
+func outTarget(a Arc) int32 {
+	if a.Marked {
+		return ^int32(a.To)
+	}
+	return int32(a.To)
 }
 
 // buildCSR flattens the adjacency into packed CSR arrays: the arc
@@ -121,43 +161,45 @@ func assemble(name string, events []Event, arcs []Arc, byName map[string]EventID
 // (source, delay, marking offset, arc index) grouped by target. Within
 // each group records appear in ascending arc index, matching the order
 // arcs were added — the tie-breaking order the simulation kernels rely
-// on for bit-identical parent selection.
-func (g *Graph) buildCSR() {
+// on for bit-identical parent selection. It fills outTo as a
+// workspace's out-arc targets.
+func (g *Graph) buildCSR(outTo []int32) {
 	n := len(g.events)
 	m := len(g.arcs)
-	inCnt := make([]int32, n+1)
-	outCnt := make([]int32, n+1)
+	// Each event's arcs are counted two places up, so that after the
+	// prefix sums off[e+1] is where e's run starts. Placing a record
+	// advances it, which leaves off[e+1] where e's run ends, as the
+	// CSR offsets have it. off[n+1] is spare.
+	in := make([]int32, n+2)
+	out := make([]int32, n+2)
 	for _, a := range g.arcs {
-		inCnt[a.To+1]++
-		outCnt[a.From+1]++
+		in[a.To+2]++
+		out[a.From+2]++
 	}
-	for i := 0; i < n; i++ {
-		inCnt[i+1] += inCnt[i]
-		outCnt[i+1] += outCnt[i]
+	for i := 2; i <= n; i++ {
+		in[i] += in[i-1]
+		out[i] += out[i-1]
 	}
-	g.inOff, g.outOff = inCnt, outCnt
 	g.inSrc = make([]EventID, m)
 	g.inDelay = make([]float64, m)
 	g.inMark = make([]int32, m)
 	g.inPacked = make([]int, m)
 	g.outPacked = make([]int, m)
-	inNext := make([]int32, n)
-	outNext := make([]int32, n)
-	copy(inNext, inCnt[:n])
-	copy(outNext, outCnt[:n])
 	for i, a := range g.arcs {
-		p := inNext[a.To]
-		inNext[a.To]++
+		p := in[a.To+1]
+		in[a.To+1]++
 		g.inSrc[p] = a.From
 		g.inDelay[p] = a.Delay
 		if a.Marked {
 			g.inMark[p] = 1
 		}
 		g.inPacked[p] = i
-		q := outNext[a.From]
-		outNext[a.From]++
+		q := out[a.From+1]
+		out[a.From+1]++
 		g.outPacked[q] = i
+		outTo[q] = outTarget(a)
 	}
+	g.inOff, g.outOff = in[:n+1:n+1], out[:n+1:n+1]
 }
 
 // rebuildInDelays refreshes the CSR delay column from the arc list.
@@ -174,65 +216,34 @@ func (g *Graph) rebuildInDelays() {
 // computePeriodOrder runs a deterministic Kahn topological sort over the
 // unmarked-arc subgraph, always extracting the smallest ready ID (via a
 // binary heap, O((n+m) log n)) so tables and traces are stable across
-// runs.
-func (g *Graph) computePeriodOrder() ([]EventID, error) {
+// runs. It works in a workspace: the in-degrees, the heap and the
+// out-arc targets.
+func (g *Graph) computePeriodOrder(work []int32) ([]EventID, error) {
 	n := len(g.events)
-	indeg := make([]int32, n)
+	indeg, heap, outTo := work[:n], work[n:n:2*n], work[2*n:]
+	clear(indeg)
 	for _, a := range g.arcs {
 		if !a.Marked {
 			indeg[a.To]++
 		}
 	}
-	heap := make([]EventID, 0, n)
-	push := func(e EventID) {
-		heap = append(heap, e)
-		for i := len(heap) - 1; i > 0; {
-			p := (i - 1) / 2
-			if heap[p] <= heap[i] {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
-		}
-	}
-	pop := func() EventID {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		for i := 0; ; {
-			c := 2*i + 1
-			if c >= len(heap) {
-				break
-			}
-			if c+1 < len(heap) && heap[c+1] < heap[c] {
-				c++
-			}
-			if heap[i] <= heap[c] {
-				break
-			}
-			heap[i], heap[c] = heap[c], heap[i]
-			i = c
-		}
-		return top
-	}
-	for i := n - 1; i >= 0; i-- {
-		if indeg[i] == 0 {
-			push(EventID(i))
+	for i, d := range indeg {
+		if d == 0 {
+			heap = append(heap, int32(i)) // ascending, so already a heap
 		}
 	}
 	order := make([]EventID, 0, n)
 	for len(heap) > 0 {
-		e := pop()
-		order = append(order, e)
-		for _, ai := range g.OutArcs(e) {
-			a := &g.arcs[ai]
-			if a.Marked {
+		var e int32
+		e, heap = heapPop(heap)
+		order = append(order, EventID(e))
+		for _, to := range outTo[g.outOff[e]:g.outOff[e+1]] {
+			if to < 0 { // marked
 				continue
 			}
-			indeg[a.To]--
-			if indeg[a.To] == 0 {
-				push(a.To)
+			indeg[to]--
+			if indeg[to] == 0 {
+				heap = heapPush(heap, to)
 			}
 		}
 	}
@@ -242,6 +253,43 @@ func (g *Graph) computePeriodOrder() ([]EventID, error) {
 	return order, nil
 }
 
+// heapPush adds e to the binary min-heap h.
+func heapPush(h []int32, e int32) []int32 {
+	h = append(h, e)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if h[p] <= h[i] {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+	return h
+}
+
+// heapPop removes the least element of the binary min-heap h.
+func heapPop(h []int32) (int32, []int32) {
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return top, h
+}
+
 // computeBorder finds the border set: repetitive events with an initially
 // marked in-arc. Cycles involve only repetitive events, and every cycle of
 // a live graph carries a token whose arc ends in a repetitive event, so
@@ -249,11 +297,8 @@ func (g *Graph) computePeriodOrder() ([]EventID, error) {
 func (g *Graph) computeBorder() []EventID {
 	var border []EventID
 	for _, r := range g.repetitive {
-		for _, ai := range g.InArcs(r) {
-			if g.arcs[ai].Marked {
-				border = append(border, r)
-				break
-			}
+		if slices.Contains(g.inMark[g.inOff[r]:g.inOff[r+1]], 1) {
+			border = append(border, r)
 		}
 	}
 	return border

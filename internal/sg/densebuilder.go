@@ -12,63 +12,110 @@ import (
 // past it if need be), and Build hands those slices and the name index
 // to the Graph without copying them, as the chaining Builder must (at
 // 10⁶ events a copy roughly doubles the peak footprint of
-// construction). Build runs the same Validate as the chaining Builder.
+// construction). Event names are copied into one byte arena as they
+// are added, and Build turns the arena into one string that every
+// Event.Name and Event.Signal is a substring of. Build runs the same
+// Validate as the chaining Builder.
 //
 // A DenseBuilder must not be reused after Build.
 type DenseBuilder struct {
 	name   string
-	events []Event
+	events []Event // Name, Signal and Dir are set by Build
 	arcs   []Arc
-	byName map[string]EventID
+	text   []byte  // the event names, one after another
+	offs   []int32 // event i's name is text[offs[i]:offs[i+1]]
+	index  nameIndex
 	err    error
 	built  bool
 }
 
 // NewDenseBuilder returns a builder sized for the given element counts.
 // The counts are capacity hints: going over them grows the slices, and
-// Build copies a slice with more than an eighth of its length spare.
-// The name index is sized by the event count and never trimmed, so
-// that count should not exceed the events added.
+// Build copies a slice with more than an eighth of its length spare and
+// shrinks a name index sized for more events than it holds. The name
+// arena starts at nameBytes per hinted event and grows as it must; the
+// Graph keeps only the bytes of the names.
 func NewDenseBuilder(name string, numEvents, numArcs int) *DenseBuilder {
 	return &DenseBuilder{
 		name:   name,
 		events: make([]Event, 0, numEvents),
 		arcs:   make([]Arc, 0, numArcs),
-		byName: make(map[string]EventID, numEvents),
+		text:   make([]byte, 0, nameBytes*numEvents),
+		offs:   append(make([]int32, 0, numEvents+1), 0),
+		index:  newNameIndex(numEvents),
 	}
 }
+
+// nameBytes is the arena's guess at the length of a name.
+const nameBytes = 8
 
 // AddEvent appends a repetitive event and returns its ID. Names must be
 // unique; a duplicate is an error.
 func (b *DenseBuilder) AddEvent(name string) EventID {
-	return b.addEvent(name, true)
+	return addEvent(b, name, true)
 }
 
 // AddNonRepetitiveEvent appends a non-repetitive event.
 func (b *DenseBuilder) AddNonRepetitiveEvent(name string) EventID {
-	return b.addEvent(name, false)
+	return addEvent(b, name, false)
 }
 
-func (b *DenseBuilder) addEvent(name string, repetitive bool) EventID {
+// AddEventBytes appends an event given its name as bytes, which are
+// copied, so a reader can pass a slice of its input.
+func (b *DenseBuilder) AddEventBytes(name []byte, repetitive bool) EventID {
+	return addEvent(b, name, repetitive)
+}
+
+func addEvent[S string | []byte](b *DenseBuilder, name S, repetitive bool) EventID {
 	if b.err != nil {
 		return None
 	}
-	if name == "" {
+	if len(name) == 0 {
 		b.err = fmt.Errorf("sg: empty event name in graph %q", b.name)
 		return None
 	}
-	// One hash per event: a duplicate leaves the index size unchanged.
-	// Overwriting its ID is harmless, as the recorded error ends the build.
-	id := EventID(len(b.events))
-	n := len(b.byName)
-	b.byName[name] = id
-	if len(b.byName) == n {
+	h := hashName(b.index.seed, name)
+	if find(b, h, name) != None {
 		b.err = fmt.Errorf("sg: duplicate event %q in graph %q", name, b.name)
 		return None
 	}
-	sig, dir := splitName(name)
-	b.events = append(b.events, Event{Name: name, Signal: sig, Dir: dir, Repetitive: repetitive})
+	if len(b.text)+len(name) > math.MaxInt32 {
+		b.err = fmt.Errorf("sg: event names of graph %q exceed %d bytes", b.name, math.MaxInt32)
+		return None
+	}
+	id := EventID(len(b.events))
+	b.text = append(b.text, name...)
+	b.offs = append(b.offs, int32(len(b.text)))
+	b.events = append(b.events, Event{Repetitive: repetitive})
+	if 2*len(b.events) > len(b.index.slots) {
+		b.reindex()
+	} else {
+		b.index.place(h, id)
+	}
 	return id
+}
+
+// nameOf returns the name of event id, in the arena.
+func (b *DenseBuilder) nameOf(id EventID) []byte { return b.text[b.offs[id]:b.offs[id+1]] }
+
+// find returns the ID of the event named name, whose hash is h, or
+// None.
+func find[S string | []byte](b *DenseBuilder, h uint64, name S) EventID {
+	x := &b.index
+	for i := x.home(h); x.slots[i] != 0; i = x.next(i) {
+		if id := EventID(x.slots[i] - 1); string(b.nameOf(id)) == string(name) {
+			return id
+		}
+	}
+	return None
+}
+
+// reindex rebuilds the name index at the size for the events added.
+func (b *DenseBuilder) reindex() {
+	b.index.slots = make([]int32, indexSize(len(b.events)))
+	for id := range b.events {
+		b.index.place(hashName(b.index.seed, b.nameOf(EventID(id))), EventID(id))
+	}
 }
 
 // AddArc appends an arc between two already-added events.
@@ -92,7 +139,7 @@ func (b *DenseBuilder) addArc(from, to EventID, delay float64, marked, once bool
 	}
 	if delay < 0 || math.IsNaN(delay) {
 		b.err = fmt.Errorf("sg: delay %g on arc %s -> %s in graph %q: want a non-negative delay",
-			delay, b.events[from].Name, b.events[to].Name, b.name)
+			delay, b.nameOf(from), b.nameOf(to), b.name)
 		return false
 	}
 	b.arcs = append(b.arcs, Arc{From: from, To: to, Delay: delay, Marked: marked, Once: once})
@@ -113,13 +160,13 @@ func addArcNamed[S string | []byte](b *DenseBuilder, from, to S, delay float64, 
 	if b.err != nil {
 		return false
 	}
-	src, ok := b.byName[string(from)]
-	if !ok {
+	src := find(b, hashName(b.index.seed, from), from)
+	if src == None {
 		b.err = fmt.Errorf("sg: arc references unknown event %q in graph %q", from, b.name)
 		return false
 	}
-	dst, ok := b.byName[string(to)]
-	if !ok {
+	dst := find(b, hashName(b.index.seed, to), to)
+	if dst == None {
 		b.err = fmt.Errorf("sg: arc references unknown event %q in graph %q", to, b.name)
 		return false
 	}
@@ -136,14 +183,17 @@ func (b *DenseBuilder) Build() (*Graph, error) { return validated(b.assembleDens
 
 // BuildUnchecked assembles the Graph without semantic validation, like
 // Builder.BuildUnchecked.
-func (b *DenseBuilder) BuildUnchecked() (*Graph, error) { return b.assembleDense() }
+func (b *DenseBuilder) BuildUnchecked() (*Graph, error) {
+	g, _, err := b.assembleDense()
+	return g, err
+}
 
-func (b *DenseBuilder) assembleDense() (*Graph, error) {
+func (b *DenseBuilder) assembleDense() (*Graph, []int32, error) {
 	if b.err != nil {
-		return nil, b.err
+		return nil, nil, b.err
 	}
 	if b.built {
-		return nil, fmt.Errorf("sg: DenseBuilder for graph %q used after Build", b.name)
+		return nil, nil, fmt.Errorf("sg: DenseBuilder for graph %q used after Build", b.name)
 	}
 	b.built = true
 	if spare(b.events) {
@@ -152,9 +202,12 @@ func (b *DenseBuilder) assembleDense() (*Graph, error) {
 	if spare(b.arcs) {
 		b.arcs = slices.Clone(b.arcs)
 	}
-	g := assemble(b.name, b.events, b.arcs, b.byName)
-	b.events, b.arcs, b.byName = nil, nil, nil
-	return g, nil
+	if len(b.index.slots) > indexSize(len(b.events)) {
+		b.reindex()
+	}
+	g, work := b.assemble(b.events, b.arcs, b.index.slots)
+	b.events, b.arcs, b.text, b.offs, b.index.slots = nil, nil, nil, nil, nil
+	return g, work, nil
 }
 
 // spare reports whether s has more than an eighth of its length in

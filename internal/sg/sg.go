@@ -74,7 +74,7 @@ type Graph struct {
 	name   string
 	events []Event
 	arcs   []Arc
-	byName map[string]EventID
+	index  nameIndex // shared by copies of the graph, never written
 
 	repetitive []EventID // cached A_r in ID order
 	border     []EventID // cached border set (§VI.A) in ID order
@@ -150,17 +150,19 @@ func (g *Graph) Arc(i int) Arc { return g.arcs[i] }
 
 // EventByName returns the ID of the named event, or (None, false).
 func (g *Graph) EventByName(name string) (EventID, bool) {
-	id, ok := g.byName[name]
-	if !ok {
-		return None, false
+	x := &g.index
+	for i := x.home(hashName(x.seed, name)); x.slots[i] != 0; i = x.next(i) {
+		if id := EventID(x.slots[i] - 1); g.events[id].Name == name {
+			return id, true
+		}
 	}
-	return id, true
+	return None, false
 }
 
 // MustEvent returns the ID of the named event and panics if it does not
 // exist. Intended for tests and examples working with known fixtures.
 func (g *Graph) MustEvent(name string) EventID {
-	id, ok := g.byName[name]
+	id, ok := g.EventByName(name)
 	if !ok {
 		panic(fmt.Sprintf("sg: graph %q has no event %q", g.name, name))
 	}

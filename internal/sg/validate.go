@@ -101,7 +101,11 @@ func (e *ValidationError) Error() string {
 //     carries a token, so the graph is live and a per-period topological
 //     evaluation order exists);
 //  5. the repetitive events form one strongly connected component.
-func (g *Graph) Validate() error {
+func (g *Graph) Validate() error { return g.validate(nil) }
+
+// validate is Validate working in g's workspace, or in a new one if
+// work is nil.
+func (g *Graph) validate(work []int32) error {
 	if len(g.events) == 0 {
 		return &ValidationError{Graph: g.name, Kind: ErrEmpty}
 	}
@@ -134,15 +138,77 @@ func (g *Graph) Validate() error {
 		return &ValidationError{Graph: g.name, Kind: ErrUnmarkedCycle,
 			Events: g.EventNames(g.findCycle(func(a *Arc) bool { return !a.Marked }))}
 	}
-	if len(g.repetitive) > 0 {
+	// Reachability proves the core connected; Tarjan only names the
+	// component the error reports.
+	if len(g.repetitive) > 0 && !g.coreConnected(work) {
 		comps := g.coreSCCs()
-		if len(comps) > 1 {
-			return &ValidationError{Graph: g.name, Kind: ErrCoreNotStronglyConnected,
-				Events: g.EventNames(comps[0]),
-				Detail: fmt.Sprintf("%d components", len(comps))}
-		}
+		return &ValidationError{Graph: g.name, Kind: ErrCoreNotStronglyConnected,
+			Events: g.EventNames(comps[0]),
+			Detail: fmt.Sprintf("%d components", len(comps))}
 	}
 	return nil
+}
+
+// coreConnected reports whether the repetitive events form one strongly
+// connected component: whether the first of them reaches every other
+// and is reached from every other along arcs between repetitive events.
+// It searches forward over the workspace's out-arc targets, then
+// backward over the in-arc records, keeping a mark per event and the
+// search stack in the workspace (a new one if work is nil).
+func (g *Graph) coreConnected(work []int32) bool {
+	n := len(g.events)
+	if work == nil {
+		work = g.workspace()
+	}
+	const (
+		unseen  = iota
+		ahead   // reached forward
+		behind  // reached forward and backward
+		outside // not repetitive
+	)
+	mark, stack, outTo := work[:n], work[n:n:2*n], work[2*n:]
+	for i := range g.events {
+		mark[i] = unseen
+		if !g.events[i].Repetitive {
+			mark[i] = outside
+		}
+	}
+	root := g.repetitive[0]
+	mark[root] = ahead
+	stack = append(stack, int32(root))
+	reached := 1
+	for len(stack) > 0 {
+		e := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, to := range outTo[g.outOff[e]:g.outOff[e+1]] {
+			if to < 0 { // marked
+				to = ^to
+			}
+			if mark[to] == unseen {
+				mark[to] = ahead
+				stack = append(stack, to)
+				reached++
+			}
+		}
+	}
+	if reached < len(g.repetitive) {
+		return false
+	}
+	mark[root] = behind
+	stack = append(stack, int32(root))
+	reached = 1
+	for len(stack) > 0 {
+		e := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, src := range g.inSrc[g.inOff[e]:g.inOff[e+1]] {
+			if mark[src] == ahead {
+				mark[src] = behind
+				stack = append(stack, int32(src))
+				reached++
+			}
+		}
+	}
+	return reached == len(g.repetitive)
 }
 
 // findCycle returns the events of some cycle made of arcs keep accepts,
@@ -202,7 +268,8 @@ func (g *Graph) findCycle(keep func(a *Arc) bool) []EventID {
 
 // coreSCCs returns the strongly connected components of the repetitive
 // subgraph (repetitive events and the arcs between them) in the order
-// Tarjan's algorithm, run iteratively, completes them.
+// Tarjan's algorithm, run iteratively, completes them. Validate runs it
+// only to name a component of a core that is not connected.
 func (g *Graph) coreSCCs() [][]EventID {
 	n := len(g.events)
 	index := make([]int, n)

@@ -57,3 +57,36 @@ func TestUnmarkedCycleIsNamed(t *testing.T) {
 		t.Fatalf("error %q, want %q", ve.Error(), want)
 	}
 }
+
+// TestCoreCheckedBothWays: the core must reach, and be reached from,
+// its first repetitive event. In the first graph a+ is reached by every
+// event but reaches only itself; in the second it reaches every event
+// but is reached by none. The errors are those Tarjan's components
+// gave before the reachability check.
+func TestCoreCheckedBothWays(t *testing.T) {
+	loops := func() *sg.Builder {
+		return sg.NewBuilder("g").Events("a+", "b+", "c+").
+			Arc("a+", "a+", 1, sg.Marked()).Arc("b+", "b+", 1, sg.Marked()).Arc("c+", "c+", 1, sg.Marked())
+	}
+	for _, c := range []struct {
+		name string
+		b    *sg.Builder
+		want string
+	}{
+		{"reached by all, reaches none", loops().Arc("b+", "a+", 1).Arc("c+", "b+", 2),
+			`sg: graph "g": repetitive events not strongly connected: a+ (3 components)`},
+		{"reaches all, reached by none", loops().Arc("a+", "b+", 1).Arc("b+", "c+", 2),
+			`sg: graph "g": repetitive events not strongly connected: c+ (3 components)`},
+	} {
+		if _, err := c.b.Build(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Build = %v, want %q", c.name, err, c.want)
+		}
+		g, err := c.b.BuildUnchecked()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate = %v, want %q", c.name, err, c.want)
+		}
+	}
+}
